@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from duet.core import InputError, NumericError
+from duet.errors import InputError, NumericError
 from duet.pipeline import PipelineConfig, run_pipeline
 
 

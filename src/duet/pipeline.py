@@ -23,18 +23,18 @@ Workspace layout (all produced under the --out directory):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .align import AlignTrainConfig, PairedBatch, embed_images, train_align
+from .align import AlignTrainConfig, PairedBatch, train_align
 from .core import Rng, SgdState
 from .errors import InputError
 from .fuse import FuseAdapter, fuse_predict_batch, train_fuse
 from .metrics import log1p_transform, metrics, variance_curve
 from .regress import AnnealSchedule, RegModel, RetrievalSources, train_regress
-from .retrieval import RetrievalConfig, rebuild_db, retrieve
+from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .scprior import build_gating, deconvolve, fit_signatures, select_panel
 from .scprior import ScDataset
 from .synth import SynthConfig, gen_sc, gen_spots
@@ -97,6 +97,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        if not isinstance(doc, dict):
+            raise InputError("bad config: the top level must be an object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InputError(f"bad config: unknown key {unknown[0]!r}")
         try:
             return cls(
                 synth=SynthConfig(**doc.get("synth", {})),
@@ -317,15 +322,6 @@ def _train_db(ws: Path, spots, y, gating):
     return model, db
 
 
-def _retrieval_rows(model, db, cfg: PipelineConfig, f_img, gating, subset):
-    queries = embed_images(model, f_img[subset])
-    rows = [
-        retrieve(db, queries[k], gating[s], cfg.retrieval).p_ret
-        for k, s in enumerate(subset)
-    ]
-    return np.stack(rows)
-
-
 # ---------------------------------------------------------------------------
 # Stage: regress
 # ---------------------------------------------------------------------------
@@ -372,7 +368,8 @@ def stage_fuse(cfg: PipelineConfig, seed: int, ws: Path) -> None:
     subset = _split_indices(ws, spots)["fuse"]
 
     align_model, db = _train_db(ws, spots, y, gating)
-    y_ret = _retrieval_rows(align_model, db, cfg, f_img, gating, subset)
+    y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
+                           cfg.retrieval)
     reg_model = load_reg(ws / "reg.ckpt")
     y_reg = reg_model.predict(f_fm[subset])
 
@@ -397,7 +394,7 @@ def stage_retrieve(cfg: PipelineConfig, seed: int, ws: Path) -> None:
     gating = _read_gating(ws, len(spots))
     subset = _split_indices(ws, spots)["test"]
     model, db = _train_db(ws, spots, y, gating)
-    y_ret = _retrieval_rows(model, db, cfg, f_img, gating, subset)
+    y_ret = retrieve_spots(model, db, f_img[subset], gating[subset], cfg.retrieval)
     ids = [spots[i] for i in subset]
     write_matrix_tsv(ws / "pred_ret.tsv", y_ret, ids, target_genes)
     _stamp(ws, "retrieve", cfg, seed, ["pred_ret.tsv"])
@@ -412,7 +409,8 @@ def stage_predict(cfg: PipelineConfig, seed: int, ws: Path) -> None:
     ids = [spots[i] for i in subset]
 
     align_model, db = _train_db(ws, spots, y, gating)
-    y_ret = _retrieval_rows(align_model, db, cfg, f_img, gating, subset)
+    y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
+                           cfg.retrieval)
     reg_model = load_reg(ws / "reg.ckpt")
     y_reg = reg_model.predict(f_fm[subset])
     adapter = load_fuse(ws / "fuse.ckpt")

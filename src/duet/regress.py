@@ -3,11 +3,12 @@
 A plain MLP head maps precomputed per-spot features to log1p expression. For
 the first E_d epochs its loss carries an extra consistency term pulling the
 prediction toward the memory branch's retrieved expression, with a cosine
-weight decaying from lambda0 to zero. The retrieval side is recomputed once
-per epoch from the frozen alignment model and treated as a constant: no
-gradient flows into the contrastive heads. Once the weight hits zero the
-retrieval machinery is skipped entirely, so a lambda0=0 schedule is bitwise
-identical to training that never touches the database.
+weight decaying from lambda0 to zero. The alignment model and the database
+are frozen for the whole stage, so the retrieved targets are computed once, in
+one batched pass on the first epoch with a positive weight, and reused as a
+constant: no gradient flows into the contrastive heads. When the weight is
+zero the retrieval machinery is skipped entirely, so a lambda0=0 schedule is
+bitwise identical to training that never touches the database.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import AlignModel, embed_images
+from .align import AlignModel
 from .core import Mlp, Rng, SgdState, as_matrix
 from .errors import InputError, NumericError
-from .retrieval import RetrievalConfig, rebuild_db, retrieve
+from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 
 DEFAULT_HIDDEN = (256, 256)
 DEFAULT_BATCH_SIZE = 128
@@ -69,7 +70,8 @@ def lambda_at(sched: AnnealSchedule, e: int) -> float:
         return 0.0
     # the phase fraction is computed first so the midpoint of an even decay
     # window lands on exactly pi/2 and the schedule returns exactly lambda0/2
-    return 0.5 * sched.lambda0 * (1.0 + np.cos(np.pi * (e / sched.decay_epochs)))
+    # lambda0 multiplies last, so a subnormal lambda0 is not flushed to zero
+    return sched.lambda0 * (0.5 * (1.0 + np.cos(np.pi * (e / sched.decay_epochs))))
 
 
 def reg_loss(p_reg, y, p_ret, lam: float):
@@ -112,23 +114,12 @@ class RetrievalSources:
             raise InputError("retrieval source arrays must share the same length")
 
 
-def _retrieved_targets(align_model: AlignModel, sources: RetrievalSources) -> np.ndarray:
-    db = rebuild_db(align_model, sources.expressions, sources.gating,
-                    sources.spot_ids)
-    queries = embed_images(align_model, sources.img_features)
-    rows = [
-        retrieve(db, queries[s], sources.gating[s], sources.cfg).p_ret
-        for s in range(queries.shape[0])
-    ]
-    return np.stack(rows)
-
-
 def train_regress(features, targets, align_model: AlignModel | None,
                   db_sources: RetrievalSources | None, sched: AnnealSchedule,
                   epochs: int, opt: SgdState, rng: Rng,
                   start_epoch: int = 0, batch_size: int = DEFAULT_BATCH_SIZE,
                   model: RegModel | None = None) -> RegModel:
-    """Minibatch SGD on the annealed objective with per-epoch DB refresh."""
+    """Minibatch SGD on the annealed objective; retrieval runs at most once."""
     x = as_matrix(features)
     y = as_matrix(targets)
     if x.shape[0] != y.shape[0]:
@@ -144,17 +135,19 @@ def train_regress(features, targets, align_model: AlignModel | None,
         raise InputError("db_sources must cover exactly the training spots")
 
     params = model.head.param_arrays()
+    p_ret = None  # retrieved targets, computed on the first epoch that needs them
     for i in range(epochs):
         e = start_epoch + i
         lam = lambda_at(sched, e)
-        if lam > 0.0:
+        if lam > 0.0 and p_ret is None:
             if align_model is None or db_sources is None:
                 raise InputError(
                     "consistency weight is positive but no retrieval sources given"
                 )
-            p_ret = _retrieved_targets(align_model, db_sources)
-        else:
-            p_ret = None  # retrieval is skipped entirely, not just zero-weighted
+            db = rebuild_db(align_model, db_sources.expressions,
+                            db_sources.gating, db_sources.spot_ids)
+            p_ret = retrieve_spots(align_model, db, db_sources.img_features,
+                                   db_sources.gating, db_sources.cfg)
 
         perm = rng.child("shuffle", e).permutation(n)
         stop = max(n // batch_size, 1) * batch_size if n >= batch_size else n
@@ -163,7 +156,7 @@ def train_regress(features, targets, align_model: AlignModel | None,
             out, tape = model.head.forward(x[idx])
             err = out - y[idx]
             with np.errstate(over="ignore", invalid="ignore"):
-                if p_ret is None:
+                if lam == 0.0:  # retrieval skipped, not just zero-weighted
                     batch_loss = float(np.mean(err**2))
                     d_out = (2.0 / (g * idx.size)) * err
                 else:

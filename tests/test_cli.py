@@ -109,6 +109,13 @@ def test_bad_config_exit_1(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_misspelled_section_exit_1(tmp_path, capsys):
+    p = tmp_path / "typo.json"
+    p.write_text('{"retreival": {"top_k": 5}}')
+    assert main(["synth", "--config", str(p), "--out", str(tmp_path / "ws")]) == 1
+    assert "retreival" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_env(tmp_path, cfg_path, monkeypatch):
     monkeypatch.setenv("DUET_SEED", "5")
     a, b, c = (tmp_path / n for n in ("a", "b", "c"))

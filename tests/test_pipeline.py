@@ -187,6 +187,10 @@ def test_config_invalid_json(tmp_path):
 def test_config_unknown_key_rejected():
     with pytest.raises(InputError, match="bad config"):
         PipelineConfig.from_dict({"train": {"no_such_knob": 1}})
+    with pytest.raises(InputError, match="'retreival'"):
+        PipelineConfig.from_dict({"retreival": {"top_k": 5}})
+    with pytest.raises(InputError, match="bad config"):
+        PipelineConfig.from_dict([1, 2])
 
 
 def test_split_fraction_validation():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import duet.regress as regress_module
 from duet.align import AlignModel
 from duet.core import Rng, SgdState, fd_check
 from duet.errors import InputError, NumericError
@@ -46,6 +47,7 @@ class TestAnneal:
         lambda0=st.floats(0.0, 16.0, allow_nan=False),
         decay_epochs=st.integers(1, 200),
     )
+    @example(lambda0=5e-324, decay_epochs=1)  # subnormal: 0.5 * lambda0 underflows
     def test_schedule_properties(self, lambda0, decay_epochs):
         sched = AnnealSchedule(lambda0=lambda0, decay_epochs=decay_epochs)
         vals = [lambda_at(sched, e) for e in range(decay_epochs + 2)]
@@ -195,6 +197,25 @@ class TestTrainRegress:
         with pytest.raises(NumericError, match="epoch"):
             train_regress(x, y, None, None, sched, epochs=10,
                           opt=SgdState(lr=1e12), rng=Rng(13), batch_size=32)
+
+    @pytest.mark.parametrize("lambda0, builds", [(1.0, 1), (0.0, 0)])
+    def test_database_built_once_per_stage(self, monkeypatch, lambda0, builds):
+        # the align model and the database are frozen for the whole stage, so
+        # every annealed epoch reuses one retrieval pass
+        calls = []
+        real = regress_module.rebuild_db
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regress_module, "rebuild_db", counting)
+        x, y = linear_problem(62, n=60, d=8, g=6)
+        train_regress(x, y, make_align(8, 6, 63), make_sources(x, y, 64),
+                      AnnealSchedule(lambda0=lambda0, decay_epochs=30),
+                      epochs=4, opt=SgdState(lr=0.01), rng=Rng(16),
+                      batch_size=32)
+        assert len(calls) == builds
 
     def test_requires_sources_when_lambda_positive(self):
         x, y = linear_problem(60, n=40, d=8, g=6)

@@ -7,15 +7,38 @@ from duet.align import AlignModel
 from duet.core import Rng
 from duet.errors import InputError
 from duet.retrieval import (
+    _CHUNK,
     EmbeddingDB,
     RetrievalConfig,
     RetrievalResult,
+    _retrieve_chunk,
+    _unique_rows,
     blended_scores,
     candidates,
-    gate_mask,
     rebuild_db,
     retrieve,
+    retrieve_batch,
 )
+
+
+def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def gate_mask(g_s, g_j, tau_c: float, tau_p: float) -> int:
+    """Scalar gate oracle: 1 iff total count deviation <= tau_c and composition cos >= tau_p."""
+    g_s = np.asarray(g_s, dtype=np.float64)
+    g_j = np.asarray(g_j, dtype=np.float64)
+    if np.any(g_s < 0) or np.any(g_j < 0):
+        raise InputError("gating rows must be non-negative")
+    ts, tj = g_s.sum(), g_j.sum()
+    denom = max(ts, tj)
+    deviation = 0.0 if denom == 0.0 else abs(ts - tj) / denom
+    return int(deviation <= tau_c and _cosine(g_s, g_j) >= tau_p)
 
 
 def unit_rows(x):
@@ -43,36 +66,25 @@ def unit_query(seed, d=8):
 
 
 def brute_force_retrieve(db, v, g_s, cfg):
-    """Literal reference: score, gate, rank, and aggregate over the whole DB."""
+    """Literal reference: score, shortlist, gate, rank, and aggregate."""
     n = db.size
     phi = np.array([float(np.dot(db.h[j], v)) for j in range(n)])
-    sim = np.zeros(n)
-    passed = np.zeros(n, dtype=bool)
-    ts = float(np.sum(g_s))
-    ns = float(np.linalg.norm(g_s))
-    for j in range(n):
-        gj = db.gating[j]
-        tj = float(np.sum(gj))
-        denom = max(ts, tj)
-        dev = 0.0 if denom == 0.0 else abs(ts - tj) / denom
-        nj = float(np.linalg.norm(gj))
-        cos = 0.0 if ns == 0.0 or nj == 0.0 else float(np.dot(g_s, gj) / (ns * nj))
-        sim[j] = cos
-        passed[j] = (dev <= cfg.tau_c) and (cos >= cfg.tau_p)
+    short = sorted(range(n), key=lambda j: (-phi[j], j))[: cfg.n_candidates]
+    sim = np.array([_cosine(g_s, db.gating[j]) for j in range(n)])
+    passed = [j for j in short
+              if gate_mask(g_s, db.gating[j], cfg.tau_c, cfg.tau_p)]
     r = (1.0 - cfg.beta) * phi + cfg.beta * sim
-    if passed.any():
-        pool = [j for j in range(n) if passed[j]]
-        pool.sort(key=lambda j: (-r[j], j))
+    if passed:
+        pool = sorted(passed, key=lambda j: (-r[j], j))
         kept = pool[: cfg.top_k]
     else:
-        pool = sorted(range(n), key=lambda j: (-phi[j], j))
-        kept = pool[: cfg.top_k]
+        kept = short[: cfg.top_k]
         kept.sort(key=lambda j: (-r[j], j))
     z = np.array([r[j] for j in kept]) / cfg.softmax_temp
     w = np.exp(z - z.max())
     w = w / w.sum()
     p = w @ db.expressions[kept]
-    return p, kept, int(passed.sum())
+    return p, kept, len(passed)
 
 
 class TestCandidates:
@@ -287,6 +299,126 @@ class TestRetrieve:
         b = retrieve(db, v, g_s, cfg)
         assert a.kept_ids == b.kept_ids
         assert np.array_equal(a.p_ret, b.p_ret)
+
+
+def batch_queries(seed, q, d=8, t=4):
+    rng = Rng(seed)
+    v = unit_rows(rng.child("v").standard_normal((q, d)))
+    g = rng.child("g").uniform(0.0, 10.0, size=(q, t))
+    return v, g
+
+
+def batched_kept_ids(db, v, g, cfg):
+    """Kept ids per query from the batched kernel, chunked as retrieve_batch is."""
+    uniq, inv = _unique_rows(db.h)
+    out = []
+    for lo in range(0, v.shape[0], _CHUNK):
+        _, _, kept, valid, _, _ = _retrieve_chunk(
+            db, uniq, inv, v[lo:lo + _CHUNK], g[lo:lo + _CHUNK], cfg)
+        out += [[db.spot_ids[j] for j in row[ok]] for row, ok in zip(kept, valid)]
+    return out
+
+
+def assert_batch_matches_oracle(db, v, g, cfg):
+    """Kept ids exactly, p_ret within 1e-12, gate counts exactly; returns the stats."""
+    p_ret, stats = retrieve_batch(db, v, g, cfg)
+    kept = batched_kept_ids(db, v, g, cfg)
+    assert p_ret.shape == (v.shape[0], db.expressions.shape[1])
+    for q in range(v.shape[0]):
+        p_ref, kept_ref, passed_ref = brute_force_retrieve(db, v[q], g[q], cfg)
+        assert kept[q] == [db.spot_ids[j] for j in kept_ref]
+        assert tuple(stats[q]) == (min(cfg.n_candidates, db.size), passed_ref)
+        assert np.max(np.abs(p_ret[q] - p_ref)) < 1e-12
+    return kept, stats
+
+
+class TestRetrieveBatch:
+    def test_duplicated_rows_keep_exact_ties(self):
+        # 250 pairs of identical rows (embedding and gating) at random
+        # positions score identically, so the oracle orders each pair by
+        # index; any ulp of difference between the two scores in the batched
+        # block would flip some of those pairs (a plain queries @ h.T product
+        # does that to a few hundred of them here)
+        db = random_db(40, n=500, d=32)
+        pair = Rng(40).child("pair").permutation(500)
+        src, dst = pair[:250], pair[250:]
+        db.h[dst] = db.h[src]
+        db.gating[dst] = db.gating[src]
+        v, g = batch_queries(41, 128, d=32)
+        cfg = RetrievalConfig(n_candidates=150, top_k=100, tau_c=0.5,
+                              tau_p=0.15, beta=0.3)
+        kept, _ = assert_batch_matches_oracle(db, v, g, cfg)
+        both = sum(db.spot_ids[i] in ids and db.spot_ids[j] in ids
+                   for ids in kept for i, j in zip(src, dst))
+        assert both > 1000
+
+    def test_ties_straddle_candidate_cut(self):
+        # 20 distinct embeddings repeated 25 times each: a shortlist of 60
+        # always cuts through the third tie group, which must be admitted in
+        # ascending index order
+        rng = Rng(42)
+        base = unit_rows(rng.child("b").standard_normal((20, 8)))
+        h = base[rng.child("p").permutation(np.repeat(np.arange(20), 25))]
+        expr = rng.child("e").uniform(0.0, 4.0, size=(500, 12))
+        gating = rng.child("g").uniform(0.0, 10.0, size=(500, 4))
+        db = EmbeddingDB(h=h, expressions=expr, gating=gating,
+                         spot_ids=[f"s{i:04d}" for i in range(500)])
+        v, g = batch_queries(43, 40)
+        cfg = RetrievalConfig(n_candidates=60, top_k=40, tau_c=0.6, tau_p=0.2)
+        assert_batch_matches_oracle(db, v, g, cfg)
+        for q in range(v.shape[0]):
+            phi = db.h @ v[q]
+            oracle = sorted(range(500), key=lambda j: (-phi[j], j))
+            assert phi[oracle[59]] == phi[oracle[60]]
+            assert list(candidates(db, v[q], 60)) == oracle[:60]
+
+    def test_fallback_rows_and_zero_gating(self):
+        db = random_db(44, n=200)  # every 20th gating row is zero
+        v, g = batch_queries(45, 30)
+        g[::3] = 1e6  # count deviation ~1 for every entry
+        g[1::3] = 0.0
+        strict = RetrievalConfig(n_candidates=120, top_k=30, tau_c=0.01,
+                                 tau_p=0.99)
+        _, stats = assert_batch_matches_oracle(db, v, g, strict)
+        assert np.all(stats[:, 1] == 0)
+        # a zero query passes exactly the zero database rows when tau_p <= 0
+        open_cos = RetrievalConfig(n_candidates=200, top_k=30, tau_c=0.5,
+                                   tau_p=0.0)
+        _, stats = assert_batch_matches_oracle(db, v, g, open_cos)
+        assert np.all(stats[::3, 1] == 0)
+        assert np.all(stats[1::3, 1] == 10)
+
+    @pytest.mark.parametrize("n_queries", [1, _CHUNK, 2 * _CHUNK + 5])
+    def test_chunk_boundaries(self, n_queries):
+        db = random_db(46, n=300, duplicate_every=3)
+        v, g = batch_queries(47, n_queries)
+        cfg = RetrievalConfig(n_candidates=100, top_k=25, tau_p=0.15,
+                              softmax_temp=0.7)
+        assert_batch_matches_oracle(db, v, g, cfg)
+
+    def test_single_row_view_agrees(self):
+        db = random_db(48, n=150)
+        v, g = batch_queries(49, 1)
+        cfg = RetrievalConfig(n_candidates=80, top_k=20)
+        p_ret, stats = retrieve_batch(db, v, g, cfg)
+        res = retrieve(db, v[0], g[0], cfg)
+        assert np.array_equal(p_ret[0], res.p_ret)
+        assert tuple(stats[0]) == res.mask_stats
+
+    def test_empty_and_invalid_batches(self):
+        db = random_db(50, n=20)
+        cfg = RetrievalConfig(n_candidates=10, top_k=5)
+        p_ret, stats = retrieve_batch(db, np.zeros((0, 8)), np.zeros((0, 4)), cfg)
+        assert p_ret.shape == (0, 12) and stats.shape == (0, 2)
+        v, g = batch_queries(51, 3)
+        with pytest.raises(InputError):
+            retrieve_batch(db, v, g[:2], cfg)
+        with pytest.raises(InputError):
+            retrieve_batch(db, 2.0 * v, g, cfg)
+        with pytest.raises(InputError):
+            retrieve_batch(db, np.full_like(v, np.nan), g, cfg)
+        with pytest.raises(InputError):
+            retrieve_batch(db, v[:, :5], g, cfg)
 
 
 class TestRebuildDb:
