@@ -251,8 +251,7 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path) -> None:
         cell_type=labels[:, 0].astype(np.int64),
         batch=labels[:, 1].astype(np.int64),
     )
-    model = fit_signatures(data, cfg.train.sig_epochs, rng.child("sig"),
-                           lr=cfg.train.sig_lr)
+    model = fit_signatures(data, cfg.train.sig_epochs, lr=cfg.train.sig_lr)
     signature = model.signature()  # (G, T)
     types = [f"t{j}" for j in range(data.n_types)]
     write_matrix_tsv(ws / "signature.tsv", signature, genes, types)

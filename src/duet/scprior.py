@@ -17,6 +17,20 @@ efficiency d is log-normal: w = exp(loc + exp(logstd) * eps). Its KL against
 the log-normal(0,1) prior is closed-form; the likelihood term uses one
 reparameterized Monte-Carlo sample per step with noise drawn from a
 counter-based stream keyed by step index, so runs replay exactly.
+
+Kernel
+------
+Both fits spend their time in one NB kernel, ``_nb_terms``, which returns
+the log-likelihood sum, dll/dmu and the column sums of dll/ddisp in one pass.
+Each fit first builds a count table (``_count_table``) once: the distinct
+(count, gene) pairs, an int32 index mapping every entry to its pair in the
+counts' memory order, and gammaln(x+1) per pair. gammaln(x+disp) and
+digamma(x+disp) are then evaluated once per distinct pair and gathered back,
+gammaln(disp), digamma(disp) and log(disp) once per gene, and mu+disp and
+log(mu+disp) once per step for the loss and both gradients. Every entry is
+the same floating-point expression as the textbook formulas (kept in the
+tests as oracles), and both sums add in the counts' memory order, so a fit
+does not depend on how numpy happened to lay out a temporary.
 """
 
 from __future__ import annotations
@@ -185,41 +199,100 @@ class DeconvPosterior:
 
 
 # ---------------------------------------------------------------------------
-# Negative binomial log-likelihood
+# Negative binomial kernel
 # ---------------------------------------------------------------------------
 
 
-def nb_loglik(x, mu, disp):
-    """Log pmf of NB with mean mu and inverse-dispersion disp, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    disp = np.asarray(disp, dtype=np.float64)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
-        raise NumericError("non-finite inputs to nb_loglik")
-    if np.any(mu <= 0) or np.any(disp <= 0):
-        raise InputError("nb_loglik needs mu > 0 and disp > 0")
-    if np.any(x < 0):
-        raise InputError("nb_loglik needs non-negative counts")
+@dataclass
+class _CountTable:
+    """A count matrix as its distinct (count, gene) pairs plus the map back."""
+
+    x: np.ndarray  # (S, G) float64 counts, contiguous in `order`
+    order: str  # "C" or "F": the counts' memory order
+    index: np.ndarray  # (S*G,) int32 pair of each entry, in that order
+    count: np.ndarray  # (P,) count of each distinct pair
+    gene: np.ndarray  # (P,) gene of each distinct pair
+    lgamma_x1: np.ndarray  # (P,) gammaln(count + 1)
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """Per-pair values as a new (S, G) array laid out like the counts."""
+        return values[self.index].reshape(self.x.shape, order=self.order)
+
+
+def _count_table(counts, what: str = "counts") -> _CountTable:
+    """Validate a count matrix once and tabulate its distinct (count, gene) pairs."""
+    x = np.asarray(counts, dtype=np.float64)
+    if x.ndim != 2:
+        raise InputError(f"{what} must be a 2-D matrix")
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise InputError(f"{what} must be finite and non-negative")
+    order = "F" if x.flags.f_contiguous and not x.flags.c_contiguous else "C"
+    x = np.asarray(x, order=order)  # copies only a non-contiguous view
+    flat = x.ravel(order=order)
+    gene = np.broadcast_to(np.arange(x.shape[1]), x.shape).ravel(order=order)
+    perm = np.lexsort((flat, gene))
+    flat, gene = flat[perm], gene[perm]
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = (flat[1:] != flat[:-1]) | (gene[1:] != gene[:-1])
+    index = np.empty(flat.size, dtype=np.int32)
+    index[perm] = np.cumsum(first) - 1
+    count = flat[first]
+    return _CountTable(x=x, order=order, index=index, count=count,
+                       gene=gene[first], lgamma_x1=gammaln(count + 1.0))
+
+
+def _nb_terms(table: _CountTable, mu: np.ndarray, disp: np.ndarray):
+    """Log-likelihood sum and gradients of NB(mu, disp) at the table's counts.
+
+    mu: (S, G) positive finite rates (the callers check them); disp: (G,)
+    inverse dispersions. Returns (sum of the log pmf, dll/dmu as a C-ordered
+    (S, G) array, column sums of dll/ddisp as a (G,) array). Per entry the log
+    pmf is gammaln(x+disp) - gammaln(disp) - gammaln(x+1)
+    + disp*(log(disp) - log(mu+disp)) + x*(log(mu) - log(mu+disp)).
+    """
+    if not np.all(np.isfinite(disp)):
+        raise NumericError("non-finite NB dispersion")
+    if np.any(disp <= 0):
+        raise InputError("NB dispersion must be positive")
+    x, gene = table.x, table.gene
+    # every (S, G) array below is laid out like the counts, so the sums add
+    # in the counts' memory order; each entry goes through the formula's
+    # operations in the formula's order, so it is bit-equal to the formula.
+    # Arrays are freed as soon as they are spent, to bound peak memory.
+    mu = np.asarray(mu, order=table.order)  # a no-op for both fits
+    xd = table.count + disp[gene]  # x + disp for each distinct pair
     total = mu + disp
-    out = (
-        gammaln(x + disp)
-        - gammaln(disp)
-        - gammaln(x + 1.0)
-        + disp * (np.log(disp) - np.log(total))
-        + x * (np.log(mu) - np.log(total))
-    )
-    if np.isscalar(out) or out.ndim == 0:
-        return float(out)
-    return out
+    log_total = np.log(total)
+    tmp = np.empty_like(x)
 
+    ll = table.expand(gammaln(xd) - gammaln(disp)[gene] - table.lgamma_x1)
+    np.subtract(np.log(disp), log_total, out=tmp)
+    tmp *= disp
+    ll += tmp
+    np.log(mu, out=tmp)
+    tmp -= log_total
+    tmp *= x
+    ll += tmp
+    loglik = float(np.sum(ll))
+    del ll, log_total
 
-def _nb_dmu(x, mu, disp):
-    return x / mu - (x + disp) / (disp + mu)
+    # dll/ddisp = digamma(x+disp) - digamma(disp) + log(disp/total) + (mu-x)/total
+    dd = table.expand(digamma(xd) - digamma(disp)[gene])
+    np.divide(disp, total, out=tmp)
+    dd += np.log(tmp, out=tmp)
+    np.subtract(mu, x, out=tmp)
+    tmp /= total
+    dd += tmp
+    ddisp = dd.sum(axis=0)
+    del dd
 
-
-def _nb_ddisp(x, mu, disp):
-    total = disp + mu
-    return digamma(x + disp) - digamma(disp) + np.log(disp / total) + (mu - x) / total
+    # dll/dmu = x/mu - (x+disp)/total
+    np.divide(x, mu, out=tmp)
+    xd_full = table.expand(xd)
+    xd_full /= total
+    tmp -= xd_full
+    del xd_full, total
+    return loglik, np.ascontiguousarray(tmp), ddisp
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +300,18 @@ def _nb_ddisp(x, mu, disp):
 # ---------------------------------------------------------------------------
 
 
-def signature_loss(model: NbSignatureModel, data: ScDataset):
+def signature_loss(model: NbSignatureModel, data: ScDataset,
+                   table: _CountTable | None = None):
     """Penalized negative mean log-likelihood and exact gradients.
 
-    Loss = -(1/CG) sum_cg nb_loglik + (1e-3/CG) * ||batch_effect||^2, which is
-    the MAP objective scaled by a constant, so the optimum is unchanged.
+    Loss = -(1/CG) sum_cg NB log pmf + (1e-3/CG) * ||batch_effect||^2, which
+    is the MAP objective scaled by a constant, so the optimum is unchanged.
+    ``table`` is ``_count_table(data.counts)``; fit_signatures builds it once
+    per fit, and a call without it builds its own.
     """
-    x = data.counts.astype(np.float64)
-    c, g = x.shape
+    if table is None:
+        table = _count_table(data.counts, "single-cell counts")
+    c, g = table.x.shape
     scale = 1.0 / (c * g)
 
     mu_tg = model.mu
@@ -246,12 +323,10 @@ def signature_loss(model: NbSignatureModel, data: ScDataset):
     if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
         raise NumericError("signature model produced invalid rates")
 
-    theta_row = np.broadcast_to(theta, (c, g))
-    ll = nb_loglik(x, rate, theta_row)
+    ll, s, grad_theta = _nb_terms(table, rate, theta)  # s = dll/drate
     penalty = BATCH_PENALTY * float(np.sum(model.batch_effect**2))
-    loss = -scale * float(np.sum(ll)) + scale * penalty
+    loss = -scale * ll + scale * penalty
 
-    s = _nb_dmu(x, rate, theta_row)  # dll/drate
     p = s * rate  # dll w.r.t. log-rate, reused for l, m, mu chains
 
     grad_mu = np.zeros_like(model.raw_mu)
@@ -272,7 +347,6 @@ def signature_loss(model: NbSignatureModel, data: ScDataset):
     grad_l = p.sum(axis=1) / l_c
     grad_raw_l = -scale * grad_l * positive_grad(model.raw_cell_scale)
 
-    grad_theta = _nb_ddisp(x, rate, theta_row).sum(axis=0)
     grad_raw_theta = -scale * grad_theta * positive_grad(model.raw_dispersion)
 
     return loss, [grad_raw_mu, grad_m, grad_raw_l, grad_raw_theta]
@@ -300,17 +374,23 @@ def _repin_cell_scales(model: NbSignatureModel):
     model.raw_mu[...] = positive_inv(np.maximum(model.mu * s, 2 * POSITIVE_FLOOR))
 
 
-def fit_signatures(data: ScDataset, epochs: int, rng: Rng, lr: float = 0.2) -> NbSignatureModel:
-    """Fit the signature model by full-batch MAP gradient descent."""
+def fit_signatures(data: ScDataset, epochs: int, rng: Rng | None = None,
+                   lr: float = 0.2) -> NbSignatureModel:
+    """Fit the signature model by full-batch MAP gradient descent.
+
+    The fit is deterministic and reads no ``rng``; the parameter is unused and
+    stays only so that positional calls ``(data, epochs, rng, lr=...)`` work.
+    """
     if epochs < 1:
         raise InputError("fit_signatures needs epochs >= 1")
+    table = _count_table(data.counts, "single-cell counts")
     model = _init_signature_model(data)
     opt = SgdState(lr=lr, momentum=0.9, weight_decay=0.0)
     params = model.param_arrays()
     for epoch in range(epochs):
         # anneal the step size so late epochs settle monotonically
         opt.lr = lr * (1.0 - 0.9 * epoch / max(1, epochs - 1))
-        loss, grads = signature_loss(model, data)
+        loss, grads = signature_loss(model, data, table)
         if not np.isfinite(loss):
             raise NumericError(f"signature fit diverged at epoch {epoch}")
         model.fit_trace.append(loss)
@@ -331,12 +411,17 @@ def _kl_std_normal(loc, logstd):
 
 
 def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
-                eps_w: np.ndarray, eps_d: np.ndarray):
+                eps_w: np.ndarray, eps_d: np.ndarray,
+                table: _CountTable | None = None):
     """One-sample reparameterized negative ELBO and exact gradients.
 
     params: w_loc (S,T), w_logstd (S,T), d_loc (S,), d_logstd (S,), raw_alpha (G,).
+    ``table`` is ``_count_table(y)``; deconvolve builds it once per fit, and a
+    call without it builds its own.
     """
-    s_n, g_n = y.shape
+    if table is None:
+        table = _count_table(y, "spot counts")
+    s_n, g_n = table.x.shape
     scale = 1.0 / (s_n * g_n)
 
     sd_w = np.exp(params["w_logstd"])
@@ -348,16 +433,15 @@ def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
     alpha = positive(params["raw_alpha"])  # (G,)
 
     base = w @ m_panel.T  # (S, G)
-    rate = d[:, None] * base
+    # laid out like the counts, so the NB kernel works on it without a copy
+    rate = np.multiply(d[:, None], base, out=np.empty_like(table.x))
     if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
         raise NumericError("deconvolution produced invalid rates")
-    alpha_row = np.broadcast_to(alpha, (s_n, g_n))
-    ll = float(np.sum(nb_loglik(y, rate, alpha_row)))
+    ll, s_mat, d_ll_d_alpha = _nb_terms(table, rate, alpha)  # s_mat = dll/drate
     kl = float(np.sum(_kl_std_normal(params["w_loc"], params["w_logstd"])))
     kl += float(np.sum(_kl_std_normal(params["d_loc"], params["d_logstd"])))
     loss = -scale * (ll - kl)
 
-    s_mat = _nb_dmu(y, rate, alpha_row)  # (S, G)
     d_ll_d_w = (s_mat * d[:, None]) @ m_panel  # (S, T)
     d_ll_d_d = np.sum(s_mat * base, axis=1)  # (S,)
 
@@ -366,8 +450,7 @@ def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
         "w_logstd": -scale * (d_ll_d_w * w * eps_w * sd_w - (sd_w**2 - 1.0)),
         "d_loc": -scale * (d_ll_d_d * d - params["d_loc"]),
         "d_logstd": -scale * (d_ll_d_d * d * eps_d * sd_d - (sd_d**2 - 1.0)),
-        "raw_alpha": -scale * _nb_ddisp(y, rate, alpha_row).sum(axis=0)
-        * positive_grad(params["raw_alpha"]),
+        "raw_alpha": -scale * d_ll_d_alpha * positive_grad(params["raw_alpha"]),
     }
     return loss, grads
 
@@ -388,6 +471,7 @@ def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
     s_n, g_n = y.shape
     t_n = m_panel.shape[1]
 
+    table = _count_table(y, "spot counts")
     totals = np.maximum(y.sum(axis=1), 1.0)
     d0 = totals / float(m_panel.sum())
     params = {
@@ -405,7 +489,7 @@ def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
         opt.lr = lr * (1.0 - 0.9 * step / max(1, epochs - 1))
         eps_w = noise.child("w", step).standard_normal((s_n, t_n))
         eps_d = noise.child("d", step).standard_normal(s_n)
-        loss, grads = deconv_loss(params, y, m_panel, eps_w, eps_d)
+        loss, grads = deconv_loss(params, y, m_panel, eps_w, eps_d, table)
         if not np.isfinite(loss):
             raise NumericError(f"deconvolution diverged at step {step}")
         trace.append(loss)

@@ -1,24 +1,64 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import digamma, gammaln
 
+from duet import scprior
 from duet.core import Rng, fd_check
-from duet.errors import InputError
+from duet.errors import InputError, NumericError
 from duet.scprior import (
     DeconvPosterior,
     NbSignatureModel,
     ScDataset,
+    _count_table,
+    _nb_terms,
     build_gating,
     deconv_loss,
     deconvolve,
     fit_signatures,
     gating_from_rows,
-    nb_loglik,
     positive,
     positive_inv,
     select_panel,
     signature_loss,
 )
+
+
+# Elementwise NB oracles: the formulas the fused kernel `_nb_terms` must
+# reproduce entry for entry. TestNbLoglik anchors them to scipy.stats.nbinom.
+
+
+def nb_loglik(x, mu, disp):
+    """Log pmf of NB with mean mu and inverse-dispersion disp, elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    disp = np.asarray(disp, dtype=np.float64)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(disp))):
+        raise NumericError("non-finite inputs to nb_loglik")
+    if np.any(mu <= 0) or np.any(disp <= 0):
+        raise InputError("nb_loglik needs mu > 0 and disp > 0")
+    if np.any(x < 0):
+        raise InputError("nb_loglik needs non-negative counts")
+    total = mu + disp
+    out = (
+        gammaln(x + disp)
+        - gammaln(disp)
+        - gammaln(x + 1.0)
+        + disp * (np.log(disp) - np.log(total))
+        + x * (np.log(mu) - np.log(total))
+    )
+    if np.isscalar(out) or out.ndim == 0:
+        return float(out)
+    return out
+
+
+def _nb_dmu(x, mu, disp):
+    return x / mu - (x + disp) / (disp + mu)
+
+
+def _nb_ddisp(x, mu, disp):
+    total = disp + mu
+    return digamma(x + disp) - digamma(disp) + np.log(disp / total) + (mu - x) / total
 
 
 def sample_nb(rng: Rng, mu, disp, shape):
@@ -62,6 +102,108 @@ class TestNbLoglik:
             nb_loglik(1, 1.0, 0.0)
         with pytest.raises(InputError):
             nb_loglik(-1, 1.0, 1.0)
+
+
+def kernel_case(s_n, g_n, order, disp_kind, seed=0):
+    """Counts in the given memory order (column 0 all zero when G > 1, a few
+    entries up to 5000), positive rates, and a (G,) dispersion."""
+    rng = np.random.default_rng(seed)
+    x = rng.poisson(3.0, size=(s_n, g_n)).astype(np.float64)
+    big = rng.random((s_n, g_n)) < 0.05
+    x[big] = rng.integers(0, 5001, size=int(big.sum()))
+    if g_n > 1:
+        x[:, 0] = 0.0
+    x = np.asarray(x, order=order)
+    mu = rng.uniform(1e-3, 60.0, size=(s_n, g_n))
+    disp = {
+        "mixed": rng.uniform(0.3, 8.0, size=g_n),
+        "floor": np.full(g_n, scprior.POSITIVE_FLOOR),
+        "large": rng.uniform(1e5, 1e8, size=g_n),
+    }[disp_kind]
+    if disp_kind == "mixed" and g_n > 2:
+        disp[1], disp[2] = scprior.POSITIVE_FLOOR, 1e7
+    return x, mu, disp
+
+
+class TestNbKernel:
+    # 327 x 100 float64 is just under numpy's 256 KiB temporary-elision
+    # threshold and 328 x 100 just over it; the oracle's own layout flips there
+    @pytest.mark.parametrize("disp_kind", ["mixed", "floor", "large"])
+    @pytest.mark.parametrize("s_n,g_n,order", [
+        (327, 100, "C"), (327, 100, "F"), (328, 100, "C"), (328, 100, "F"),
+        (1, 60, "C"), (60, 1, "F"),
+    ])
+    def test_matches_oracles_exactly(self, s_n, g_n, order, disp_kind):
+        x, mu, disp = kernel_case(s_n, g_n, order, disp_kind, seed=s_n * g_n)
+        ll, dmu, ddisp = _nb_terms(_count_table(x), mu, disp)
+        disp_row = np.broadcast_to(disp, x.shape)
+        # the oracles' elementwise arrays, reduced in the counts' memory order
+        want_ll = np.asarray(nb_loglik(x, mu, disp_row), order=order)
+        want_ddisp = np.asarray(_nb_ddisp(x, mu, disp_row), order=order)
+        assert ll == float(np.sum(want_ll))
+        assert np.array_equal(dmu, _nb_dmu(x, mu, disp_row))
+        assert np.array_equal(ddisp, want_ddisp.sum(axis=0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_table_maps_back_to_counts(self, order):
+        x, _, _ = kernel_case(40, 7, order, "mixed")
+        table = _count_table(x)
+        pairs = {(v, g) for v, g in zip(x.ravel(), np.tile(np.arange(7), 40))}
+        assert table.count.size == len(pairs)
+        assert table.index.dtype == np.int32
+        assert np.array_equal(table.count[table.index], x.ravel(order=order))
+        counts = table.expand(table.count)
+        assert np.array_equal(counts, x)
+        assert counts.flags.f_contiguous == (order == "F")
+        assert np.array_equal(table.expand(table.gene),
+                              np.broadcast_to(np.arange(7), x.shape))
+        assert np.array_equal(table.lgamma_x1, gammaln(table.count + 1.0))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_counts_rejected(self, bad):
+        x, mu, disp = kernel_case(5, 4, "C", "mixed")
+        x[2, 3] = bad
+        with pytest.raises(InputError):
+            _count_table(x)
+        eps_w, eps_d = np.zeros((5, 2)), np.zeros(5)
+        params = {"w_loc": np.zeros((5, 2)), "w_logstd": np.zeros((5, 2)),
+                  "d_loc": np.zeros(5), "d_logstd": np.zeros(5),
+                  "raw_alpha": np.zeros(4)}
+        with pytest.raises(InputError):
+            deconv_loss(params, x, np.ones((4, 2)), eps_w, eps_d)
+
+    @pytest.mark.parametrize("bad,error", [
+        (np.nan, NumericError), (np.inf, NumericError), (0.0, InputError),
+        (-1.0, InputError),
+    ])
+    def test_bad_dispersion_rejected(self, bad, error):
+        x, mu, disp = kernel_case(5, 4, "C", "mixed")
+        table = _count_table(x)
+        disp[1] = bad
+        with pytest.raises(error):
+            _nb_terms(table, mu, disp)
+
+    def test_table_built_once_per_fit(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scprior, "_count_table",
+                            counting("table", scprior._count_table))
+        monkeypatch.setattr(scprior, "signature_loss",
+                            counting("sig", scprior.signature_loss))
+        monkeypatch.setattr(scprior, "deconv_loss",
+                            counting("deconv", scprior.deconv_loss))
+        fit_signatures(tiny_dataset(), epochs=5)
+        assert calls == ["table"] + ["sig"] * 5
+        calls.clear()
+        y, m_panel, _, _, _ = small_deconv_problem(28, s_n=6)
+        deconvolve(y, m_panel, epochs=4, rng=Rng(2))
+        assert calls == ["table"] + ["deconv"] * 4
 
 
 class TestPositive:
@@ -148,7 +290,7 @@ class TestSignatureLoss:
 
     def test_loss_drops_from_init(self):
         data = tiny_dataset()
-        model = fit_signatures(data, epochs=60, rng=Rng(0))
+        model = fit_signatures(data, epochs=60)
         assert model.fit_trace[-1] < model.fit_trace[0]
 
 
@@ -161,7 +303,7 @@ class TestFitSignatures:
             cell_type=np.zeros(300, dtype=int),
             batch=np.zeros(300, dtype=int),
         )
-        model = fit_signatures(data, epochs=250, rng=Rng(1))
+        model = fit_signatures(data, epochs=250)
         mu_hat = model.mu[0]
         assert np.all(np.abs(mu_hat - 5.0) / 5.0 < 0.1)
 
@@ -174,7 +316,7 @@ class TestFitSignatures:
             cell_type=np.zeros(400, dtype=int),
             batch=batches,
         )
-        model = fit_signatures(data, epochs=250, rng=Rng(1))
+        model = fit_signatures(data, epochs=250)
         assert np.mean(np.abs(model.batch_effect[1])) < 0.1
 
     def test_zero_counts_hit_floor_without_crash(self):
@@ -183,24 +325,24 @@ class TestFitSignatures:
             cell_type=np.array([0, 1, 2]),
             batch=np.array([0, 0, 0]),
         )
-        model = fit_signatures(data, epochs=80, rng=Rng(1))
+        model = fit_signatures(data, epochs=80)
         assert np.all(np.isfinite(model.mu))
         assert np.all(model.mu >= 1e-6)
         assert np.all(model.mu < 0.1)
 
     def test_reference_batch_stays_zero(self):
         data = tiny_dataset()
-        model = fit_signatures(data, epochs=40, rng=Rng(1))
+        model = fit_signatures(data, epochs=40)
         assert np.all(model.batch_effect[0] == 0.0)
 
     def test_cell_scales_pinned_to_mean_one(self):
         data = tiny_dataset()
-        model = fit_signatures(data, epochs=40, rng=Rng(1))
+        model = fit_signatures(data, epochs=40)
         assert abs(model.cell_scale.mean() - 1.0) < 1e-6
 
     def test_loss_non_increasing_late(self):
         data = tiny_dataset()
-        model = fit_signatures(data, epochs=200, rng=Rng(1))
+        model = fit_signatures(data, epochs=200)
         tail = np.asarray(model.fit_trace[-20:])
         assert np.all(np.diff(tail) <= 1e-9)
 
