@@ -35,15 +35,6 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndar
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product with explicit conformability checking."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise InputError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return _ensure_finite(a @ b, "matmul result")
-
-
 # ---------------------------------------------------------------------------
 # RNG: keyed Philox streams. Child streams are derived by name, not by draw
 # order, so any consumer can be re-run in isolation and reproduce its draws.
@@ -257,14 +248,6 @@ def _activation_grad(a_out: np.ndarray, name: str) -> np.ndarray:
     if name == "tanh":
         return 1.0 - a_out * a_out
     return np.ones_like(a_out)
-
-
-def mlp_forward(net: Mlp, x: np.ndarray):
-    return net.forward(x)
-
-
-def mlp_backward(net: Mlp, tape: Tape, d_loss_d_y: np.ndarray) -> MlpGradients:
-    return net.backward(tape, d_loss_d_y)
 
 
 # ---------------------------------------------------------------------------

@@ -46,45 +46,16 @@ class FuseAdapter:
         return cls(mlp=mlp, reg_coef=reg_coef)
 
 
-@dataclass
-class FusedPrediction:
-    y_duet: np.ndarray
-    alpha: float
-    y_ret: np.ndarray
-    y_reg: np.ndarray
-
-
 def _squash(z: np.ndarray):
     """alpha and tanh value for the (clipped) adapter outputs."""
     a = np.tanh(np.clip(z, -Z_CLIP, Z_CLIP))
     return 0.5 + 0.5 * a, a
 
 
-def alpha(adapter: FuseAdapter, f_s) -> float:
-    """Fusion weight for one spot, strictly inside (0, 1)."""
-    f_s = np.asarray(f_s, dtype=np.float64)
-    if f_s.ndim != 1:
-        raise InputError("alpha takes a single feature vector")
-    out, _ = adapter.mlp.forward(f_s)
-    val, _ = _squash(out)
-    return float(val[0])
-
-
 def alpha_batch(adapter: FuseAdapter, features) -> np.ndarray:
     out, _ = adapter.mlp.forward(as_matrix(features))
     val, _ = _squash(out[:, 0])
     return val
-
-
-def fuse_predict(adapter: FuseAdapter, f_s, y_ret, y_reg) -> FusedPrediction:
-    """y_duet = alpha*y_ret + (1-alpha)*y_reg, single rounding per entry."""
-    y_ret = np.asarray(y_ret, dtype=np.float64)
-    y_reg = np.asarray(y_reg, dtype=np.float64)
-    if y_ret.shape != y_reg.shape or y_ret.ndim != 1:
-        raise InputError("branch predictions must be aligned vectors")
-    a = alpha(adapter, f_s)
-    y_duet = y_reg + a * (y_ret - y_reg)
-    return FusedPrediction(y_duet=y_duet, alpha=a, y_ret=y_ret, y_reg=y_reg)
 
 
 def fuse_predict_batch(adapter: FuseAdapter, features, y_ret, y_reg):

@@ -5,7 +5,7 @@ writes its outputs back, so stages can run standalone from the CLI or in
 sequence via run_pipeline. Every source of randomness is a named child of the
 single run seed; re-running any stage with the same seed and inputs rewrites
 byte-identical outputs (the manifest, which carries wall-clock timestamps, is
-the one exception).
+the one exception). Every file is written atomically (tsvio.write_atomic).
 
 Workspace layout (all produced under the --out directory):
   sc_counts.tsv, sc_labels.tsv        single-cell reference
@@ -48,6 +48,7 @@ from .tsvio import (
     save_fuse,
     save_reg,
     update_manifest,
+    write_atomic,
     write_ids_tsv,
     write_matrix_tsv,
 )
@@ -102,6 +103,9 @@ class PipelineConfig:
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise InputError(f"bad config: unknown key {unknown[0]!r}")
+        if isinstance(doc.get("synth"), dict) and "seed" in doc["synth"]:
+            raise InputError("bad config: 'synth.seed' is not accepted; the run "
+                             "seed (--seed, DUET_SEED or top-level 'seed') is used")
         try:
             return cls(
                 synth=SynthConfig(**doc.get("synth", {})),
@@ -126,6 +130,7 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
+        del doc["synth"]["seed"]  # the run seed replaces it (stage_synth)
         doc["train"]["reg_hidden"] = list(doc["train"]["reg_hidden"])
         return doc
 
@@ -449,9 +454,8 @@ def stage_eval(cfg: PipelineConfig, seed: int, ws: Path) -> dict:
             ["truth_var_norm", "pred_var_norm"],
         )
         outputs.append(name)
-    (ws / "metrics.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(ws / "metrics.json",
+                 json.dumps(report, indent=2, sort_keys=True) + "\n")
     _stamp(ws, "eval", cfg, seed, outputs)
     return report
 

@@ -116,6 +116,14 @@ def test_misspelled_section_exit_1(tmp_path, capsys):
     assert "retreival" in capsys.readouterr().err
 
 
+def test_synth_seed_exit_1(tmp_path, capsys):
+    p = tmp_path / "seeded.json"
+    p.write_text(json.dumps(dict(TINY, synth=dict(TINY["synth"], seed=4))))
+    assert main(["synth", "--config", str(p), "--out", str(tmp_path / "ws")]) == 1
+    assert "synth.seed" in capsys.readouterr().err
+    assert not (tmp_path / "ws").exists()
+
+
 def test_seed_flag_overrides_env(tmp_path, cfg_path, monkeypatch):
     monkeypatch.setenv("DUET_SEED", "5")
     a, b, c = (tmp_path / n for n in ("a", "b", "c"))

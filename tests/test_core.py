@@ -3,8 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duet.core import Layer, Mlp, Rng, SgdState, as_matrix, fd_check, matmul, mlp_backward, mlp_forward
+from duet.core import (
+    Layer,
+    Mlp,
+    MlpGradients,
+    Rng,
+    SgdState,
+    Tape,
+    _ensure_finite,
+    as_matrix,
+    fd_check,
+)
 from duet.errors import InputError
+
+
+# Test-only oracles: the free-function forms of the matrix product and the MLP
+# passes, moved here from duet.core with their bodies unchanged (the package
+# calls Mlp.forward/Mlp.backward and `@` directly).
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Standard matrix product with explicit conformability checking."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape[1] != b.shape[0]:
+        raise InputError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    return _ensure_finite(a @ b, "matmul result")
+
+
+def mlp_forward(net: Mlp, x: np.ndarray):
+    return net.forward(x)
+
+
+def mlp_backward(net: Mlp, tape: Tape, d_loss_d_y: np.ndarray) -> MlpGradients:
+    return net.backward(tape, d_loss_d_y)
 
 
 def naive_matmul(a, b):

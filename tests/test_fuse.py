@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,46 @@ from duet.core import Rng, SgdState, fd_check
 from duet.errors import InputError
 from duet.fuse import (
     FuseAdapter,
-    alpha,
+    _squash,
     alpha_batch,
     fuse_loss,
-    fuse_predict,
     fuse_predict_batch,
     train_fuse,
 )
+
+
+# Test-only oracles: the single-spot forms of the fusion weight and the blend,
+# moved here from duet.fuse with their bodies unchanged (the package runs only
+# alpha_batch/fuse_predict_batch).
+
+
+@dataclass
+class FusedPrediction:
+    y_duet: np.ndarray
+    alpha: float
+    y_ret: np.ndarray
+    y_reg: np.ndarray
+
+
+def alpha(adapter: FuseAdapter, f_s) -> float:
+    """Fusion weight for one spot, strictly inside (0, 1)."""
+    f_s = np.asarray(f_s, dtype=np.float64)
+    if f_s.ndim != 1:
+        raise InputError("alpha takes a single feature vector")
+    out, _ = adapter.mlp.forward(f_s)
+    val, _ = _squash(out)
+    return float(val[0])
+
+
+def fuse_predict(adapter: FuseAdapter, f_s, y_ret, y_reg) -> FusedPrediction:
+    """y_duet = alpha*y_ret + (1-alpha)*y_reg, single rounding per entry."""
+    y_ret = np.asarray(y_ret, dtype=np.float64)
+    y_reg = np.asarray(y_reg, dtype=np.float64)
+    if y_ret.shape != y_reg.shape or y_ret.ndim != 1:
+        raise InputError("branch predictions must be aligned vectors")
+    a = alpha(adapter, f_s)
+    y_duet = y_reg + a * (y_ret - y_reg)
+    return FusedPrediction(y_duet=y_duet, alpha=a, y_ret=y_ret, y_reg=y_reg)
 
 
 def fresh_adapter(seed=1, d=6, reg_coef=1.0):

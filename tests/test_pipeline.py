@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from duet.errors import InputError
 from duet.pipeline import (
     PIPELINE_ORDER,
+    STAGES,
     PipelineConfig,
     TrainConfig,
     run_pipeline,
@@ -157,6 +159,22 @@ def test_stage_rerun_reproduces_outputs(ws):
     assert (d / "pred_duet.tsv").read_bytes() == before
 
 
+def test_stage_rewrites_are_atomic_and_identical(ws, tmp_path):
+    d, _ = ws
+    w = tmp_path / "ws"
+    shutil.copytree(d, w)
+    before = {p.name: (p.read_bytes(), p.stat().st_ino) for p in w.iterdir()}
+    for name in PIPELINE_ORDER:
+        STAGES[name](tiny_cfg(), 3, w)
+        assert not list(w.glob("*.tmp")), name
+    after = {p.name: (p.read_bytes(), p.stat().st_ino) for p in w.iterdir()}
+    assert set(after) == set(before)
+    for name, (data, inode) in after.items():
+        assert inode != before[name][1], name  # replaced, not truncated in place
+        if name != "manifest.json":
+            assert data == before[name][0], name
+
+
 def test_different_seed_changes_outputs(tmp_path):
     cfg = tiny_cfg()
     a = tmp_path / "a"
@@ -170,6 +188,19 @@ def test_config_dict_roundtrip():
     cfg = tiny_cfg()
     again = PipelineConfig.from_dict(cfg.to_dict())
     assert again == cfg
+    assert "seed" not in cfg.to_dict()["synth"]
+
+
+def test_config_synth_seed_rejected():
+    with pytest.raises(InputError, match="synth.seed"):
+        PipelineConfig.from_dict({"synth": {"seed": 0}})
+    with pytest.raises(InputError, match="synth.seed"):
+        PipelineConfig.from_dict({"seed": 1, "synth": {"n_spots": 60, "seed": 1}})
+
+
+def test_committed_configs_load():
+    for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
+        PipelineConfig.from_json(path)
 
 
 def test_config_missing_file():

@@ -1,14 +1,21 @@
+import ast
 import json
+from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import duet
+from duet import tsvio
 from duet.align import AlignModel, embed_expressions, embed_images
-from duet.core import Rng
+from duet.core import Layer, Mlp, Rng
 from duet.errors import InputError
-from duet.fuse import FuseAdapter, alpha
+from duet.fuse import FuseAdapter, alpha_batch
+from duet.pipeline import PipelineConfig, stage_eval
 from duet.regress import RegModel
 from duet.tsvio import (
     load_align,
@@ -125,7 +132,7 @@ class TestCheckpoints:
         back = load_fuse(path)
         assert back.reg_coef == 2.5
         f = Rng(7).child("f").standard_normal(7)
-        assert alpha(back, f) == alpha(ad, f)
+        assert np.array_equal(alpha_batch(back, f[None]), alpha_batch(ad, f[None]))
 
     def test_wrong_magic_rejected(self, tmp_path):
         model = RegModel.init(4, 3, Rng(8), hidden=(8,))
@@ -180,3 +187,286 @@ class TestManifest:
         man = tmp_path / "manifest.json"
         update_manifest(man, "s", seed=1, config={}, outputs=[])
         json.loads(man.read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact round trips
+# ---------------------------------------------------------------------------
+
+# st.floats draws -0.0, subnormals and values up to +-1.8e308 on its own; the
+# examples below pin them so every run covers them.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_ROW = [-0.0, 5e-324, -2.2250738585072e-308, 1.7e308, -1.7976931348623157e308]
+ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                blacklist_characters="\n\r"), min_size=1)
+
+
+def _fmt(v: float) -> str:
+    return "%.17g" % v
+
+
+def per_value_matrix_text(matrix, row_ids, col_ids) -> str:
+    """Oracle: the one-value-at-a-time formatting write_matrix_tsv replaced."""
+    lines = ["id\t" + "\t".join(str(c) for c in col_ids)]
+    for rid, row in zip(row_ids, matrix):
+        lines.append(str(rid) + "\t" + "\t".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestExactRoundTrips:
+    @settings(max_examples=60, deadline=None)
+    @given(m=arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 6)),
+                    elements=FINITE))
+    @example(m=np.array([EDGE_ROW]))
+    @example(m=np.array(EDGE_ROW)[:, None])
+    @example(m=np.array([[0.0]]))
+    def test_matrix_bits_and_bytes(self, m, tmp_path_factory):
+        rows = [f"r{i}" for i in range(m.shape[0])]
+        cols = [f"c{j}" for j in range(m.shape[1])]
+        path = tmp_path_factory.mktemp("mx") / "m.tsv"
+        write_matrix_tsv(path, m, rows, cols)
+        assert path.read_bytes() == per_value_matrix_text(m, rows, cols).encode()
+        back, rids, cids = read_matrix_tsv(path)
+        assert back.shape == m.shape
+        assert np.array_equal(bits(back), bits(m))
+        assert (rids, cids) == (rows, cols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(ID_TEXT, max_size=8))
+    @example(ids=[])
+    @example(ids=["é", " x ", "\x0b\x0c\u2028", "a\tb"])
+    def test_ids_round_trip_and_bytes(self, ids, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ids") / "ids.tsv"
+        write_ids_tsv(path, ids)
+        assert path.read_bytes() == ("\n".join(["id", *ids]) + "\n").encode()
+        assert read_ids_tsv(path) == ids
+
+
+@st.composite
+def mlps(draw, out_dim=None):
+    """Relu-hidden, identity-final nets with arbitrary finite parameters."""
+    n_layers = draw(st.integers(1, 3))
+    dims = [draw(st.integers(1, 5)) for _ in range(n_layers + 1)]
+    dims[-1] = out_dim or dims[-1]
+    layers = []
+    for k in range(n_layers):
+        w = draw(arrays(np.float64, (dims[k + 1], dims[k]), elements=FINITE))
+        b = draw(arrays(np.float64, dims[k + 1], elements=FINITE))
+        layers.append(Layer(w, b, "identity" if k == n_layers - 1 else "relu"))
+    return Mlp(layers)
+
+
+def assert_same_mlp(a: Mlp, b: Mlp):
+    assert [l.activation for l in a.layers] == [l.activation for l in b.layers]
+    for la, lb in zip(a.layers, b.layers):
+        assert la.weight.shape == lb.weight.shape
+        assert np.array_equal(bits(la.weight), bits(lb.weight))
+        assert np.array_equal(bits(la.bias), bits(lb.bias))
+
+
+def resave_matches(save, load, path):
+    """Saving what was loaded reproduces the file byte for byte."""
+    again = path.with_name("again.ckpt")
+    save(again, load(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
+@st.composite
+def align_heads(draw):
+    img = draw(mlps())
+    return img, draw(mlps(out_dim=img.out_dim))
+
+
+class TestCheckpointRoundTrips:
+    @settings(max_examples=30, deadline=None)
+    @given(heads=align_heads(), temperature=FINITE)
+    @example(heads=(Mlp([Layer(np.array([EDGE_ROW]), [5e-324], "identity")]),
+                    Mlp([Layer(np.array([[-0.0]]), [1.7e308], "identity")])),
+             temperature=-0.0)
+    def test_align(self, heads, temperature, tmp_path_factory):
+        img, gene = heads
+        model = AlignModel(img_head=img, gene_head=gene, temperature=temperature,
+                           embed_dim=img.out_dim)
+        path = tmp_path_factory.mktemp("ck") / "align.ckpt"
+        save_align(path, model)
+        back = load_align(path)
+        assert_same_mlp(back.img_head, img)
+        assert_same_mlp(back.gene_head, gene)
+        assert bits(back.temperature) == bits(temperature)
+        assert back.embed_dim == img.out_dim
+        resave_matches(save_align, load_align, path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(head=mlps())
+    def test_reg(self, head, tmp_path_factory):
+        model = RegModel(head=head, feature_dim=head.in_dim, gene_dim=head.out_dim)
+        path = tmp_path_factory.mktemp("ck") / "reg.ckpt"
+        save_reg(path, model)
+        back = load_reg(path)
+        assert_same_mlp(back.head, head)
+        assert (back.feature_dim, back.gene_dim) == (head.in_dim, head.out_dim)
+        resave_matches(save_reg, load_reg, path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(mlp=mlps(out_dim=1),
+           reg_coef=st.floats(min_value=0.0, allow_infinity=False))
+    @example(mlp=Mlp([Layer(np.array([EDGE_ROW]), [-0.0], "identity")]),
+             reg_coef=5e-324)
+    def test_fuse(self, mlp, reg_coef, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ck") / "fuse.ckpt"
+        save_fuse(path, FuseAdapter(mlp=mlp, reg_coef=reg_coef))
+        back = load_fuse(path)
+        assert_same_mlp(back.mlp, mlp)
+        assert bits(back.reg_coef) == bits(reg_coef)
+        resave_matches(save_fuse, load_fuse, path)
+
+
+# ---------------------------------------------------------------------------
+# Atomic writes
+# ---------------------------------------------------------------------------
+
+
+class _FrozenClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2020, 1, 1, tzinfo=timezone.utc)
+
+
+def _write_eval_inputs(ws: Path, k: int):
+    rng = Rng(50 + k)
+    ids = [f"s{i}" for i in range(6)]
+    genes = ["g0", "g1", "g2"]
+    write_matrix_tsv(ws / "y_test.tsv", rng.child("y").standard_normal((6, 3)),
+                     ids, genes)
+    for branch in ("duet", "ret", "reg"):
+        write_matrix_tsv(ws / f"pred_{branch}.tsv",
+                         rng.child(branch).standard_normal((6, 3)), ids, genes)
+
+
+def _run_eval(ws: Path, k: int):
+    _write_eval_inputs(ws, k)
+    stage_eval(PipelineConfig(), k, ws)
+
+
+# name -> (file written, write(ws, k) for content variant k = 0 or 1)
+WRITERS = {
+    "write_matrix_tsv": ("m.tsv", lambda ws, k: write_matrix_tsv(
+        ws / "m.tsv", np.full((3, 2), k + 0.5), ["a", "b", "c"], ["x", "y"])),
+    "write_ids_tsv": ("ids.tsv", lambda ws, k: write_ids_tsv(
+        ws / "ids.tsv", [f"id{k}_{i}" for i in range(4)])),
+    "save_align": ("align.ckpt", lambda ws, k: save_align(
+        ws / "align.ckpt", AlignModel.init(5, 6, Rng(k), embed_dim=4, hidden=8))),
+    "save_reg": ("reg.ckpt", lambda ws, k: save_reg(
+        ws / "reg.ckpt", RegModel.init(5, 3, Rng(k), hidden=(8,)))),
+    "save_fuse": ("fuse.ckpt", lambda ws, k: save_fuse(
+        ws / "fuse.ckpt", FuseAdapter.init(5, Rng(k), reg_coef=k + 1.0))),
+    "update_manifest": ("manifest.json", lambda ws, k: update_manifest(
+        ws / "manifest.json", "synth", seed=k, config={"k": k}, outputs=[])),
+    "stage_eval": ("metrics.json", _run_eval),
+}
+
+
+@pytest.fixture()
+def frozen_clock(monkeypatch):
+    monkeypatch.setattr(tsvio, "datetime", _FrozenClock)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_rewrite_replaces_inode(self, writer, tmp_path, monkeypatch,
+                                    frozen_clock):
+        name, write = WRITERS[writer]
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        write(fresh, 1)
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        write(ws, 0)
+        old = (ws / name).read_bytes()
+        inode = (ws / name).stat().st_ino
+        real_rename = tsvio.os.rename
+        onto_live = []
+
+        def spy_rename(src, dst):
+            onto_live.append(Path(dst).exists())  # renaming onto data forces a flush
+            real_rename(src, dst)
+
+        monkeypatch.setattr(tsvio.os, "rename", spy_rename)
+        write(ws, 1)
+        assert onto_live and not any(onto_live)
+        assert (ws / name).stat().st_ino != inode
+        assert (ws / name).read_bytes() == (fresh / name).read_bytes() != old
+        assert not list(ws.glob("*.tmp"))
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_old_file(self, writer, tmp_path, monkeypatch,
+                                         frozen_clock):
+        name, write = WRITERS[writer]
+        write(tmp_path, 0)
+        old = (tmp_path / name).read_bytes()
+        real_open = open
+
+        class HalfThenFail:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        def failing_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            return HalfThenFail(fh) if Path(file).name == name + ".tmp" else fh
+
+        monkeypatch.setattr(tsvio, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write(tmp_path, 1)
+        assert (tmp_path / name).read_bytes() == old
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_interrupt_removes_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.tsv"
+        write_matrix_tsv(path, np.ones((2, 2)), ["a", "b"], ["x", "y"])
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(tsvio.os, "rename", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_matrix_tsv(path, np.zeros((2, 2)), ["a", "b"], ["x", "y"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_no_other_writes_in_package(self):
+        """Every file the package writes goes through tsvio.write_atomic."""
+        offenders = []
+        for src in sorted(Path(duet.__file__).parent.glob("*.py")):
+            tree = ast.parse(src.read_text(encoding="utf-8"))
+            skip = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "write_atomic":
+                    skip |= {id(n) for n in ast.walk(node)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call) or id(node) in skip:
+                    continue
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+                if name in ("write_text", "write_bytes"):
+                    offenders.append(f"{src.name}:{node.lineno} {name}")
+                elif name == "open":
+                    mode = node.args[1] if len(node.args) > 1 else next(
+                        (k.value for k in node.keywords if k.arg == "mode"), None)
+                    if mode is None or (isinstance(mode, ast.Constant)
+                                        and not set(mode.value) & set("wax+")):
+                        continue
+                    offenders.append(f"{src.name}:{node.lineno} open")
+        assert offenders == []
