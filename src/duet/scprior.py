@@ -31,6 +31,18 @@ log(mu+disp) once per step for the loss and both gradients. Every entry is
 the same floating-point expression as the textbook formulas (kept in the
 tests as oracles), and both sums add in the counts' memory order, so a fit
 does not depend on how numpy happened to lay out a temporary.
+
+The table also owns the fit's scratch: six (S, G) float64 arrays, allocated
+once and viewed in C or the counts' order as each use needs. Every (S, G)
+intermediate of a step, in the kernel and in both losses, is written into
+them through ``out=``, so a step allocates no (S, G) array: the allocator
+hands a freed array of that size back to the kernel, and faulting ~10 of
+them in again, zeroed, on every step costs about as much as the
+arithmetic. The dll/dmu ``_nb_terms`` returns is one of these arrays:
+it is valid until the next call on the same table, and a caller that keeps
+it across calls must copy it. The signature fit's table also holds the
+cells' row order by type and by batch, so each step's per-group gradient
+sums gather rows into scratch instead of building masks.
 """
 
 from __future__ import annotations
@@ -205,21 +217,35 @@ class DeconvPosterior:
 
 @dataclass
 class _CountTable:
-    """A count matrix as its distinct (count, gene) pairs plus the map back."""
+    """A count matrix as its distinct (count, gene) pairs plus the map back,
+    and the scratch arrays its fit reuses on every step.
+
+    Scratch use, one array of S*G float64 each, viewed in either layout:
+    0-3 are ``_nb_terms``' working arrays (it returns dll/dmu in 1), 4 holds
+    the loss's rate and 5 deconv_loss's base; after the kernel returns, the
+    losses reuse 0 and 2 for their gradient products.
+    """
 
     x: np.ndarray  # (S, G) float64 counts, contiguous in `order`
     order: str  # "C" or "F": the counts' memory order
-    index: np.ndarray  # (S*G,) int32 pair of each entry, in that order
+    index: np.ndarray  # (S*G,) intp pair of each entry, in that order
     count: np.ndarray  # (P,) count of each distinct pair
     gene: np.ndarray  # (P,) gene of each distinct pair
     lgamma_x1: np.ndarray  # (P,) gammaln(count + 1)
+    scratch: list = field(repr=False)  # 6 flat (S*G,) float64 arrays
+    groups: tuple = ()  # signature fits: (rows, starts) by type, by batch
 
-    def expand(self, values: np.ndarray) -> np.ndarray:
-        """Per-pair values as a new (S, G) array laid out like the counts."""
-        return values[self.index].reshape(self.x.shape, order=self.order)
+    def view(self, k: int, order: str | None = None) -> np.ndarray:
+        """Scratch array k as (S, G), laid out in `order` or like the counts."""
+        return self.scratch[k].reshape(self.x.shape, order=order or self.order)
+
+    def expand(self, values: np.ndarray, k: int) -> np.ndarray:
+        """Per-pair values as (S, G) in scratch array k, laid out like the counts."""
+        np.take(values, self.index, out=self.scratch[k], mode="clip")
+        return self.view(k)
 
 
-def _count_table(counts, what: str = "counts") -> _CountTable:
+def _count_table(counts, what: str = "counts", groups: tuple = ()) -> _CountTable:
     """Validate a count matrix once and tabulate its distinct (count, gene) pairs."""
     x = np.asarray(counts, dtype=np.float64)
     if x.ndim != 2:
@@ -234,11 +260,17 @@ def _count_table(counts, what: str = "counts") -> _CountTable:
     flat, gene = flat[perm], gene[perm]
     first = np.ones(flat.size, dtype=bool)
     first[1:] = (flat[1:] != flat[:-1]) | (gene[1:] != gene[:-1])
-    index = np.empty(flat.size, dtype=np.int32)
+    # intp, so np.take gathers through it without copying the index
+    index = np.empty(flat.size, dtype=np.intp)
     index[perm] = np.cumsum(first) - 1
-    count = flat[first]
-    return _CountTable(x=x, order=order, index=index, count=count,
-                       gene=gene[first], lgamma_x1=gammaln(count + 1.0))
+    count, gene = flat[first], gene[first]
+    # the scratch takes the sort's memory once it is freed, instead of
+    # landing above it and keeping it resident
+    del flat, perm, first
+    return _CountTable(x=x, order=order, index=index, count=count, gene=gene,
+                       lgamma_x1=gammaln(count + 1.0),
+                       scratch=[np.empty(x.size) for _ in range(6)],
+                       groups=groups)
 
 
 def _nb_terms(table: _CountTable, mu: np.ndarray, disp: np.ndarray):
@@ -249,23 +281,26 @@ def _nb_terms(table: _CountTable, mu: np.ndarray, disp: np.ndarray):
     (S, G) array, column sums of dll/ddisp as a (G,) array). Per entry the log
     pmf is gammaln(x+disp) - gammaln(disp) - gammaln(x+1)
     + disp*(log(disp) - log(mu+disp)) + x*(log(mu) - log(mu+disp)).
+    Works in the table's scratch arrays 0-3, so mu must not be one of them;
+    the returned dll/dmu is scratch array 1, valid until the next call on
+    that table.
     """
     if not np.all(np.isfinite(disp)):
         raise NumericError("non-finite NB dispersion")
     if np.any(disp <= 0):
         raise InputError("NB dispersion must be positive")
     x, gene = table.x, table.gene
-    # every (S, G) array below is laid out like the counts, so the sums add
-    # in the counts' memory order; each entry goes through the formula's
-    # operations in the formula's order, so it is bit-equal to the formula.
-    # Arrays are freed as soon as they are spent, to bound peak memory.
+    # every (S, G) array below but dll/dmu is laid out like the counts, so
+    # the sums add in the counts' memory order; each entry goes through the
+    # formula's operations in the formula's order, so it is bit-equal to the
+    # formula.
     mu = np.asarray(mu, order=table.order)  # a no-op for both fits
     xd = table.count + disp[gene]  # x + disp for each distinct pair
-    total = mu + disp
-    log_total = np.log(total)
-    tmp = np.empty_like(x)
+    total = np.add(mu, disp, out=table.view(0))
+    log_total = np.log(total, out=table.view(1))
+    tmp = table.view(3)
 
-    ll = table.expand(gammaln(xd) - gammaln(disp)[gene] - table.lgamma_x1)
+    ll = table.expand(gammaln(xd) - gammaln(disp)[gene] - table.lgamma_x1, 2)
     np.subtract(np.log(disp), log_total, out=tmp)
     tmp *= disp
     ll += tmp
@@ -274,30 +309,54 @@ def _nb_terms(table: _CountTable, mu: np.ndarray, disp: np.ndarray):
     tmp *= x
     ll += tmp
     loglik = float(np.sum(ll))
-    del ll, log_total
 
     # dll/ddisp = digamma(x+disp) - digamma(disp) + log(disp/total) + (mu-x)/total
-    dd = table.expand(digamma(xd) - digamma(disp)[gene])
+    dd = table.expand(digamma(xd) - digamma(disp)[gene], 2)
     np.divide(disp, total, out=tmp)
     dd += np.log(tmp, out=tmp)
     np.subtract(mu, x, out=tmp)
     tmp /= total
     dd += tmp
     ddisp = dd.sum(axis=0)
-    del dd
 
-    # dll/dmu = x/mu - (x+disp)/total
-    np.divide(x, mu, out=tmp)
-    xd_full = table.expand(xd)
+    # dll/dmu = x/mu - (x+disp)/total, into scratch 1 now log_total is spent
+    dmu = np.divide(x, mu, out=table.view(1, "C"))
+    xd_full = table.expand(xd, 2)
     xd_full /= total
-    tmp -= xd_full
-    del xd_full, total
-    return loglik, np.ascontiguousarray(tmp), ddisp
+    dmu -= xd_full
+    return loglik, dmu, ddisp
 
 
 # ---------------------------------------------------------------------------
 # Signature learning (MAP)
 # ---------------------------------------------------------------------------
+
+
+def _row_groups(labels: np.ndarray, n: int):
+    """Rows sorted by label, ascending within each label, and where label k's
+    rows start (entry n is the row count)."""
+    rows = np.argsort(labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=n))))
+    return rows, starts
+
+
+def _signature_table(data: ScDataset) -> _CountTable:
+    """The count table of a signature fit, with its cells grouped by type and batch."""
+    return _count_table(data.counts, "single-cell counts", groups=(
+        _row_groups(data.cell_type, data.n_types),
+        _row_groups(data.batch, data.n_batches),
+    ))
+
+
+def _group_sums(p: np.ndarray, groups, out: np.ndarray) -> np.ndarray:
+    """Column sums of each group's rows of p, the rows added in ascending order.
+
+    The rows are gathered into `out` (C-ordered, shaped like p) group by group,
+    so each sum adds what p[labels == k].sum(axis=0) adds, in the same order.
+    """
+    rows, starts = groups
+    np.take(p, rows, axis=0, out=out, mode="clip")
+    return np.array([out[lo:hi].sum(axis=0) for lo, hi in zip(starts[:-1], starts[1:])])
 
 
 def signature_loss(model: NbSignatureModel, data: ScDataset,
@@ -306,41 +365,43 @@ def signature_loss(model: NbSignatureModel, data: ScDataset,
 
     Loss = -(1/CG) sum_cg NB log pmf + (1e-3/CG) * ||batch_effect||^2, which
     is the MAP objective scaled by a constant, so the optimum is unchanged.
-    ``table`` is ``_count_table(data.counts)``; fit_signatures builds it once
+    ``table`` is ``_signature_table(data)``; fit_signatures builds it once
     per fit, and a call without it builds its own.
     """
     if table is None:
-        table = _count_table(data.counts, "single-cell counts")
+        table = _signature_table(data)
     c, g = table.x.shape
     scale = 1.0 / (c * g)
 
     mu_tg = model.mu
     l_c = model.cell_scale
     theta = model.dispersion
-    m_cg = model.batch_effect[data.batch]  # (C, G)
-    mu_type = mu_tg[data.cell_type]  # (C, G)
-    rate = l_c[:, None] * np.exp(m_cg) * mu_type
-    if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
+    # rate = l_c * exp(m_cg) * mu_type, built in scratch 0 and 2, kept in 4
+    m_cg = np.take(model.batch_effect, data.batch, axis=0,
+                   out=table.view(0, "C"), mode="clip")
+    mu_type = np.take(mu_tg, data.cell_type, axis=0,
+                      out=table.view(2, "C"), mode="clip")
+    np.exp(m_cg, out=m_cg)
+    np.multiply(l_c[:, None], m_cg, out=m_cg)
+    rate = np.multiply(m_cg, mu_type, out=table.view(4))
+    # NaN fails both comparisons, so this rejects what rate <= 0 or
+    # non-finite rejects, without a boolean (C, G) temporary
+    if not (rate.min() > 0 and rate.max() < np.inf):
         raise NumericError("signature model produced invalid rates")
 
     ll, s, grad_theta = _nb_terms(table, rate, theta)  # s = dll/drate
     penalty = BATCH_PENALTY * float(np.sum(model.batch_effect**2))
     loss = -scale * ll + scale * penalty
 
-    p = s * rate  # dll w.r.t. log-rate, reused for l, m, mu chains
+    # dll w.r.t. log-rate, reused for l, m, mu chains
+    p = np.multiply(s, rate, out=table.view(0, "C"))
+    by_type, by_batch = table.groups
+    gathered = table.view(2, "C")
 
-    grad_mu = np.zeros_like(model.raw_mu)
-    for t in range(data.n_types):
-        mask = data.cell_type == t
-        if mask.any():
-            grad_mu[t] = p[mask].sum(axis=0) / mu_tg[t]
+    grad_mu = _group_sums(p, by_type, gathered) / mu_tg
     grad_raw_mu = -scale * grad_mu * positive_grad(model.raw_mu)
 
-    grad_m = np.zeros_like(model.batch_effect)
-    for b in range(data.n_batches):
-        mask = data.batch == b
-        if mask.any():
-            grad_m[b] = p[mask].sum(axis=0)
+    grad_m = _group_sums(p, by_batch, gathered)
     grad_m = -scale * grad_m + scale * 2.0 * BATCH_PENALTY * model.batch_effect
     grad_m[0] = 0.0  # reference batch stays pinned
 
@@ -383,7 +444,7 @@ def fit_signatures(data: ScDataset, epochs: int, rng: Rng | None = None,
     """
     if epochs < 1:
         raise InputError("fit_signatures needs epochs >= 1")
-    table = _count_table(data.counts, "single-cell counts")
+    table = _signature_table(data)
     model = _init_signature_model(data)
     opt = SgdState(lr=lr, momentum=0.9, weight_decay=0.0)
     params = model.param_arrays()
@@ -432,18 +493,19 @@ def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
     d = np.exp(z_d)  # (S,)
     alpha = positive(params["raw_alpha"])  # (G,)
 
-    base = w @ m_panel.T  # (S, G)
+    base = np.matmul(w, m_panel.T, out=table.view(5, "C"))  # (S, G)
     # laid out like the counts, so the NB kernel works on it without a copy
-    rate = np.multiply(d[:, None], base, out=np.empty_like(table.x))
-    if np.any(rate <= 0) or not np.all(np.isfinite(rate)):
+    rate = np.multiply(d[:, None], base, out=table.view(4))
+    if not (rate.min() > 0 and rate.max() < np.inf):
         raise NumericError("deconvolution produced invalid rates")
     ll, s_mat, d_ll_d_alpha = _nb_terms(table, rate, alpha)  # s_mat = dll/drate
     kl = float(np.sum(_kl_std_normal(params["w_loc"], params["w_logstd"])))
     kl += float(np.sum(_kl_std_normal(params["d_loc"], params["d_logstd"])))
     loss = -scale * (ll - kl)
 
-    d_ll_d_w = (s_mat * d[:, None]) @ m_panel  # (S, T)
-    d_ll_d_d = np.sum(s_mat * base, axis=1)  # (S,)
+    prod = table.view(0, "C")
+    d_ll_d_w = np.multiply(s_mat, d[:, None], out=prod) @ m_panel  # (S, T)
+    d_ll_d_d = np.sum(np.multiply(s_mat, base, out=prod), axis=1)  # (S,)
 
     grads = {
         "w_loc": -scale * (d_ll_d_w * w - params["w_loc"]),

@@ -3,7 +3,10 @@
 TSV matrices are UTF-8, tab-delimited, newline-terminated; the header's first
 cell is the literal `id` followed by column ids, and each data row starts
 with its row id. Floats serialize with 17 significant digits so a write/read
-round trip is lossless for float64.
+round trip is lossless for float64. An id-list file is a header line and then
+one id per line. So that every id reads back as written, the writers reject
+(InputError, naming it) any id holding a tab, `\n` or `\r`, and an empty
+id in an id list; the readers reject a file that is not UTF-8.
 
 Every workspace file is written by write_atomic: the data goes to a new
 `<name>.tmp` beside the target, the old target is unlinked, and the temp file
@@ -70,16 +73,41 @@ def write_atomic(path, data) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _breaks_line(text: str) -> bool:
+    return "\t" in text or "\n" in text or "\r" in text
+
+
+def _writable_ids(ids, what: str, path, allow_empty: bool = True) -> list[str]:
+    """The ids as strings; InputError naming the first that would not read back."""
+    ids = [str(i) for i in ids]
+    # one scan over the joined ids; the loop runs only to name the culprit
+    if _breaks_line("".join(ids)) or (not allow_empty and "" in ids):
+        bad = next(i for i in ids if _breaks_line(i) or (not allow_empty and not i))
+        rule = "hold no tab or line break" if allow_empty else (
+            "be non-empty and hold no tab or line break")
+        raise InputError(f"cannot write {what} {bad!r} to {path}: an id must {rule}")
+    return ids
+
+
+def _read_text(p: Path) -> str:
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{p} is not UTF-8 text: {exc}") from None
+
+
 def write_matrix_tsv(path, matrix, row_ids, col_ids):
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise InputError("write_matrix_tsv needs a 2-D matrix")
     if matrix.shape[0] != len(row_ids) or matrix.shape[1] != len(col_ids):
         raise InputError("ids do not match matrix shape")
+    row_ids = _writable_ids(row_ids, "row id", path)
+    col_ids = _writable_ids(col_ids, "column id", path)
     row_fmt = "\t".join(["%.17g"] * matrix.shape[1])
-    lines = ["id\t" + "\t".join(str(c) for c in col_ids)]
+    lines = ["id\t" + "\t".join(col_ids)]
     for rid, row in zip(row_ids, matrix):
-        lines.append(str(rid) + "\t" + row_fmt % tuple(row.tolist()))
+        lines.append(rid + "\t" + row_fmt % tuple(row.tolist()))
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -87,7 +115,7 @@ def read_matrix_tsv(path):
     p = Path(path)
     if not p.exists():
         raise InputError(f"no such file: {p}")
-    text = p.read_text(encoding="utf-8")
+    text = _read_text(p)
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines:
         raise InputError(f"empty TSV: {p}")
@@ -111,7 +139,7 @@ def read_matrix_tsv(path):
 
 
 def write_ids_tsv(path, ids, header: str = "id"):
-    lines = [header] + [str(i) for i in ids]
+    lines = [header] + _writable_ids(ids, "id", path, allow_empty=False)
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -119,7 +147,7 @@ def read_ids_tsv(path) -> list[str]:
     p = Path(path)
     if not p.exists():
         raise InputError(f"no such file: {p}")
-    lines = [ln for ln in p.read_text(encoding="utf-8").split("\n") if ln != ""]
+    lines = [ln for ln in _read_text(p).split("\n") if ln != ""]
     if not lines:
         raise InputError(f"empty id list: {p}")
     return lines[1:]

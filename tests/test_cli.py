@@ -3,7 +3,7 @@ import json
 import pytest
 
 from duet.cli import main
-from duet.tsvio import write_matrix_tsv
+from duet.tsvio import read_matrix_tsv, write_matrix_tsv
 
 TINY = {
     "synth": {
@@ -87,6 +87,30 @@ def test_missing_file_exit_1_with_path(tmp_path, capsys):
     write_matrix_tsv(exists, [[1.0], [2.0]], ["s0", "s1"], ["g0"])
     assert main(["eval", "--pred", str(missing), "--truth", str(exists)]) == 1
     assert str(missing) in capsys.readouterr().err
+
+
+def test_undecodable_file_exit_1_with_path(tmp_path, capsys):
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes("id\tg\xe9\ns0\t1\n".encode("latin-1"))
+    assert main(["eval", "--pred", str(bad), "--truth", str(bad)]) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_unwritable_id_exit_1(tmp_path, no_env_seed, capsys):
+    # every non-target gene goes into the panel, so an empty gene name
+    # reaches panel_genes.tsv, where an empty line would not read back
+    doc = dict(TINY, train=dict(TINY["train"], sig_epochs=2, panel_size=120))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    ws = tmp_path / "ws"
+    assert main(["synth", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 0
+    targets = set((ws / "target_genes.tsv").read_text().split("\n")[1:])
+    for name in ("sc_counts.tsv", "st_counts.tsv"):
+        counts, rows, genes = read_matrix_tsv(ws / name)
+        genes[next(k for k, g in enumerate(genes) if g not in targets)] = ""
+        write_matrix_tsv(ws / name, counts, rows, genes)
+    assert main(["deconv", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    assert "panel_genes.tsv" in capsys.readouterr().err
 
 
 def test_unknown_flag_exit_1_with_usage(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -150,12 +152,12 @@ class TestNbKernel:
         table = _count_table(x)
         pairs = {(v, g) for v, g in zip(x.ravel(), np.tile(np.arange(7), 40))}
         assert table.count.size == len(pairs)
-        assert table.index.dtype == np.int32
+        assert table.index.dtype == np.intp
         assert np.array_equal(table.count[table.index], x.ravel(order=order))
-        counts = table.expand(table.count)
+        counts = table.expand(table.count, 0)
         assert np.array_equal(counts, x)
         assert counts.flags.f_contiguous == (order == "F")
-        assert np.array_equal(table.expand(table.gene),
+        assert np.array_equal(table.expand(table.gene.astype(float), 1),
                               np.broadcast_to(np.arange(7), x.shape))
         assert np.array_equal(table.lgamma_x1, gammaln(table.count + 1.0))
 
@@ -204,6 +206,94 @@ class TestNbKernel:
         y, m_panel, _, _, _ = small_deconv_problem(28, s_n=6)
         deconvolve(y, m_panel, epochs=4, rng=Rng(2))
         assert calls == ["table"] + ["deconv"] * 4
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_reused_table_matches_fresh_tables(self, order):
+        # every call on a table overwrites the scratch arrays the previous
+        # call left, including the dll/dmu it returned
+        x, _, _ = kernel_case(328, 100, order, "mixed")
+        table = _count_table(x)
+        for seed, disp_kind in [(1, "mixed"), (2, "floor"), (3, "large"), (4, "mixed")]:
+            _, mu, disp = kernel_case(328, 100, order, disp_kind, seed=seed)
+            ll, dmu, ddisp = _nb_terms(table, mu, disp)
+            assert dmu.flags.c_contiguous
+            dmu = dmu.copy()
+            want_ll, want_dmu, want_ddisp = _nb_terms(_count_table(x), mu, disp)
+            assert ll == want_ll
+            assert np.array_equal(dmu, want_dmu)
+            assert np.array_equal(ddisp, want_ddisp)
+
+    def test_group_sums_match_masked_sums(self):
+        rng = np.random.default_rng(4)
+        p = rng.normal(size=(97, 13))
+        labels = rng.integers(0, 5, size=97)
+        labels[labels == 3] = 4  # labels 3 and 5 have no rows
+        got = scprior._group_sums(p, scprior._row_groups(labels, 6), np.empty_like(p))
+        want = np.zeros((6, 13))
+        for k in range(6):
+            mask = labels == k
+            if mask.any():
+                want[k] = p[mask].sum(axis=0)
+        assert np.array_equal(got, want)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratch:
+    # a step writes every (S, G) array into its fit's scratch, so after one
+    # warm-up call a loss call allocates less than one (S, G) float64 array
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_deconv_loss_allocates_no_full_array(self, order):
+        y, m_panel, _, _, _ = small_deconv_problem(31, s_n=2000, t_n=5, g_n=100)
+        y = np.asarray(y, dtype=np.float64, order=order)
+        rng = np.random.default_rng(5)
+        params = {"w_loc": rng.normal(0.0, 0.3, (2000, 5)),
+                  "w_logstd": np.full((2000, 5), -2.0),
+                  "d_loc": rng.normal(-1.0, 0.1, 2000),
+                  "d_logstd": np.full(2000, -2.0), "raw_alpha": np.zeros(100)}
+        eps_w, eps_d = rng.standard_normal((2000, 5)), rng.standard_normal(2000)
+        table = _count_table(y)
+        first = deconv_loss(params, y, m_panel, eps_w, eps_d, table)
+        peak = traced_peak(lambda: deconv_loss(params, y, m_panel, eps_w, eps_d, table))
+        assert peak < y.nbytes
+        again = deconv_loss(params, y, m_panel, eps_w, eps_d, table)
+        assert again[0] == first[0]
+        assert all(np.array_equal(again[1][k], first[1][k]) for k in params)
+
+    def test_signature_loss_allocates_no_full_array(self):
+        data = tiny_dataset(c=600, g=220, t=4, b=3)
+        model = scprior._init_signature_model(data)
+        table = scprior._signature_table(data)
+        signature_loss(model, data, table)
+        peak = traced_peak(lambda: signature_loss(model, data, table))
+        assert peak < data.counts.size * 8
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_deconv_invalid_rates_rejected(self, bad):
+        y, m_panel, _, _, _ = small_deconv_problem(32, s_n=6, t_n=1)
+        m_panel[2, 0] = bad
+        params = {"w_loc": np.zeros((6, 1)), "w_logstd": np.zeros((6, 1)),
+                  "d_loc": np.zeros(6), "d_logstd": np.zeros(6),
+                  "raw_alpha": np.zeros(30)}
+        with pytest.raises(NumericError):
+            deconv_loss(params, y.astype(float), m_panel, np.zeros((6, 1)), np.zeros(6))
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan, np.inf])
+    def test_signature_invalid_rates_rejected(self, bad):
+        data = tiny_dataset()
+        model = scprior._init_signature_model(data)
+        model.batch_effect[1, 2] = bad  # exp gives a rate of 0, NaN or inf
+        with pytest.raises(NumericError):
+            signature_loss(model, data)
 
 
 class TestPositive:

@@ -198,7 +198,7 @@ class TestManifest:
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EDGE_ROW = [-0.0, 5e-324, -2.2250738585072e-308, 1.7e308, -1.7976931348623157e308]
 ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
-                                blacklist_characters="\n\r"), min_size=1)
+                                blacklist_characters="\t\n\r"), min_size=1)
 
 
 def _fmt(v: float) -> str:
@@ -238,7 +238,7 @@ class TestExactRoundTrips:
     @settings(max_examples=60, deadline=None)
     @given(ids=st.lists(ID_TEXT, max_size=8))
     @example(ids=[])
-    @example(ids=["é", " x ", "\x0b\x0c\u2028", "a\tb"])
+    @example(ids=["é", " x ", "\x0b\x0c\u2028", "id"])
     def test_ids_round_trip_and_bytes(self, ids, tmp_path_factory):
         path = tmp_path_factory.mktemp("ids") / "ids.tsv"
         write_ids_tsv(path, ids)
@@ -323,6 +323,104 @@ class TestCheckpointRoundTrips:
         assert_same_mlp(back.mlp, mlp)
         assert bits(back.reg_coef) == bits(reg_coef)
         resave_matches(save_fuse, load_fuse, path)
+
+
+# ---------------------------------------------------------------------------
+# Ids that cannot round-trip, and malformed input
+# ---------------------------------------------------------------------------
+
+
+class TestIdChecks:
+    @pytest.mark.parametrize("ids,bad", [
+        (["a\rb", "c\nd", ""], "a\rb"),
+        (["ok", "c\nd"], "c\nd"),
+        (["ok", "x\ty"], "x\ty"),
+        (["ok", "", "z"], ""),
+    ])
+    def test_id_list_rejects(self, ids, bad, tmp_path):
+        path = tmp_path / "ids.tsv"
+        with pytest.raises(InputError) as info:
+            write_ids_tsv(path, ids)
+        assert repr(bad) in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["x\ty", "x\ny", "x\ry", "\r"])
+    @pytest.mark.parametrize("axis", ["row", "column"])
+    def test_matrix_rejects(self, bad, axis, tmp_path):
+        rows, cols = ["r0", "r1"], ["c0", "c1", "c2"]
+        (rows if axis == "row" else cols)[1] = bad
+        path = tmp_path / "m.tsv"
+        with pytest.raises(InputError) as info:
+            write_matrix_tsv(path, np.zeros((2, 3)), rows, cols)
+        assert f"{axis} id {bad!r}" in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_matrix_ids_round_trip(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        write_matrix_tsv(path, np.eye(2), ["", "r1"], ["c0", ""])
+        back, rows, cols = read_matrix_tsv(path)
+        assert np.array_equal(back, np.eye(2))
+        assert (rows, cols) == (["", "r1"], ["c0", ""])
+
+
+@pytest.mark.parametrize("read", [read_matrix_tsv, read_ids_tsv])
+def test_readers_reject_undecodable_bytes(read, tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes("id\tcaf\xe9\nr0\t1\n".encode("latin-1"))
+    with pytest.raises(InputError, match="latin1.tsv"):
+        read(path)
+
+
+TSV_TOKENS = [b"id", b"\t", b"\n", b"\r", b"1", b"-2.5e3", b"nan", b"inf",
+              b"x", b"", b"\xff", b"\xc3\xa9", b"\xc3", b"\x00", b" "]
+TSV_BYTES = st.one_of(st.binary(max_size=200),
+                      st.lists(st.sampled_from(TSV_TOKENS), max_size=40).map(b"".join))
+
+
+class TestReaderFuzz:
+    # each reader either returns or raises InputError, whatever the bytes
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=TSV_BYTES)
+    @example(blob=b"id\tc\xe9\n")
+    @example(blob=b"id\ta\r\nr\t1\r\n")
+    def test_tsv_readers(self, blob, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fz") / "f.tsv"
+        path.write_bytes(blob)
+        try:
+            matrix, rows, cols = read_matrix_tsv(path)
+            assert matrix.shape == (len(rows), len(cols))
+        except InputError:
+            pass
+        try:
+            assert all(isinstance(i, str) for i in read_ids_tsv(path))
+        except InputError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(which=st.sampled_from(["align", "reg", "fuse"]),
+           start=st.integers(0, 400), drop=st.integers(0, 400),
+           junk=st.binary(max_size=24), raw=st.booleans())
+    def test_checkpoint_loaders(self, which, start, drop, junk, raw,
+                                tmp_path_factory):
+        path = tmp_path_factory.mktemp("fz") / "m.ckpt"
+        save, load, model = {
+            "align": (save_align, load_align, lambda: AlignModel.init(
+                3, 4, Rng(1), embed_dim=2, hidden=3)),
+            "reg": (save_reg, load_reg, lambda: RegModel.init(3, 2, Rng(2), hidden=(4,))),
+            "fuse": (save_fuse, load_fuse, lambda: FuseAdapter.init(3, Rng(3))),
+        }[which]
+        save(path, model())
+        valid = path.read_bytes()
+        # raw: the format's magic and then anything; otherwise a valid file
+        # with a span cut out and arbitrary bytes put in its place
+        magic = valid[:9]
+        blob = magic + junk if raw else valid[:start] + junk + valid[start + drop:]
+        path.write_bytes(blob)
+        try:
+            load(path)
+        except InputError:
+            pass
 
 
 # ---------------------------------------------------------------------------
