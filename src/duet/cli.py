@@ -18,8 +18,7 @@ from .metrics import metrics
 from .pipeline import STAGES, PipelineConfig, run_pipeline
 from .tsvio import read_matrix_tsv
 
-STAGE_COMMANDS = ("synth", "deconv", "align", "regress", "fuse", "retrieve",
-                  "predict")
+STAGE_COMMANDS = ("synth", "deconv", "align", "regress", "fuse", "predict")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -191,9 +191,6 @@ class Mlp:
             raise InputError(f"flat vector has {vec.size} entries, net needs {offset}")
         self.touch()
 
-    def clone(self) -> "Mlp":
-        return Mlp([Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers])
-
     def forward(self, x: np.ndarray):
         """Run the net on a vector or a batch of row vectors. Returns (y, tape)."""
         x = np.asarray(x, dtype=np.float64)
@@ -280,9 +277,6 @@ class SgdState:
                 v += self.weight_decay * p
             p -= self.lr * v
             _ensure_finite(p, "sgd parameter update")
-
-    def reset(self):
-        self.velocity = []
 
 
 # ---------------------------------------------------------------------------

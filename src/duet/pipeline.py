@@ -7,21 +7,23 @@ single run seed; re-running any stage with the same seed and inputs rewrites
 byte-identical outputs (the manifest, which carries wall-clock timestamps, is
 the one exception). Every file is written atomically (tsvio.write_atomic).
 
-Workspace layout (all produced under the --out directory):
-  sc_counts.tsv, sc_labels.tsv        single-cell reference
-  st_counts.tsv                       spot counts, all genes
-  features_img.tsv, features_fm.tsv   per-spot feature vectors
-  truth_*.tsv, gating_truth.tsv       generator ground truth
-  target_genes.tsv, panel_genes.tsv   gene id lists
-  split_{train,fuse,test}.tsv         spot id lists
-  signature.tsv, proportions.tsv, deconv_*.tsv, gating.tsv
-  align.ckpt, reg.ckpt, fuse.ckpt
-  pred_{duet,ret,reg}.tsv, alphas.tsv, y_test.tsv
-  metrics.json, variance_curve_*.tsv, manifest.json
+STAGE_IO, beside STAGES, declares each stage's input and output files. A
+stage reads and writes only through a Workspace, which refuses (InputError)
+any name its stage did not declare. The Workspace parses each file at most
+once per run and hands every write to later reads: a TSV written or read
+through it is held parsed, with read-only float64 arrays, so run_pipeline,
+which passes one Workspace to every stage, parses no TSV at all; a checkpoint
+is held as its bytes and decoded per load, so no two stages share a model.
+It also keeps the sha256 of the bytes it read or wrote, and the manifest
+records those for each stage's declared outputs and inputs. A stage given a
+path (the CLI, tests) wraps it in a fresh Workspace. Per-spot matrices
+(features, gating, truth_n) must carry st_counts.tsv's spot ids, in order.
+The workspace holds exactly the files STAGE_IO names, plus manifest.json.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -38,20 +40,10 @@ from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .scprior import build_gating, deconvolve, fit_signatures, select_panel
 from .scprior import ScDataset
 from .synth import SynthConfig, gen_sc, gen_spots
-from .tsvio import (
-    load_align,
-    load_fuse,
-    load_reg,
-    read_ids_tsv,
-    read_matrix_tsv,
-    save_align,
-    save_fuse,
-    save_reg,
-    update_manifest,
-    write_atomic,
-    write_ids_tsv,
-    write_matrix_tsv,
-)
+from .tsvio import (load_align, load_fuse, load_reg, read_bytes, read_ids_tsv,
+                    read_matrix_tsv, save_align, save_fuse, save_reg,
+                    update_manifest, write_atomic, write_ids_tsv,
+                    write_matrix_tsv)
 
 MANIFEST = "manifest.json"
 
@@ -135,44 +127,140 @@ class PipelineConfig:
         return doc
 
 
-def _spot_ids(n: int) -> list[str]:
-    return [f"s{i:05d}" for i in range(n)]
-
-
-def _stamp(ws: Path, stage: str, cfg: PipelineConfig, seed: int, outputs):
-    update_manifest(ws / MANIFEST, stage, seed, cfg.to_dict(),
-                    [ws / f for f in outputs])
-
-
 # ---------------------------------------------------------------------------
-# Stage: synth
+# Workspace: one run's files
 # ---------------------------------------------------------------------------
 
 
-def stage_synth(cfg: PipelineConfig, seed: int, ws: Path) -> None:
-    ws.mkdir(parents=True, exist_ok=True)
+class Workspace:
+    """A workspace directory as one run sees it; see the module docstring."""
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self.stage = None  # the running stage, whose STAGE_IO entry applies
+        self._held = {}  # name -> parsed TSV, id list or checkpoint bytes
+        self._sha = {}  # name -> sha256 of the bytes read or written
+
+    def _declared(self, name: str, io: int) -> Path:
+        if name not in STAGE_IO[self.stage][io]:
+            kind = ("input", "output")[io]
+            raise InputError(f"stage {self.stage} does not declare {name} "
+                             f"as an {kind}")
+        return self.root / name
+
+    def _load(self, name: str, parse):
+        path = self._declared(name, 0)
+        if name not in self._held:
+            data = read_bytes(path)
+            self._keep(name, parse(path, data), data)
+        return self._held[name]
+
+    def _keep(self, name: str, value, data: bytes) -> None:
+        self._held[name] = value
+        self._sha[name] = hashlib.sha256(data).hexdigest()
+
+    def matrix(self, name: str):
+        """(matrix, row ids, column ids), as read_matrix_tsv; read-only matrix."""
+        m, rows, cols = self._load(name, read_matrix_tsv)
+        m.flags.writeable = False
+        return m, list(rows), list(cols)
+
+    def spot_matrix(self, name: str) -> np.ndarray:
+        """`name`'s matrix, whose row ids must be st_counts.tsv's spot ids."""
+        m, rows, _ = self.matrix(name)
+        if rows != self.matrix("st_counts.tsv")[1]:
+            raise InputError(f"{name} row ids disagree with the spot ids of "
+                             "st_counts.tsv")
+        return m
+
+    def ids(self, name: str) -> list[str]:
+        return list(self._load(name, read_ids_tsv))
+
+    def checkpoint(self, name: str, load):
+        return load(self.root / name, self._load(name, lambda path, data: data))
+
+    def write_matrix(self, name: str, matrix, row_ids, col_ids) -> None:
+        m = np.array(matrix, dtype=np.float64)
+        rows, cols = [str(r) for r in row_ids], [str(c) for c in col_ids]
+        data = write_matrix_tsv(self._declared(name, 1), m, rows, cols)
+        m.flags.writeable = False
+        self._keep(name, (m, rows, cols), data)
+
+    def write_ids(self, name: str, ids) -> None:
+        ids = [str(i) for i in ids]
+        self._keep(name, ids, write_ids_tsv(self._declared(name, 1), ids))
+
+    def save(self, name: str, write, value) -> None:
+        """Write `value` with write(path, value), which returns the bytes."""
+        data = write(self._declared(name, 1), value)
+        self._keep(name, data, data)
+
+    def stamp(self, cfg: PipelineConfig, seed: int) -> None:
+        """Record the running stage, with its files' hashes, in the manifest."""
+        inputs, outputs = STAGE_IO[self.stage]
+        update_manifest(self.root / MANIFEST, self.stage, seed, cfg.to_dict(),
+                        {n: self._sha[n] for n in outputs},
+                        {n: self._sha[n] for n in inputs})
+
+
+def _open(ws, stage: str) -> Workspace:
+    """`ws`, or a fresh Workspace over the path `ws`, set to run `stage`."""
+    ws = ws if isinstance(ws, Workspace) else Workspace(ws)
+    ws.stage = stage
+    return ws
+
+
+def _targets(ws: Workspace):
+    """Spot ids, target gene ids and log1p target expression (spots, targets)."""
+    st, spots, genes = ws.matrix("st_counts.tsv")
+    target_genes = ws.ids("target_genes.tsv")
+    gene_pos = {g: i for i, g in enumerate(genes)}
+    try:
+        idx = np.array([gene_pos[g] for g in target_genes])
+    except KeyError as exc:
+        raise InputError(f"target gene missing from st_counts: {exc}") from None
+    return spots, target_genes, log1p_transform(st[:, idx])
+
+
+def _split(ws: Workspace, spots: list[str], name: str) -> np.ndarray:
+    """Positions in `spots` of the ids in split_<name>.tsv."""
+    pos = {s: i for i, s in enumerate(spots)}
+    try:
+        return np.array([pos[s] for s in ws.ids(f"split_{name}.tsv")])
+    except KeyError as exc:
+        raise InputError(f"split id missing from st_counts: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Stages
+# ---------------------------------------------------------------------------
+
+
+def stage_synth(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
+    ws = _open(ws, "synth")
+    ws.root.mkdir(parents=True, exist_ok=True)
     synth_cfg = replace(cfg.synth, seed=seed)
     sc, truth = gen_sc(synth_cfg)
     st_counts, f_img, f_fm, gating_truth = gen_spots(synth_cfg, truth)
 
     genes = truth.gene_names
     cells = [f"c{i:05d}" for i in range(sc.n_cells)]
-    spots = _spot_ids(st_counts.shape[0])
+    spots = [f"s{i:05d}" for i in range(st_counts.shape[0])]
     types = [f"t{j}" for j in range(synth_cfg.n_types)]
     feats = [f"f{j}" for j in range(synth_cfg.feature_dim)]
 
-    write_matrix_tsv(ws / "sc_counts.tsv", sc.counts, cells, genes)
+    ws.write_matrix("sc_counts.tsv", sc.counts, cells, genes)
     labels = np.stack([sc.cell_type, sc.batch], axis=1).astype(np.float64)
-    write_matrix_tsv(ws / "sc_labels.tsv", labels, cells, ["cell_type", "batch"])
-    write_matrix_tsv(ws / "st_counts.tsv", st_counts, spots, genes)
-    write_matrix_tsv(ws / "features_img.tsv", f_img, spots, feats)
-    write_matrix_tsv(ws / "features_fm.tsv", f_fm, spots, feats)
-    write_matrix_tsv(ws / "truth_w.tsv", truth.w_true, spots, types)
-    write_matrix_tsv(ws / "truth_n.tsv", truth.n_true[:, None], spots, ["n"])
-    write_matrix_tsv(ws / "truth_d.tsv", truth.d_true[:, None], spots, ["d"])
-    write_matrix_tsv(ws / "truth_mu.tsv", truth.mu_true, types, genes)
-    write_matrix_tsv(ws / "gating_truth.tsv", gating_truth.g, spots, types)
-    write_ids_tsv(ws / "target_genes.tsv", truth.target_genes)
+    ws.write_matrix("sc_labels.tsv", labels, cells, ["cell_type", "batch"])
+    ws.write_matrix("st_counts.tsv", st_counts, spots, genes)
+    ws.write_matrix("features_img.tsv", f_img, spots, feats)
+    ws.write_matrix("features_fm.tsv", f_fm, spots, feats)
+    ws.write_matrix("truth_w.tsv", truth.w_true, spots, types)
+    ws.write_matrix("truth_n.tsv", truth.n_true[:, None], spots, ["n"])
+    ws.write_matrix("truth_d.tsv", truth.d_true[:, None], spots, ["d"])
+    ws.write_matrix("truth_mu.tsv", truth.mu_true, types, genes)
+    ws.write_matrix("gating_truth.tsv", gating_truth.g, spots, types)
+    ws.write_ids("target_genes.tsv", truth.target_genes)
 
     n = len(spots)
     perm = Rng(seed).child("split").permutation(n)
@@ -184,71 +272,17 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Path) -> None:
             f"splits too small for {n} spots: {n_train}/{n_fuse}/{n_test}"
         )
     ids = np.array(spots)
-    write_ids_tsv(ws / "split_train.tsv", ids[np.sort(perm[:n_train])])
-    write_ids_tsv(ws / "split_fuse.tsv",
-                  ids[np.sort(perm[n_train:n_train + n_fuse])])
-    write_ids_tsv(ws / "split_test.tsv", ids[np.sort(perm[n_train + n_fuse:])])
-
-    _stamp(ws, "synth", cfg, seed, [
-        "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
-        "features_fm.tsv", "truth_w.tsv", "truth_n.tsv", "truth_d.tsv",
-        "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
-        "split_train.tsv", "split_fuse.tsv", "split_test.tsv",
-    ])
+    ws.write_ids("split_train.tsv", ids[np.sort(perm[:n_train])])
+    ws.write_ids("split_fuse.tsv", ids[np.sort(perm[n_train:n_train + n_fuse])])
+    ws.write_ids("split_test.tsv", ids[np.sort(perm[n_train + n_fuse:])])
+    ws.stamp(cfg, seed)
 
 
-# ---------------------------------------------------------------------------
-# Workspace readers
-# ---------------------------------------------------------------------------
-
-
-def _read_targets(ws: Path):
-    st, spots, genes = read_matrix_tsv(ws / "st_counts.tsv")
-    target_genes = read_ids_tsv(ws / "target_genes.tsv")
-    gene_pos = {g: i for i, g in enumerate(genes)}
-    try:
-        idx = np.array([gene_pos[g] for g in target_genes])
-    except KeyError as exc:
-        raise InputError(f"target gene missing from st_counts: {exc}") from None
-    y = log1p_transform(st[:, idx])
-    return st, spots, genes, target_genes, y
-
-
-def _split_indices(ws: Path, spots: list[str]) -> dict:
-    pos = {s: i for i, s in enumerate(spots)}
-    out = {}
-    for name in ("train", "fuse", "test"):
-        ids = read_ids_tsv(ws / f"split_{name}.tsv")
-        try:
-            out[name] = np.array([pos[s] for s in ids])
-        except KeyError as exc:
-            raise InputError(f"split id missing from st_counts: {exc}") from None
-    return out
-
-
-def _read_features(ws: Path, name: str, n_spots: int) -> np.ndarray:
-    feats, ids, _ = read_matrix_tsv(ws / name)
-    if feats.shape[0] != n_spots:
-        raise InputError(f"{name} rows disagree with st_counts")
-    return feats
-
-
-def _read_gating(ws: Path, n_spots: int) -> np.ndarray:
-    g, _, _ = read_matrix_tsv(ws / "gating.tsv")
-    if g.shape[0] != n_spots:
-        raise InputError("gating.tsv rows disagree with st_counts")
-    return g
-
-
-# ---------------------------------------------------------------------------
-# Stage: deconv (signatures + abundance posterior + gating)
-# ---------------------------------------------------------------------------
-
-
-def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path) -> None:
+def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
+    ws = _open(ws, "deconv")
     rng = Rng(seed).child("deconv-stage")
-    sc_counts, cells, genes = read_matrix_tsv(ws / "sc_counts.tsv")
-    labels, _, label_cols = read_matrix_tsv(ws / "sc_labels.tsv")
+    sc_counts, cells, genes = ws.matrix("sc_counts.tsv")
+    labels, _, label_cols = ws.matrix("sc_labels.tsv")
     if label_cols != ["cell_type", "batch"]:
         raise InputError("sc_labels.tsv must have cell_type and batch columns")
     data = ScDataset(
@@ -259,45 +293,36 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path) -> None:
     model = fit_signatures(data, cfg.train.sig_epochs, lr=cfg.train.sig_lr)
     signature = model.signature()  # (G, T)
     types = [f"t{j}" for j in range(data.n_types)]
-    write_matrix_tsv(ws / "signature.tsv", signature, genes, types)
+    ws.write_matrix("signature.tsv", signature, genes, types)
 
-    target_genes = read_ids_tsv(ws / "target_genes.tsv")
+    target_genes = ws.ids("target_genes.tsv")
     panel = select_panel(genes, target_genes, k=cfg.train.panel_size,
                          rng=rng.child("panel"))
-    write_ids_tsv(ws / "panel_genes.tsv", panel)
+    ws.write_ids("panel_genes.tsv", panel)
     gene_pos = {g: i for i, g in enumerate(genes)}
     panel_idx = np.array([gene_pos[g] for g in panel])
 
-    st, spots, st_genes, _, _ = _read_targets(ws)
+    st, spots, st_genes = ws.matrix("st_counts.tsv")
     if st_genes != genes:
         raise InputError("st_counts and sc_counts gene columns disagree")
     post = deconvolve(st[:, panel_idx].astype(np.int64), signature[panel_idx],
                       cfg.train.deconv_epochs, rng.child("vi"),
                       lr=cfg.train.deconv_lr)
-    write_matrix_tsv(ws / "deconv_w_mean.tsv", post.w_mean, spots, types)
-    write_matrix_tsv(ws / "deconv_w_q05.tsv", post.w_q05, spots, types)
-    write_matrix_tsv(ws / "proportions.tsv", post.proportions(), spots, types)
+    ws.write_matrix("deconv_w_mean.tsv", post.w_mean, spots, types)
+    ws.write_matrix("deconv_w_q05.tsv", post.w_q05, spots, types)
+    ws.write_matrix("proportions.tsv", post.proportions(), spots, types)
 
-    n_true, _, _ = read_matrix_tsv(ws / "truth_n.tsv")
-    sig = build_gating(post, n_true[:, 0])
-    write_matrix_tsv(ws / "gating.tsv", sig.g, spots, types)
-
-    _stamp(ws, "deconv", cfg, seed, [
-        "signature.tsv", "panel_genes.tsv", "deconv_w_mean.tsv",
-        "deconv_w_q05.tsv", "proportions.tsv", "gating.tsv",
-    ])
+    sig = build_gating(post, ws.spot_matrix("truth_n.tsv")[:, 0])
+    ws.write_matrix("gating.tsv", sig.g, spots, types)
+    ws.stamp(cfg, seed)
 
 
-# ---------------------------------------------------------------------------
-# Stage: align
-# ---------------------------------------------------------------------------
-
-
-def stage_align(cfg: PipelineConfig, seed: int, ws: Path) -> None:
+def stage_align(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
+    ws = _open(ws, "align")
     rng = Rng(seed).child("align-stage")
-    st, spots, _, _, y = _read_targets(ws)
-    f_img = _read_features(ws, "features_img.tsv", len(spots))
-    idx = _split_indices(ws, spots)["train"]
+    spots, _, y = _targets(ws)
+    f_img = ws.spot_matrix("features_img.tsv")
+    idx = _split(ws, spots, "train")
     data = PairedBatch(
         img_features=f_img[idx],
         expressions=y[idx],
@@ -310,35 +335,27 @@ def stage_align(cfg: PipelineConfig, seed: int, ws: Path) -> None:
         cfg=AlignTrainConfig(epochs=tc.align_epochs, batch_size=tc.align_batch,
                              embed_dim=tc.embed_dim, hidden=tc.align_hidden),
     )
-    save_align(ws / "align.ckpt", model)
-    _stamp(ws, "align", cfg, seed, ["align.ckpt"])
+    ws.save("align.ckpt", save_align, model)
+    ws.stamp(cfg, seed)
 
 
-# ---------------------------------------------------------------------------
-# Retrieval helpers shared by the later stages
-# ---------------------------------------------------------------------------
-
-
-def _train_db(ws: Path, spots, y, gating):
-    idx = _split_indices(ws, spots)["train"]
-    model = load_align(ws / "align.ckpt")
+def _train_db(ws: Workspace, spots, y, gating):
+    """The alignment model and the retrieval database of the training spots."""
+    idx = _split(ws, spots, "train")
+    model = ws.checkpoint("align.ckpt", load_align)
     db = rebuild_db(model, y[idx], gating[idx], [spots[i] for i in idx])
     return model, db
 
 
-# ---------------------------------------------------------------------------
-# Stage: regress
-# ---------------------------------------------------------------------------
-
-
-def stage_regress(cfg: PipelineConfig, seed: int, ws: Path) -> None:
+def stage_regress(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
+    ws = _open(ws, "regress")
     rng = Rng(seed).child("regress-stage")
-    st, spots, _, _, y = _read_targets(ws)
-    f_img = _read_features(ws, "features_img.tsv", len(spots))
-    f_fm = _read_features(ws, "features_fm.tsv", len(spots))
-    gating = _read_gating(ws, len(spots))
-    idx = _split_indices(ws, spots)["train"]
-    align_model = load_align(ws / "align.ckpt")
+    spots, _, y = _targets(ws)
+    f_img = ws.spot_matrix("features_img.tsv")
+    f_fm = ws.spot_matrix("features_fm.tsv")
+    gating = ws.spot_matrix("gating.tsv")
+    idx = _split(ws, spots, "train")
+    align_model = ws.checkpoint("align.ckpt", load_align)
     sources = RetrievalSources(
         expressions=y[idx],
         gating=gating[idx],
@@ -354,28 +371,23 @@ def stage_regress(cfg: PipelineConfig, seed: int, ws: Path) -> None:
         SgdState(lr=tc.reg_lr), rng.child("fit"), batch_size=tc.reg_batch,
         model=model,
     )
-    save_reg(ws / "reg.ckpt", model)
-    _stamp(ws, "regress", cfg, seed, ["reg.ckpt"])
+    ws.save("reg.ckpt", save_reg, model)
+    ws.stamp(cfg, seed)
 
 
-# ---------------------------------------------------------------------------
-# Stage: fuse
-# ---------------------------------------------------------------------------
-
-
-def stage_fuse(cfg: PipelineConfig, seed: int, ws: Path) -> None:
+def stage_fuse(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
+    ws = _open(ws, "fuse")
     rng = Rng(seed).child("fuse-stage")
-    st, spots, _, _, y = _read_targets(ws)
-    f_img = _read_features(ws, "features_img.tsv", len(spots))
-    f_fm = _read_features(ws, "features_fm.tsv", len(spots))
-    gating = _read_gating(ws, len(spots))
-    subset = _split_indices(ws, spots)["fuse"]
+    spots, _, y = _targets(ws)
+    f_img = ws.spot_matrix("features_img.tsv")
+    f_fm = ws.spot_matrix("features_fm.tsv")
+    gating = ws.spot_matrix("gating.tsv")
+    subset = _split(ws, spots, "fuse")
 
     align_model, db = _train_db(ws, spots, y, gating)
     y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
                            cfg.retrieval)
-    reg_model = load_reg(ws / "reg.ckpt")
-    y_reg = reg_model.predict(f_fm[subset])
+    y_reg = ws.checkpoint("reg.ckpt", load_reg).predict(f_fm[subset])
 
     adapter = FuseAdapter.init(f_fm.shape[1], rng.child("init"),
                                hidden=cfg.train.fuse_hidden,
@@ -383,82 +395,93 @@ def stage_fuse(cfg: PipelineConfig, seed: int, ws: Path) -> None:
     train_fuse(adapter, (f_fm[subset], y_ret, y_reg, y[subset]),
                cfg.train.fuse_epochs, SgdState(lr=cfg.train.fuse_lr),
                rng.child("fit"))
-    save_fuse(ws / "fuse.ckpt", adapter)
-    _stamp(ws, "fuse", cfg, seed, ["fuse.ckpt"])
+    ws.save("fuse.ckpt", save_fuse, adapter)
+    ws.stamp(cfg, seed)
 
 
-# ---------------------------------------------------------------------------
-# Stage: retrieve / predict
-# ---------------------------------------------------------------------------
-
-
-def stage_retrieve(cfg: PipelineConfig, seed: int, ws: Path) -> None:
-    st, spots, _, target_genes, y = _read_targets(ws)
-    f_img = _read_features(ws, "features_img.tsv", len(spots))
-    gating = _read_gating(ws, len(spots))
-    subset = _split_indices(ws, spots)["test"]
-    model, db = _train_db(ws, spots, y, gating)
-    y_ret = retrieve_spots(model, db, f_img[subset], gating[subset], cfg.retrieval)
-    ids = [spots[i] for i in subset]
-    write_matrix_tsv(ws / "pred_ret.tsv", y_ret, ids, target_genes)
-    _stamp(ws, "retrieve", cfg, seed, ["pred_ret.tsv"])
-
-
-def stage_predict(cfg: PipelineConfig, seed: int, ws: Path) -> None:
-    st, spots, _, target_genes, y = _read_targets(ws)
-    f_img = _read_features(ws, "features_img.tsv", len(spots))
-    f_fm = _read_features(ws, "features_fm.tsv", len(spots))
-    gating = _read_gating(ws, len(spots))
-    subset = _split_indices(ws, spots)["test"]
+def stage_predict(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
+    ws = _open(ws, "predict")
+    spots, target_genes, y = _targets(ws)
+    f_img = ws.spot_matrix("features_img.tsv")
+    f_fm = ws.spot_matrix("features_fm.tsv")
+    gating = ws.spot_matrix("gating.tsv")
+    subset = _split(ws, spots, "test")
     ids = [spots[i] for i in subset]
 
     align_model, db = _train_db(ws, spots, y, gating)
     y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
                            cfg.retrieval)
-    reg_model = load_reg(ws / "reg.ckpt")
-    y_reg = reg_model.predict(f_fm[subset])
-    adapter = load_fuse(ws / "fuse.ckpt")
+    y_reg = ws.checkpoint("reg.ckpt", load_reg).predict(f_fm[subset])
+    adapter = ws.checkpoint("fuse.ckpt", load_fuse)
     y_duet, alphas = fuse_predict_batch(adapter, f_fm[subset], y_ret, y_reg)
 
-    write_matrix_tsv(ws / "pred_ret.tsv", y_ret, ids, target_genes)
-    write_matrix_tsv(ws / "pred_reg.tsv", y_reg, ids, target_genes)
-    write_matrix_tsv(ws / "pred_duet.tsv", y_duet, ids, target_genes)
-    write_matrix_tsv(ws / "alphas.tsv", alphas[:, None], ids, ["alpha"])
-    write_matrix_tsv(ws / "y_test.tsv", y[subset], ids, target_genes)
-    _stamp(ws, "predict", cfg, seed, [
-        "pred_ret.tsv", "pred_reg.tsv", "pred_duet.tsv", "alphas.tsv",
-        "y_test.tsv",
-    ])
+    ws.write_matrix("pred_ret.tsv", y_ret, ids, target_genes)
+    ws.write_matrix("pred_reg.tsv", y_reg, ids, target_genes)
+    ws.write_matrix("pred_duet.tsv", y_duet, ids, target_genes)
+    ws.write_matrix("alphas.tsv", alphas[:, None], ids, ["alpha"])
+    ws.write_matrix("y_test.tsv", y[subset], ids, target_genes)
+    ws.stamp(cfg, seed)
 
 
-# ---------------------------------------------------------------------------
-# Stage: eval
-# ---------------------------------------------------------------------------
-
-
-def stage_eval(cfg: PipelineConfig, seed: int, ws: Path) -> dict:
-    y, ids, target_genes = read_matrix_tsv(ws / "y_test.tsv")
+def stage_eval(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> dict:
+    ws = _open(ws, "eval")
+    y, ids, target_genes = ws.matrix("y_test.tsv")
     report = {}
-    outputs = ["metrics.json"]
     for branch in ("duet", "ret", "reg"):
-        pred, pids, _ = read_matrix_tsv(ws / f"pred_{branch}.tsv")
+        pred, pids, _ = ws.matrix(f"pred_{branch}.tsv")
         if pids != ids:
             raise InputError(f"pred_{branch}.tsv spot ids disagree with y_test.tsv")
         report[branch] = metrics(pred, y).to_dict()
         vc = variance_curve(pred, y)
-        name = f"variance_curve_{branch}.tsv"
-        write_matrix_tsv(
-            ws / name,
+        ws.write_matrix(
+            f"variance_curve_{branch}.tsv",
             np.stack([vc.truth_var_norm, vc.pred_var_norm], axis=1),
             [target_genes[j] for j in vc.order],
             ["truth_var_norm", "pred_var_norm"],
         )
-        outputs.append(name)
-    write_atomic(ws / "metrics.json",
-                 json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _stamp(ws, "eval", cfg, seed, outputs)
+    ws.save("metrics.json", write_atomic,
+            json.dumps(report, indent=2, sort_keys=True) + "\n")
+    ws.stamp(cfg, seed)
     return report
 
+
+# each stage's (inputs, outputs): the only files it may read and write, and
+# the ones its manifest entry hashes
+STAGE_IO = {
+    "synth": ((), (
+        "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
+        "features_fm.tsv", "truth_w.tsv", "truth_n.tsv", "truth_d.tsv",
+        "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
+        "split_train.tsv", "split_fuse.tsv", "split_test.tsv")),
+    "deconv": (
+        ("sc_counts.tsv", "sc_labels.tsv", "target_genes.tsv", "st_counts.tsv",
+         "truth_n.tsv"),
+        ("signature.tsv", "panel_genes.tsv", "deconv_w_mean.tsv",
+         "deconv_w_q05.tsv", "proportions.tsv", "gating.tsv")),
+    "align": (
+        ("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
+         "split_train.tsv"),
+        ("align.ckpt",)),
+    "regress": (
+        ("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
+         "features_fm.tsv", "gating.tsv", "split_train.tsv", "align.ckpt"),
+        ("reg.ckpt",)),
+    "fuse": (
+        ("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
+         "features_fm.tsv", "gating.tsv", "split_train.tsv", "split_fuse.tsv",
+         "align.ckpt", "reg.ckpt"),
+        ("fuse.ckpt",)),
+    "predict": (
+        ("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
+         "features_fm.tsv", "gating.tsv", "split_train.tsv", "split_test.tsv",
+         "align.ckpt", "reg.ckpt", "fuse.ckpt"),
+        ("pred_ret.tsv", "pred_reg.tsv", "pred_duet.tsv", "alphas.tsv",
+         "y_test.tsv")),
+    "eval": (
+        ("y_test.tsv", "pred_duet.tsv", "pred_ret.tsv", "pred_reg.tsv"),
+        ("variance_curve_duet.tsv", "variance_curve_ret.tsv",
+         "variance_curve_reg.tsv", "metrics.json")),
+}
 
 STAGES = {
     "synth": stage_synth,
@@ -466,16 +489,16 @@ STAGES = {
     "align": stage_align,
     "regress": stage_regress,
     "fuse": stage_fuse,
-    "retrieve": stage_retrieve,
     "predict": stage_predict,
     "eval": stage_eval,
 }
 
-PIPELINE_ORDER = ("synth", "deconv", "align", "regress", "fuse", "predict", "eval")
+PIPELINE_ORDER = tuple(STAGES)
 
 
-def run_pipeline(cfg: PipelineConfig, seed: int, ws: Path) -> dict:
-    """All stages in order; returns the final metrics report."""
+def run_pipeline(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> dict:
+    """All stages in order, through one Workspace; returns the metrics report."""
+    ws = ws if isinstance(ws, Workspace) else Workspace(ws)
     result = None
     for name in PIPELINE_ORDER:
         result = STAGES[name](cfg, seed, ws)

@@ -8,6 +8,16 @@ one id per line. So that every id reads back as written, the writers reject
 (InputError, naming it) any id holding a tab, `\n` or `\r`, and an empty
 id in an id list; the readers reject a file that is not UTF-8.
 
+The readers take `\r\n` and a lone `\r` as line ends and skip empty lines.
+read_matrix_tsv requires as many tabs in every body row as in the header,
+splits the row ids off, and parses the numeric block in one np.loadtxt call
+(numpy's C reader). A cell is a decimal or exponent float literal, `inf`,
+`infinity` or `nan` in any case, with an optional sign and surrounding
+whitespace (here also U+001C to U+001F); `0x10`, `1,5`, `1_000`,
+non-ASCII digits and empty cells are rejected. Every failure is an
+InputError naming the file. Each reader also takes the file's bytes, for a
+caller that has read them already.
+
 Every workspace file is written by write_atomic: the data goes to a new
 `<name>.tmp` beside the target, the old target is unlinked, and the temp file
 is renamed onto the free name. A process interrupted at any point leaves the
@@ -22,12 +32,12 @@ Checkpoints are little-endian binary: an ASCII magic tag, u32 layer counts
 and per-layer (out, in) dims, any format-specific f64 scalars, then the raw
 f64 parameters layer by layer (weight row-major, then bias). Activations are
 not stored; every head here is relu on hidden layers and identity on the
-final layer, which the loaders reinstate.
+final layer, which the loaders reinstate. The loaders reject (InputError,
+naming the file) any non-finite weight, bias or scalar.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -52,20 +62,31 @@ MAGIC_FUSE = b"DUET-FUS1"
 # ---------------------------------------------------------------------------
 
 
-def write_atomic(path, data) -> None:
-    """Replace `path` with `data` (str as UTF-8 text, or bytes) via a temp file."""
+def write_atomic(path, data) -> bytes:
+    """Replace `path` with `data` (str as UTF-8 text, or bytes) via a temp file.
+
+    Returns the bytes written; every writer below passes them on.
+    """
     p = Path(path)
     tmp = p.with_name(p.name + ".tmp")
-    binary = isinstance(data, bytes)
+    blob = data.encode("utf-8") if isinstance(data, str) else data
     try:
-        with open(tmp, "wb" if binary else "w",
-                  encoding=None if binary else "utf-8") as fh:
-            fh.write(data)
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
         p.unlink(missing_ok=True)
         os.rename(tmp, p)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return blob
+
+
+def read_bytes(path) -> bytes:
+    """The file's bytes; InputError naming it when there is no such file."""
+    p = Path(path)
+    if not p.exists():
+        raise InputError(f"no such file: {p}")
+    return p.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +110,15 @@ def _writable_ids(ids, what: str, path, allow_empty: bool = True) -> list[str]:
     return ids
 
 
-def _read_text(p: Path) -> str:
+def _read_lines(p: Path, data: bytes | None) -> list[str]:
+    """The non-empty lines of `data`, or of the file at `p` when data is None."""
     try:
-        return p.read_text(encoding="utf-8")
+        text = (read_bytes(p) if data is None else data).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{p} is not UTF-8 text: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return [ln for ln in text.split("\n") if ln]
 
 
 def write_matrix_tsv(path, matrix, row_ids, col_ids):
@@ -108,46 +133,40 @@ def write_matrix_tsv(path, matrix, row_ids, col_ids):
     lines = ["id\t" + "\t".join(col_ids)]
     for rid, row in zip(row_ids, matrix):
         lines.append(rid + "\t" + row_fmt % tuple(row.tolist()))
-    write_atomic(path, "\n".join(lines) + "\n")
+    return write_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_matrix_tsv(path):
+def read_matrix_tsv(path, data: bytes | None = None):
+    """(matrix, row ids, column ids) of the TSV at `path` (or in `data`)."""
     p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {p}")
-    text = _read_text(p)
-    lines = [ln for ln in text.split("\n") if ln != ""]
+    lines = _read_lines(p, data)
     if not lines:
         raise InputError(f"empty TSV: {p}")
     header = lines[0].split("\t")
     if header[0] != "id":
         raise InputError(f"malformed TSV header in {p}: first cell must be 'id'")
-    col_ids = header[1:]
-    row_ids = []
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split("\t")
-        if len(cells) != len(col_ids) + 1:
-            raise InputError(f"ragged TSV row in {p}")
-        row_ids.append(cells[0])
-        try:
-            rows.append([float(c) for c in cells[1:]])
-        except ValueError as exc:
-            raise InputError(f"non-numeric cell in {p}: {exc}") from None
-    matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(col_ids)))
-    return matrix, row_ids, col_ids
+    n, body = len(header) - 1, lines[1:]
+    if any(ln.count("\t") != n for ln in body):
+        raise InputError(f"ragged TSV row in {p}")
+    row_ids = [ln.split("\t", 1)[0] for ln in body]
+    if not (n and body):
+        return np.zeros((len(body), n)), row_ids, header[1:]
+    try:
+        matrix = np.loadtxt(body, delimiter="\t", comments=None,
+                            usecols=range(1, n + 1), ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"non-numeric cell in {p}: {exc}") from None
+    return matrix, row_ids, header[1:]
 
 
 def write_ids_tsv(path, ids, header: str = "id"):
     lines = [header] + _writable_ids(ids, "id", path, allow_empty=False)
-    write_atomic(path, "\n".join(lines) + "\n")
+    return write_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_ids_tsv(path) -> list[str]:
+def read_ids_tsv(path, data: bytes | None = None) -> list[str]:
     p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {p}")
-    lines = [ln for ln in _read_text(p).split("\n") if ln != ""]
+    lines = _read_lines(p, data)
     if not lines:
         raise InputError(f"empty id list: {p}")
     return lines[1:]
@@ -190,10 +209,13 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+        return float(self.f64s(1)[0])
 
     def f64s(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+        out = np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+        if not np.isfinite(out).all():
+            raise InputError(f"non-finite parameter in checkpoint: {self.path}")
+        return out
 
     def done(self):
         if self.pos != len(self.blob):
@@ -214,14 +236,12 @@ def save_align(path, model: AlignModel):
     blob += struct.pack("<d", model.temperature)
     blob += _pack_mlp_params(model.img_head)
     blob += _pack_mlp_params(model.gene_head)
-    write_atomic(path, blob)
+    return write_atomic(path, blob)
 
 
-def _open_checkpoint(path, magic: bytes) -> _Reader:
+def _open_checkpoint(path, magic: bytes, data: bytes | None) -> _Reader:
     p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {p}")
-    blob = p.read_bytes()
+    blob = read_bytes(p) if data is None else data
     if blob[:len(magic)] != magic:
         raise InputError(f"bad checkpoint magic in {p}, expected {magic.decode()}")
     r = _Reader(blob, p)
@@ -239,8 +259,8 @@ def _read_mlp_with_dims(r: _Reader, dims: list) -> Mlp:
     return Mlp(layers)
 
 
-def load_align(path) -> AlignModel:
-    r = _open_checkpoint(path, MAGIC_ALIGN)
+def load_align(path, data: bytes | None = None) -> AlignModel:
+    r = _open_checkpoint(path, MAGIC_ALIGN, data)
     dims_img = _read_dims(r)
     dims_gene = _read_dims(r)
     temperature = r.f64()
@@ -255,11 +275,11 @@ def load_align(path) -> AlignModel:
 
 def save_reg(path, model: RegModel):
     blob = MAGIC_REG + _pack_mlp_dims(model.head) + _pack_mlp_params(model.head)
-    write_atomic(path, blob)
+    return write_atomic(path, blob)
 
 
-def load_reg(path) -> RegModel:
-    r = _open_checkpoint(path, MAGIC_REG)
+def load_reg(path, data: bytes | None = None) -> RegModel:
+    r = _open_checkpoint(path, MAGIC_REG, data)
     head = _read_mlp_with_dims(r, _read_dims(r))
     r.done()
     return RegModel(head=head, feature_dim=head.in_dim, gene_dim=head.out_dim)
@@ -269,11 +289,11 @@ def save_fuse(path, adapter: FuseAdapter):
     blob = MAGIC_FUSE + _pack_mlp_dims(adapter.mlp)
     blob += struct.pack("<d", adapter.reg_coef)
     blob += _pack_mlp_params(adapter.mlp)
-    write_atomic(path, blob)
+    return write_atomic(path, blob)
 
 
-def load_fuse(path) -> FuseAdapter:
-    r = _open_checkpoint(path, MAGIC_FUSE)
+def load_fuse(path, data: bytes | None = None) -> FuseAdapter:
+    r = _open_checkpoint(path, MAGIC_FUSE, data)
     dims = _read_dims(r)
     reg_coef = r.f64()
     mlp = _read_mlp_with_dims(r, dims)
@@ -286,16 +306,10 @@ def load_fuse(path) -> FuseAdapter:
 # ---------------------------------------------------------------------------
 
 
-def sha256_file(path) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {p}")
-    return hashlib.sha256(p.read_bytes()).hexdigest()
-
-
 def update_manifest(manifest_path, stage: str, seed: int, config: dict,
-                    outputs: list, inputs: list | None = None):
-    """Record stage completion: output/input hashes, seed, config echo."""
+                    outputs: dict, inputs: dict):
+    """Record stage completion: seed, config echo, and the {file name: sha256}
+    of its outputs and inputs."""
     p = Path(manifest_path)
     if p.exists():
         manifest = json.loads(p.read_text(encoding="utf-8"))
@@ -305,14 +319,7 @@ def update_manifest(manifest_path, stage: str, seed: int, config: dict,
     manifest["config"] = config
     manifest["stages"][stage] = {
         "completed_at": datetime.now(timezone.utc).isoformat(),
-        "outputs": {str(Path(f).name): sha256_file(f) for f in outputs},
-        "inputs": {str(Path(f).name): sha256_file(f) for f in (inputs or [])},
+        "outputs": dict(outputs),
+        "inputs": dict(inputs),
     }
     write_atomic(p, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def read_manifest(manifest_path) -> dict:
-    p = Path(manifest_path)
-    if not p.exists():
-        raise InputError(f"no such file: {p}")
-    return json.loads(p.read_text(encoding="utf-8"))

@@ -1,9 +1,11 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from duet.cli import main
-from duet.tsvio import read_matrix_tsv, write_matrix_tsv
+from duet.tsvio import load_reg, read_matrix_tsv, save_reg, write_matrix_tsv
 
 TINY = {
     "synth": {
@@ -55,8 +57,7 @@ def test_pipeline_command_runs_and_prints_report(tmp_path, cfg_path, capsys,
 
 def test_stage_commands_run_in_sequence(tmp_path, cfg_path, no_env_seed):
     ws = str(tmp_path / "ws")
-    for cmd in ("synth", "deconv", "align", "regress", "fuse", "retrieve",
-                "predict"):
+    for cmd in ("synth", "deconv", "align", "regress", "fuse", "predict"):
         assert main([cmd, "--config", str(cfg_path), "--seed", "7",
                      "--out", ws]) == 0
     assert (tmp_path / "ws" / "pred_duet.tsv").exists()
@@ -198,3 +199,39 @@ def test_divergence_exit_2(tmp_path, cfg_path, no_env_seed, capsys):
     assert main(["regress", "--config", str(hot), "--seed", "7",
                  "--out", ws]) == 2
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(config path, workspace) of one full TINY run through the CLI."""
+    d = tmp_path_factory.mktemp("trained")
+    cfg = d / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    assert main(["pipeline", "--config", str(cfg), "--seed", "7",
+                 "--out", str(d / "ws")]) == 0
+    return cfg, d / "ws"
+
+
+@pytest.mark.parametrize("name,stage", [("features_img.tsv", "align"),
+                                        ("features_fm.tsv", "regress"),
+                                        ("gating.tsv", "fuse")])
+def test_permuted_spot_rows_exit_1(trained, tmp_path, capsys, name, stage):
+    # same row count, rows in another order: training would use wrong spots
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    m, rows, cols = read_matrix_tsv(ws / name)
+    write_matrix_tsv(ws / name, m[::-1], rows[::-1], cols)
+    assert main([stage, "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    assert name in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_exit_1(trained, tmp_path, capsys):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    model = load_reg(ws / "reg.ckpt")
+    model.head.layers[0].weight[0, 0] = np.inf
+    save_reg(ws / "reg.ckpt", model)
+    assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    assert "reg.ckpt" in capsys.readouterr().err

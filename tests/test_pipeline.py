@@ -5,16 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from duet import pipeline
 from duet.errors import InputError
 from duet.pipeline import (
     PIPELINE_ORDER,
+    STAGE_IO,
     STAGES,
     PipelineConfig,
     TrainConfig,
+    Workspace,
     run_pipeline,
     stage_predict,
 )
-from duet.tsvio import read_ids_tsv, read_manifest, read_matrix_tsv
+from duet.tsvio import read_ids_tsv, read_matrix_tsv
 
 TINY = {
     "synth": {
@@ -53,6 +56,15 @@ EXPECTED_FILES = [
     "y_test.tsv", "metrics.json", "variance_curve_duet.tsv",
     "variance_curve_ret.tsv", "variance_curve_reg.tsv", "manifest.json",
 ]
+
+
+ID_LISTS = ["target_genes.tsv", "split_train.tsv", "split_fuse.tsv",
+            "split_test.tsv", "panel_genes.tsv"]
+MATRICES = [n for n in EXPECTED_FILES if n.endswith(".tsv") and n not in ID_LISTS]
+
+
+def read_manifest(manifest_path) -> dict:
+    return json.loads(Path(manifest_path).read_text(encoding="utf-8"))
 
 
 def tiny_cfg() -> PipelineConfig:
@@ -241,3 +253,67 @@ def test_too_few_spots_for_splits(tmp_path):
 def test_stage_before_dependencies(tmp_path):
     with pytest.raises(InputError, match="st_counts.tsv"):
         stage_predict(tiny_cfg(), 0, tmp_path)
+
+
+def test_manifest_inputs_are_declared_and_match_their_producer(ws):
+    d, _ = ws
+    stages = read_manifest(d / "manifest.json")["stages"]
+    produced = {}
+    for name in PIPELINE_ORDER:
+        inputs = stages[name]["inputs"]
+        assert set(inputs) == set(STAGE_IO[name][0]), name
+        for f, sha in inputs.items():
+            assert sha == produced[f], (name, f)
+        assert set(stages[name]["outputs"]) == set(STAGE_IO[name][1]), name
+        produced.update(stages[name]["outputs"])
+
+
+def test_no_stage_after_deconv_reads_ground_truth():
+    later = PIPELINE_ORDER[PIPELINE_ORDER.index("deconv") + 1:]
+    assert [f for s in later for f in STAGE_IO[s][0] if "truth" in f] == []
+
+
+def test_handed_off_files_equal_a_fresh_read(tmp_path, monkeypatch):
+    # one run parses no TSV: every read is a hand-off of an earlier write,
+    # and each equals, bit for bit, what a fresh Workspace parses from disk
+    reads = []
+    real = pipeline.read_matrix_tsv
+    monkeypatch.setattr(pipeline, "read_matrix_tsv",
+                        lambda *a: reads.append(a[0]) or real(*a))
+    monkeypatch.setitem(STAGE_IO, "probe", (tuple(MATRICES + ID_LISTS), ()))
+    run = Workspace(tmp_path)
+    run_pipeline(PipelineConfig(), 3, run)  # the 80-spot default
+    run.stage = "probe"
+    handed = {name: run.matrix(name) for name in MATRICES}
+    assert reads == []
+    fresh = Workspace(tmp_path)
+    fresh.stage = "probe"
+    for name, (m, rows, cols) in handed.items():
+        back, back_rows, back_cols = fresh.matrix(name)
+        assert np.array_equal(m.view(np.uint64), back.view(np.uint64)), name
+        assert (rows, cols) == (back_rows, back_cols), name
+        for arr in (m, back):
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+    for name in ID_LISTS:
+        assert run.ids(name) == fresh.ids(name), name
+    assert len(reads) == len(MATRICES)
+
+
+def test_workspace_refuses_undeclared_names(ws, tmp_path):
+    d, _ = ws
+    w = Workspace(d)
+    w.stage = "align"
+    for name in ("gating.tsv", "truth_n.tsv", "pred_duet.tsv"):
+        with pytest.raises(InputError, match=name):
+            w.matrix(name)
+    with pytest.raises(InputError, match="split_test.tsv"):
+        w.ids("split_test.tsv")
+    w = Workspace(tmp_path)
+    w.stage = "predict"
+    with pytest.raises(InputError, match="reg.ckpt"):
+        w.save("reg.ckpt", lambda path, value: b"", None)
+    with pytest.raises(InputError, match="gating.tsv"):
+        w.write_matrix("gating.tsv", np.zeros((1, 1)), ["s"], ["t"])
+    assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,12 +23,10 @@ from duet.tsvio import (
     load_fuse,
     load_reg,
     read_ids_tsv,
-    read_manifest,
     read_matrix_tsv,
     save_align,
     save_fuse,
     save_reg,
-    sha256_file,
     update_manifest,
     write_ids_tsv,
     write_matrix_tsv,
@@ -159,19 +158,26 @@ class TestCheckpoints:
             load_reg(path)
 
 
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestManifest:
     def test_records_hashes_and_stages(self, tmp_path):
         out = tmp_path / "a.tsv"
-        write_matrix_tsv(out, np.ones((2, 2)), ["r0", "r1"], ["c0", "c1"])
+        data = write_matrix_tsv(out, np.ones((2, 2)), ["r0", "r1"], ["c0", "c1"])
+        assert data == out.read_bytes()  # writers return the bytes they wrote
         man = tmp_path / "manifest.json"
-        update_manifest(man, "synth", seed=7, config={"n": 2}, outputs=[out])
-        doc = read_manifest(man)
+        update_manifest(man, "synth", seed=7, config={"n": 2},
+                        outputs={"a.tsv": sha256_file(out)}, inputs={})
+        doc = json.loads(man.read_text(encoding="utf-8"))
         assert doc["seed"] == 7
         assert doc["stages"]["synth"]["outputs"]["a.tsv"] == sha256_file(out)
-        update_manifest(man, "eval", seed=7, config={"n": 2}, outputs=[],
-                        inputs=[out])
-        doc = read_manifest(man)
+        update_manifest(man, "eval", seed=7, config={"n": 2}, outputs={},
+                        inputs={"a.tsv": sha256_file(out)})
+        doc = json.loads(man.read_text(encoding="utf-8"))
         assert set(doc["stages"]) == {"synth", "eval"}
+        assert doc["stages"]["eval"]["inputs"] == {"a.tsv": sha256_file(out)}
 
     def test_hash_tracks_content(self, tmp_path):
         out = tmp_path / "a.tsv"
@@ -185,7 +191,7 @@ class TestManifest:
 
     def test_manifest_is_valid_json(self, tmp_path):
         man = tmp_path / "manifest.json"
-        update_manifest(man, "s", seed=1, config={}, outputs=[])
+        update_manifest(man, "s", seed=1, config={}, outputs={}, inputs={})
         json.loads(man.read_text(encoding="utf-8"))
 
 
@@ -371,6 +377,72 @@ def test_readers_reject_undecodable_bytes(read, tmp_path):
         read(path)
 
 
+class TestReaderGrammar:
+    @pytest.mark.parametrize("row", ["r0", "r0\t1\t", "r0\t1_000", "r0\t\uff11",
+                                     "r0\t0x10", "r0\t1,5", "r0\t", "r0\tx"])
+    def test_rejects_with_file_named(self, row, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("id\tx\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(InputError, match="bad.tsv"):
+            read_matrix_tsv(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "NaN", "+1", ".5",
+                                      " 2.5 ", "1e-3", "-0"])
+    def test_accepts_what_float_accepts(self, cell, tmp_path):
+        path = tmp_path / "ok.tsv"
+        path.write_text(f"id\tx\tz\nr0\t{cell}\t1\n", encoding="utf-8")
+        back, rows, cols = read_matrix_tsv(path)
+        assert (rows, cols) == (["r0"], ["x", "z"])
+        assert np.array_equal(bits(back), bits([[float(cell), 1.0]]))
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(b"id\ta\r\n\r\nr0\t1\r\nr1\t2\rr2\t3\n")
+        back, rows, cols = read_matrix_tsv(path)
+        assert (rows, cols) == (["r0", "r1", "r2"], ["a"])
+        assert back.tolist() == [[1.0], [2.0], [3.0]]
+
+    def test_bytes_argument_is_parsed_instead_of_the_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        data = write_matrix_tsv(path, np.eye(2), ["a", "b"], ["x", "y"])
+        path.unlink()
+        back, rows, _ = read_matrix_tsv(path, data)
+        assert np.array_equal(back, np.eye(2)) and rows == ["a", "b"]
+
+
+# name -> (save, load, a fresh model, the model's net)
+CHECKPOINTS = {
+    "align": (save_align, load_align,
+              lambda: AlignModel.init(3, 4, Rng(1), embed_dim=2, hidden=3),
+              lambda m: m.gene_head),
+    "reg": (save_reg, load_reg, lambda: RegModel.init(3, 2, Rng(2), hidden=(4,)),
+            lambda m: m.head),
+    "fuse": (save_fuse, load_fuse, lambda: FuseAdapter.init(3, Rng(3)),
+             lambda m: m.mlp),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which,where", [
+    ("align", "weight"), ("align", "bias"), ("align", "temperature"),
+    ("reg", "weight"), ("reg", "bias"),
+    ("fuse", "weight"), ("fuse", "bias"), ("fuse", "reg_coef"),
+])
+def test_loaders_reject_non_finite(which, where, bad, tmp_path):
+    save, load, make, net_of = CHECKPOINTS[which]
+    model = make()
+    if where == "weight":
+        net_of(model).layers[-1].weight[0, -1] = bad
+    elif where == "bias":
+        net_of(model).layers[0].bias[-1] = bad
+    else:
+        setattr(model, where, bad)
+    path = tmp_path / f"{which}.ckpt"
+    save(path, model)
+    with pytest.raises(InputError, match=f"non-finite.*{which}.ckpt"):
+        load(path)
+
+
 TSV_TOKENS = [b"id", b"\t", b"\n", b"\r", b"1", b"-2.5e3", b"nan", b"inf",
               b"x", b"", b"\xff", b"\xc3\xa9", b"\xc3", b"\x00", b" "]
 TSV_BYTES = st.one_of(st.binary(max_size=200),
@@ -404,12 +476,7 @@ class TestReaderFuzz:
     def test_checkpoint_loaders(self, which, start, drop, junk, raw,
                                 tmp_path_factory):
         path = tmp_path_factory.mktemp("fz") / "m.ckpt"
-        save, load, model = {
-            "align": (save_align, load_align, lambda: AlignModel.init(
-                3, 4, Rng(1), embed_dim=2, hidden=3)),
-            "reg": (save_reg, load_reg, lambda: RegModel.init(3, 2, Rng(2), hidden=(4,))),
-            "fuse": (save_fuse, load_fuse, lambda: FuseAdapter.init(3, Rng(3))),
-        }[which]
+        save, load, model, _ = CHECKPOINTS[which]
         save(path, model())
         valid = path.read_bytes()
         # raw: the format's magic and then anything; otherwise a valid file
@@ -463,7 +530,8 @@ WRITERS = {
     "save_fuse": ("fuse.ckpt", lambda ws, k: save_fuse(
         ws / "fuse.ckpt", FuseAdapter.init(5, Rng(k), reg_coef=k + 1.0))),
     "update_manifest": ("manifest.json", lambda ws, k: update_manifest(
-        ws / "manifest.json", "synth", seed=k, config={"k": k}, outputs=[])),
+        ws / "manifest.json", "synth", seed=k, config={"k": k}, outputs={},
+        inputs={})),
     "stage_eval": ("metrics.json", _run_eval),
 }
 
