@@ -40,10 +40,21 @@ from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .scprior import build_gating, deconvolve, fit_signatures, select_panel
 from .scprior import ScDataset
 from .synth import SynthConfig, gen_sc, gen_spots
-from .tsvio import (load_align, load_fuse, load_reg, read_bytes, read_ids_tsv,
-                    read_matrix_tsv, save_align, save_fuse, save_reg,
-                    update_manifest, write_atomic, write_ids_tsv,
-                    write_matrix_tsv)
+from .tsvio import (
+    load_align,
+    load_fuse,
+    load_reg,
+    read_bytes,
+    read_ids_tsv,
+    read_matrix_tsv,
+    save_align,
+    save_fuse,
+    save_reg,
+    update_manifest,
+    write_atomic,
+    write_ids_tsv,
+    write_matrix_tsv,
+)
 
 MANIFEST = "manifest.json"
 
@@ -133,7 +144,11 @@ class PipelineConfig:
 
 
 class Workspace:
-    """A workspace directory as one run sees it; see the module docstring."""
+    """A workspace directory as one run sees it; see the module docstring.
+
+    An instance must not outlive one run: it never re-reads a file it holds,
+    so files changed on disk after it read or wrote them are not seen.
+    """
 
     def __init__(self, root):
         self.root = Path(root)
@@ -203,22 +218,32 @@ class Workspace:
                         {n: self._sha[n] for n in inputs})
 
 
-def _open(ws, stage: str) -> Workspace:
+def _open(ws, stage: str | None) -> Workspace:
     """`ws`, or a fresh Workspace over the path `ws`, set to run `stage`."""
     ws = ws if isinstance(ws, Workspace) else Workspace(ws)
     ws.stage = stage
     return ws
 
 
+# ---------------------------------------------------------------------------
+# Workspace readers
+# ---------------------------------------------------------------------------
+
+
+def _target_index(genes: list[str], target_genes: list[str]) -> np.ndarray:
+    """Positions in st_counts.tsv's `genes` of the target genes."""
+    gene_pos = {g: i for i, g in enumerate(genes)}
+    try:
+        return np.array([gene_pos[g] for g in target_genes])
+    except KeyError as exc:
+        raise InputError(f"target gene missing from st_counts: {exc}") from None
+
+
 def _targets(ws: Workspace):
     """Spot ids, target gene ids and log1p target expression (spots, targets)."""
     st, spots, genes = ws.matrix("st_counts.tsv")
     target_genes = ws.ids("target_genes.tsv")
-    gene_pos = {g: i for i, g in enumerate(genes)}
-    try:
-        idx = np.array([gene_pos[g] for g in target_genes])
-    except KeyError as exc:
-        raise InputError(f"target gene missing from st_counts: {exc}") from None
+    idx = _target_index(genes, target_genes)
     return spots, target_genes, log1p_transform(st[:, idx])
 
 
@@ -232,7 +257,7 @@ def _split(ws: Workspace, spots: list[str], name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stage: synth
 # ---------------------------------------------------------------------------
 
 
@@ -278,6 +303,11 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     ws.stamp(cfg, seed)
 
 
+# ---------------------------------------------------------------------------
+# Stage: deconv (signatures + abundance posterior + gating)
+# ---------------------------------------------------------------------------
+
+
 def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     ws = _open(ws, "deconv")
     rng = Rng(seed).child("deconv-stage")
@@ -303,6 +333,7 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     panel_idx = np.array([gene_pos[g] for g in panel])
 
     st, spots, st_genes = ws.matrix("st_counts.tsv")
+    _target_index(st_genes, target_genes)  # every target gene is measured
     if st_genes != genes:
         raise InputError("st_counts and sc_counts gene columns disagree")
     post = deconvolve(st[:, panel_idx].astype(np.int64), signature[panel_idx],
@@ -315,6 +346,11 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     sig = build_gating(post, ws.spot_matrix("truth_n.tsv")[:, 0])
     ws.write_matrix("gating.tsv", sig.g, spots, types)
     ws.stamp(cfg, seed)
+
+
+# ---------------------------------------------------------------------------
+# Stage: align
+# ---------------------------------------------------------------------------
 
 
 def stage_align(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
@@ -339,12 +375,22 @@ def stage_align(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     ws.stamp(cfg, seed)
 
 
+# ---------------------------------------------------------------------------
+# Retrieval helpers shared by the later stages
+# ---------------------------------------------------------------------------
+
+
 def _train_db(ws: Workspace, spots, y, gating):
     """The alignment model and the retrieval database of the training spots."""
     idx = _split(ws, spots, "train")
     model = ws.checkpoint("align.ckpt", load_align)
     db = rebuild_db(model, y[idx], gating[idx], [spots[i] for i in idx])
     return model, db
+
+
+# ---------------------------------------------------------------------------
+# Stage: regress
+# ---------------------------------------------------------------------------
 
 
 def stage_regress(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
@@ -375,6 +421,11 @@ def stage_regress(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     ws.stamp(cfg, seed)
 
 
+# ---------------------------------------------------------------------------
+# Stage: fuse
+# ---------------------------------------------------------------------------
+
+
 def stage_fuse(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     ws = _open(ws, "fuse")
     rng = Rng(seed).child("fuse-stage")
@@ -399,6 +450,11 @@ def stage_fuse(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     ws.stamp(cfg, seed)
 
 
+# ---------------------------------------------------------------------------
+# Stage: predict
+# ---------------------------------------------------------------------------
+
+
 def stage_predict(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     ws = _open(ws, "predict")
     spots, target_genes, y = _targets(ws)
@@ -421,6 +477,11 @@ def stage_predict(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     ws.write_matrix("alphas.tsv", alphas[:, None], ids, ["alpha"])
     ws.write_matrix("y_test.tsv", y[subset], ids, target_genes)
     ws.stamp(cfg, seed)
+
+
+# ---------------------------------------------------------------------------
+# Stage: eval
+# ---------------------------------------------------------------------------
 
 
 def stage_eval(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> dict:
@@ -498,7 +559,7 @@ PIPELINE_ORDER = tuple(STAGES)
 
 def run_pipeline(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> dict:
     """All stages in order, through one Workspace; returns the metrics report."""
-    ws = ws if isinstance(ws, Workspace) else Workspace(ws)
+    ws = _open(ws, None)
     result = None
     for name in PIPELINE_ORDER:
         result = STAGES[name](cfg, seed, ws)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -65,6 +66,16 @@ MATRICES = [n for n in EXPECTED_FILES if n.endswith(".tsv") and n not in ID_LIST
 
 def read_manifest(manifest_path) -> dict:
     return json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+
+
+def assert_manifest_hashes_files(d: Path, stages=PIPELINE_ORDER) -> None:
+    """Every hash the manifest records for `stages` is that of the file on disk."""
+    entries = read_manifest(d / "manifest.json")["stages"]
+    for stage in stages:
+        for kind in ("inputs", "outputs"):
+            for name, sha in entries[stage][kind].items():
+                disk = hashlib.sha256((d / name).read_bytes()).hexdigest()
+                assert sha == disk, (stage, kind, name)
 
 
 def tiny_cfg() -> PipelineConfig:
@@ -179,6 +190,7 @@ def test_stage_rewrites_are_atomic_and_identical(ws, tmp_path):
     for name in PIPELINE_ORDER:
         STAGES[name](tiny_cfg(), 3, w)
         assert not list(w.glob("*.tmp")), name
+        assert_manifest_hashes_files(w, [name])
     after = {p.name: (p.read_bytes(), p.stat().st_ino) for p in w.iterdir()}
     assert set(after) == set(before)
     for name, (data, inode) in after.items():
@@ -266,6 +278,14 @@ def test_manifest_inputs_are_declared_and_match_their_producer(ws):
             assert sha == produced[f], (name, f)
         assert set(stages[name]["outputs"]) == set(STAGE_IO[name][1]), name
         produced.update(stages[name]["outputs"])
+    assert_manifest_hashes_files(d)
+
+
+def test_deconv_rejects_unmeasured_target_gene(ws, tmp_path):
+    shutil.copytree(ws[0], tmp_path / "w")
+    (tmp_path / "w" / "target_genes.tsv").write_text("id\nno_such_gene\n")
+    with pytest.raises(InputError, match="target gene missing.*no_such_gene"):
+        STAGES["deconv"](tiny_cfg(), 3, tmp_path / "w")
 
 
 def test_no_stage_after_deconv_reads_ground_truth():
