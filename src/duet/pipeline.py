@@ -15,9 +15,12 @@ through it is held parsed, with read-only float64 arrays, so run_pipeline,
 which passes one Workspace to every stage, parses no TSV at all; a checkpoint
 is held as its bytes and decoded per load, so no two stages share a model.
 It also keeps the sha256 of the bytes it read or wrote, and the manifest
-records those for each stage's declared outputs and inputs. A stage given a
-path (the CLI, tests) wraps it in a fresh Workspace. Per-spot matrices
-(features, gating, truth_n) must carry st_counts.tsv's spot ids, in order.
+records those for each stage's declared outputs and inputs. A file it parses
+from disk must hash as the manifest records it among its producer's outputs
+(if it records it at all), so a file changed since its stage wrote it fails
+with an InputError naming it. A stage given a path (the CLI, tests) wraps it
+in a fresh Workspace. Per-spot matrices (features, gating, truth_n) must
+carry st_counts.tsv's spot ids, in order.
 The workspace holds exactly the files STAGE_IO names, plus manifest.json.
 """
 
@@ -155,6 +158,7 @@ class Workspace:
         self.stage = None  # the running stage, whose STAGE_IO entry applies
         self._held = {}  # name -> parsed TSV, id list or checkpoint bytes
         self._sha = {}  # name -> sha256 of the bytes read or written
+        self._recorded = None  # name -> sha256 the manifest records as output
 
     def _declared(self, name: str, io: int) -> Path:
         if name not in STAGE_IO[self.stage][io]:
@@ -167,8 +171,26 @@ class Workspace:
         path = self._declared(name, 0)
         if name not in self._held:
             data = read_bytes(path)
-            self._keep(name, parse(path, data), data)
+            sha = hashlib.sha256(data).hexdigest()
+            if self._recorded_output(name) not in (None, sha):
+                raise InputError(f"{path} changed after its stage wrote it: its "
+                                 f"sha256 is not the one {MANIFEST} records")
+            self._held[name], self._sha[name] = parse(path, data), sha
         return self._held[name]
+
+    def _recorded_output(self, name: str) -> str | None:
+        """The sha256 the manifest records for `name` among its producer's
+        outputs, if any; the manifest is read at most once."""
+        if self._recorded is None:
+            self._recorded = {}
+            path = self.root / MANIFEST
+            if path.exists():
+                try:
+                    for entry in json.loads(read_bytes(path))["stages"].values():
+                        self._recorded.update(entry["outputs"])
+                except (ValueError, KeyError, TypeError, AttributeError):
+                    raise InputError(f"unreadable manifest: {path}") from None
+        return self._recorded.get(name)
 
     def _keep(self, name: str, value, data: bytes) -> None:
         self._held[name] = value

@@ -21,28 +21,28 @@ counter-based stream keyed by step index, so runs replay exactly.
 Kernel
 ------
 Both fits spend their time in one NB kernel, ``_nb_terms``, which returns
-the log-likelihood sum, dll/dmu and the column sums of dll/ddisp in one pass.
-Each fit first builds a count table (``_count_table``) once: the distinct
-(count, gene) pairs, an int32 index mapping every entry to its pair in the
-counts' memory order, and gammaln(x+1) per pair. gammaln(x+disp) and
-digamma(x+disp) are then evaluated once per distinct pair and gathered back,
-gammaln(disp), digamma(disp) and log(disp) once per gene, and mu+disp and
-log(mu+disp) once per step for the loss and both gradients. Every entry is
-the same floating-point expression as the textbook formulas (kept in the
-tests as oracles), and both sums add in the counts' memory order, so a fit
-does not depend on how numpy happened to lay out a temporary.
+the log-likelihood sum, dll/dmu and the column sums of dll/ddisp per step.
+Each fit first builds a count table (``_count_table``) once: one C-ordered
+float64 copy of the counts, their distinct (count, gene) pairs with how
+often each occurs, and gammaln(x+1) per pair. A step does (S, G) work only
+for dll/dmu, the textbook expression entry for entry, and for what it
+shares with the rest, which comes from reductions: the gammaln and digamma
+terms per distinct pair, weighted by its count; column sums of log(mu+disp)
+and (x+disp)/(mu+disp); and x.log(mu), x.log(mu+disp) as dot products. So
+the log-likelihood and dll/ddisp agree with the per-entry formulas (kept in
+the tests as oracles) within the floating-point summation bound, and as
+every array shares the one C layout, a fit does not depend on its input's.
 
-The table also owns the fit's scratch: six (S, G) float64 arrays, allocated
-once and viewed in C or the counts' order as each use needs. Every (S, G)
-intermediate of a step, in the kernel and in both losses, is written into
-them through ``out=``, so a step allocates no (S, G) array: the allocator
-hands a freed array of that size back to the kernel, and faulting ~10 of
-them in again, zeroed, on every step costs about as much as the
-arithmetic. The dll/dmu ``_nb_terms`` returns is one of these arrays:
-it is valid until the next call on the same table, and a caller that keeps
-it across calls must copy it. The signature fit's table also holds the
-cells' row order by type and by batch, so each step's per-group gradient
-sums gather rows into scratch instead of building masks.
+The table also owns the fit's scratch: three C-ordered (S, G) float64
+arrays, allocated once. Every (S, G) intermediate of a step, in the kernel
+and in both losses, is written into them through ``out=``, so a step
+allocates no (S, G) array: the allocator would hand a freed array of that
+size back to the kernel, and faulting them in again, zeroed, on every step
+costs about as much as the arithmetic. The dll/dmu ``_nb_terms`` returns is
+one of these arrays: it is valid until the next call on the same table, and
+a caller that keeps it across calls must copy it. The signature fit's table
+also holds the cells' row order by type and by batch, so each step's
+per-group gradient sums gather rows into scratch instead of building masks.
 """
 
 from __future__ import annotations
@@ -217,32 +217,21 @@ class DeconvPosterior:
 
 @dataclass
 class _CountTable:
-    """A count matrix as its distinct (count, gene) pairs plus the map back,
-    and the scratch arrays its fit reuses on every step.
+    """A count matrix as its distinct (count, gene) pairs and how often each
+    occurs, and the scratch arrays its fit reuses on every step.
 
-    Scratch use, one array of S*G float64 each, viewed in either layout:
-    0-3 are ``_nb_terms``' working arrays (it returns dll/dmu in 1), 4 holds
-    the loss's rate and 5 deconv_loss's base; after the kernel returns, the
-    losses reuse 0 and 2 for their gradient products.
+    Scratch use, three C-ordered (S, G) float64 arrays: 0 and 1 are
+    ``_nb_terms``' working arrays (it returns dll/dmu in 0) and 2 holds the
+    loss's rate; signature_loss also uses 0 and 1 before and after the kernel.
     """
 
-    x: np.ndarray  # (S, G) float64 counts, contiguous in `order`
-    order: str  # "C" or "F": the counts' memory order
-    index: np.ndarray  # (S*G,) intp pair of each entry, in that order
-    count: np.ndarray  # (P,) count of each distinct pair
+    x: np.ndarray  # (S, G) float64 counts, C-contiguous
+    count: np.ndarray  # (P,) count of each distinct pair, by gene, ascending
     gene: np.ndarray  # (P,) gene of each distinct pair
+    mult: np.ndarray  # (P,) float64 number of entries holding each pair
     lgamma_x1: np.ndarray  # (P,) gammaln(count + 1)
-    scratch: list = field(repr=False)  # 6 flat (S*G,) float64 arrays
+    scratch: list = field(repr=False)  # 3 (S, G) float64 arrays
     groups: tuple = ()  # signature fits: (rows, starts) by type, by batch
-
-    def view(self, k: int, order: str | None = None) -> np.ndarray:
-        """Scratch array k as (S, G), laid out in `order` or like the counts."""
-        return self.scratch[k].reshape(self.x.shape, order=order or self.order)
-
-    def expand(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Per-pair values as (S, G) in scratch array k, laid out like the counts."""
-        np.take(values, self.index, out=self.scratch[k], mode="clip")
-        return self.view(k)
 
 
 def _count_table(counts, what: str = "counts", groups: tuple = ()) -> _CountTable:
@@ -252,24 +241,18 @@ def _count_table(counts, what: str = "counts", groups: tuple = ()) -> _CountTabl
         raise InputError(f"{what} must be a 2-D matrix")
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise InputError(f"{what} must be finite and non-negative")
-    order = "F" if x.flags.f_contiguous and not x.flags.c_contiguous else "C"
-    x = np.asarray(x, order=order)  # copies only a non-contiguous view
-    flat = x.ravel(order=order)
-    gene = np.broadcast_to(np.arange(x.shape[1]), x.shape).ravel(order=order)
-    perm = np.lexsort((flat, gene))
-    flat, gene = flat[perm], gene[perm]
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = (flat[1:] != flat[:-1]) | (gene[1:] != gene[:-1])
-    # intp, so np.take gathers through it without copying the index
-    index = np.empty(flat.size, dtype=np.intp)
-    index[perm] = np.cumsum(first) - 1
-    count, gene = flat[first], gene[first]
-    # the scratch takes the sort's memory once it is freed, instead of
-    # landing above it and keeping it resident
-    del flat, perm, first
-    return _CountTable(x=x, order=order, index=index, count=count, gene=gene,
+    x = np.ascontiguousarray(x)
+    # each gene's counts in ascending order; a pair starts where they change
+    by_gene = x.T.copy()
+    by_gene.sort(axis=1)
+    first = np.ones(by_gene.shape, dtype=bool)
+    first[:, 1:] = by_gene[:, 1:] != by_gene[:, :-1]
+    count, gene = by_gene[first], np.nonzero(first)[0]
+    mult = np.diff(np.append(np.flatnonzero(first), first.size)).astype(np.float64)
+    del by_gene, first  # so the scratch can take the sort's memory
+    return _CountTable(x=x, count=count, gene=gene, mult=mult,
                        lgamma_x1=gammaln(count + 1.0),
-                       scratch=[np.empty(x.size) for _ in range(6)],
+                       scratch=[np.empty(x.shape) for _ in range(3)],
                        groups=groups)
 
 
@@ -280,51 +263,42 @@ def _nb_terms(table: _CountTable, mu: np.ndarray, disp: np.ndarray):
     inverse dispersions. Returns (sum of the log pmf, dll/dmu as a C-ordered
     (S, G) array, column sums of dll/ddisp as a (G,) array). Per entry the log
     pmf is gammaln(x+disp) - gammaln(disp) - gammaln(x+1)
-    + disp*(log(disp) - log(mu+disp)) + x*(log(mu) - log(mu+disp)).
-    Works in the table's scratch arrays 0-3, so mu must not be one of them;
-    the returned dll/dmu is scratch array 1, valid until the next call on
-    that table.
+    + disp*(log(disp) - log(mu+disp)) + x*(log(mu) - log(mu+disp)), and
+    dll/ddisp is digamma(x+disp) - digamma(disp) + log(disp/(mu+disp))
+    + (mu-x)/(mu+disp), which is summed here as ... + log(disp)
+    - log(mu+disp) + 1 - (x+disp)/(mu+disp). Works in the table's scratch
+    arrays 0 and 1, so mu must not be one of them; the returned dll/dmu is
+    scratch array 0, valid until the next call on that table.
     """
     if not np.all(np.isfinite(disp)):
         raise NumericError("non-finite NB dispersion")
     if np.any(disp <= 0):
         raise InputError("NB dispersion must be positive")
-    x, gene = table.x, table.gene
-    # every (S, G) array below but dll/dmu is laid out like the counts, so
-    # the sums add in the counts' memory order; each entry goes through the
-    # formula's operations in the formula's order, so it is bit-equal to the
-    # formula.
-    mu = np.asarray(mu, order=table.order)  # a no-op for both fits
-    xd = table.count + disp[gene]  # x + disp for each distinct pair
-    total = np.add(mu, disp, out=table.view(0))
-    log_total = np.log(total, out=table.view(1))
-    tmp = table.view(3)
+    x, gene, mult = table.x, table.gene, table.mult
+    s_n = x.shape[0]
+    work, xd_total = table.scratch[0], table.scratch[1]
 
-    ll = table.expand(gammaln(xd) - gammaln(disp)[gene] - table.lgamma_x1, 2)
-    np.subtract(np.log(disp), log_total, out=tmp)
-    tmp *= disp
-    ll += tmp
-    np.log(mu, out=tmp)
-    tmp -= log_total
-    tmp *= x
-    ll += tmp
-    loglik = float(np.sum(ll))
+    # the gammaln and digamma terms, once per distinct pair times its count
+    xd = table.count + disp[gene]
+    ll = mult @ (gammaln(xd) - gammaln(disp)[gene] - table.lgamma_x1)
+    ddisp = np.bincount(gene, mult * (digamma(xd) - digamma(disp)[gene]),
+                        minlength=disp.size)
 
-    # dll/ddisp = digamma(x+disp) - digamma(disp) + log(disp/total) + (mu-x)/total
-    dd = table.expand(digamma(xd) - digamma(disp)[gene], 2)
-    np.divide(disp, total, out=tmp)
-    dd += np.log(tmp, out=tmp)
-    np.subtract(mu, x, out=tmp)
-    tmp /= total
-    dd += tmp
-    ddisp = dd.sum(axis=0)
+    # (x+disp)/total per entry, which dll/dmu and dll/ddisp share
+    total = np.add(mu, disp, out=work)
+    np.add(x, disp, out=xd_total)
+    xd_total /= total
+    log_total = np.log(total, out=work)
+    log_total_sum = log_total.sum(axis=0)
+    s_log_disp = s_n * np.log(disp)
+    ll += disp @ (s_log_disp - log_total_sum) - x.ravel() @ log_total.ravel()
+    ll += x.ravel() @ np.log(mu, out=work).ravel()
+    ddisp += s_log_disp - log_total_sum + s_n - xd_total.sum(axis=0)
 
-    # dll/dmu = x/mu - (x+disp)/total, into scratch 1 now log_total is spent
-    dmu = np.divide(x, mu, out=table.view(1, "C"))
-    xd_full = table.expand(xd, 2)
-    xd_full /= total
-    dmu -= xd_full
-    return loglik, dmu, ddisp
+    # dll/dmu = x/mu - (x+disp)/total, entry for entry
+    dmu = np.divide(x, mu, out=work)
+    dmu -= xd_total
+    return float(ll), dmu, ddisp
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +350,14 @@ def signature_loss(model: NbSignatureModel, data: ScDataset,
     mu_tg = model.mu
     l_c = model.cell_scale
     theta = model.dispersion
-    # rate = l_c * exp(m_cg) * mu_type, built in scratch 0 and 2, kept in 4
+    # rate = l_c * exp(m_cg) * mu_type, built in scratch 0 and 1, kept in 2
     m_cg = np.take(model.batch_effect, data.batch, axis=0,
-                   out=table.view(0, "C"), mode="clip")
+                   out=table.scratch[0], mode="clip")
     mu_type = np.take(mu_tg, data.cell_type, axis=0,
-                      out=table.view(2, "C"), mode="clip")
+                      out=table.scratch[1], mode="clip")
     np.exp(m_cg, out=m_cg)
     np.multiply(l_c[:, None], m_cg, out=m_cg)
-    rate = np.multiply(m_cg, mu_type, out=table.view(4))
+    rate = np.multiply(m_cg, mu_type, out=table.scratch[2])
     # NaN fails both comparisons, so this rejects what rate <= 0 or
     # non-finite rejects, without a boolean (C, G) temporary
     if not (rate.min() > 0 and rate.max() < np.inf):
@@ -394,9 +368,9 @@ def signature_loss(model: NbSignatureModel, data: ScDataset,
     loss = -scale * ll + scale * penalty
 
     # dll w.r.t. log-rate, reused for l, m, mu chains
-    p = np.multiply(s, rate, out=table.view(0, "C"))
+    p = np.multiply(s, rate, out=s)
     by_type, by_batch = table.groups
-    gathered = table.view(2, "C")
+    gathered = table.scratch[1]
 
     grad_mu = _group_sums(p, by_type, gathered) / mu_tg
     grad_raw_mu = -scale * grad_mu * positive_grad(model.raw_mu)
@@ -493,9 +467,8 @@ def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
     d = np.exp(z_d)  # (S,)
     alpha = positive(params["raw_alpha"])  # (G,)
 
-    base = np.matmul(w, m_panel.T, out=table.view(5, "C"))  # (S, G)
-    # laid out like the counts, so the NB kernel works on it without a copy
-    rate = np.multiply(d[:, None], base, out=table.view(4))
+    rate = np.matmul(w, m_panel.T, out=table.scratch[2])  # (S, G) base
+    rate *= d[:, None]
     if not (rate.min() > 0 and rate.max() < np.inf):
         raise NumericError("deconvolution produced invalid rates")
     ll, s_mat, d_ll_d_alpha = _nb_terms(table, rate, alpha)  # s_mat = dll/drate
@@ -503,9 +476,10 @@ def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
     kl += float(np.sum(_kl_std_normal(params["d_loc"], params["d_logstd"])))
     loss = -scale * (ll - kl)
 
-    prod = table.view(0, "C")
-    d_ll_d_w = np.multiply(s_mat, d[:, None], out=prod) @ m_panel  # (S, T)
-    d_ll_d_d = np.sum(np.multiply(s_mat, base, out=prod), axis=1)  # (S,)
+    # rate = d * (w @ M^T), so both chains run through the (S, T) s_mat @ M
+    s_m = s_mat @ m_panel
+    d_ll_d_w = d[:, None] * s_m  # (S, T)
+    d_ll_d_d = np.sum(w * s_m, axis=1)  # (S,)
 
     grads = {
         "w_loc": -scale * (d_ll_d_w * w - params["w_loc"]),
@@ -520,7 +494,7 @@ def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
 def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
                lr: float = 0.1) -> DeconvPosterior:
     """Fit per-spot abundance posteriors against a fixed signature panel."""
-    y = validate_counts(st_counts, "spot counts").astype(np.float64)
+    y = np.ascontiguousarray(validate_counts(st_counts, "spot counts"), dtype=np.float64)
     m_panel = as_matrix(m_panel)
     if y.shape[1] != m_panel.shape[0]:
         raise InputError(

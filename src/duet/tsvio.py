@@ -296,6 +296,8 @@ def load_fuse(path, data: bytes | None = None) -> FuseAdapter:
     r = _open_checkpoint(path, MAGIC_FUSE, data)
     dims = _read_dims(r)
     reg_coef = r.f64()
+    if reg_coef < 0:
+        raise InputError(f"negative reg_coef in checkpoint: {r.path}")
     mlp = _read_mlp_with_dims(r, dims)
     r.done()
     return FuseAdapter(mlp=mlp, reg_coef=reg_coef)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from duet.cli import main
-from duet.tsvio import load_reg, read_matrix_tsv, save_reg, write_matrix_tsv
+from duet.tsvio import (load_fuse, load_reg, read_matrix_tsv, save_fuse, save_reg,
+                        write_matrix_tsv)
+from test_pipeline import rehash_outputs
 
 TINY = {
     "synth": {
@@ -110,6 +112,7 @@ def test_unwritable_id_exit_1(tmp_path, no_env_seed, capsys):
         counts, rows, genes = read_matrix_tsv(ws / name)
         genes[next(k for k, g in enumerate(genes) if g not in targets)] = ""
         write_matrix_tsv(ws / name, counts, rows, genes)
+    rehash_outputs(ws, "sc_counts.tsv", "st_counts.tsv")
     assert main(["deconv", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
     assert "panel_genes.tsv" in capsys.readouterr().err
 
@@ -222,6 +225,7 @@ def test_permuted_spot_rows_exit_1(trained, tmp_path, capsys, name, stage):
     shutil.copytree(src, ws)
     m, rows, cols = read_matrix_tsv(ws / name)
     write_matrix_tsv(ws / name, m[::-1], rows[::-1], cols)
+    rehash_outputs(ws, name)
     assert main([stage, "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
     assert name in capsys.readouterr().err
 
@@ -233,5 +237,28 @@ def test_non_finite_checkpoint_exit_1(trained, tmp_path, capsys):
     model = load_reg(ws / "reg.ckpt")
     model.head.layers[0].weight[0, 0] = np.inf
     save_reg(ws / "reg.ckpt", model)
+    rehash_outputs(ws, "reg.ckpt")
     assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
     assert "reg.ckpt" in capsys.readouterr().err
+
+
+def test_negative_reg_coef_exit_1(trained, tmp_path, capsys):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    adapter = load_fuse(ws / "fuse.ckpt")
+    adapter.reg_coef = -1.0
+    save_fuse(ws / "fuse.ckpt", adapter)
+    rehash_outputs(ws, "fuse.ckpt")
+    assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    assert str(ws / "fuse.ckpt") in capsys.readouterr().err
+
+
+def test_stale_input_exit_1(tmp_path, cfg_path, capsys, no_env_seed):
+    ws = tmp_path / "ws"
+    assert main(["synth", "--config", str(cfg_path), "--seed", "7", "--out", str(ws)]) == 0
+    counts, rows, genes = read_matrix_tsv(ws / "st_counts.tsv")
+    counts[0, 0] += 1.0
+    write_matrix_tsv(ws / "st_counts.tsv", counts, rows, genes)
+    assert main(["deconv", "--config", str(cfg_path), "--seed", "7", "--out", str(ws)]) == 1
+    assert str(ws / "st_counts.tsv") in capsys.readouterr().err

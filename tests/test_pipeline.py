@@ -78,6 +78,17 @@ def assert_manifest_hashes_files(d: Path, stages=PIPELINE_ORDER) -> None:
                 assert sha == disk, (stage, kind, name)
 
 
+def rehash_outputs(d: Path, *names: str) -> None:
+    """Record the files `names` as they are on disk among their producer's
+    outputs in the manifest, so a stage reads an edited file as current."""
+    path = d / "manifest.json"
+    doc = read_manifest(path)
+    for entry in doc["stages"].values():
+        for name in set(names) & set(entry["outputs"]):
+            entry["outputs"][name] = hashlib.sha256((d / name).read_bytes()).hexdigest()
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
 def tiny_cfg() -> PipelineConfig:
     return PipelineConfig.from_dict(TINY)
 
@@ -284,8 +295,49 @@ def test_manifest_inputs_are_declared_and_match_their_producer(ws):
 def test_deconv_rejects_unmeasured_target_gene(ws, tmp_path):
     shutil.copytree(ws[0], tmp_path / "w")
     (tmp_path / "w" / "target_genes.tsv").write_text("id\nno_such_gene\n")
+    rehash_outputs(tmp_path / "w", "target_genes.tsv")
     with pytest.raises(InputError, match="target gene missing.*no_such_gene"):
         STAGES["deconv"](tiny_cfg(), 3, tmp_path / "w")
+
+
+def test_stale_input_rejected_naming_it(ws, tmp_path):
+    d = tmp_path / "w"
+    shutil.copytree(ws[0], d)
+    with open(d / "st_counts.tsv", "a", encoding="utf-8") as f:
+        f.write("\n")  # same matrix, other bytes
+    with pytest.raises(InputError, match="st_counts.tsv.*manifest.json"):
+        STAGES["deconv"](tiny_cfg(), 3, d)
+    # a file the manifest has no record for is not checked
+    doc = read_manifest(d / "manifest.json")
+    del doc["stages"]["synth"]["outputs"]["st_counts.tsv"]
+    (d / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    w = Workspace(d)
+    w.stage = "align"
+    assert w.matrix("st_counts.tsv")[0].shape == (60, 160)
+
+
+def test_manifest_read_once_and_hand_offs_unchecked(ws, tmp_path, monkeypatch):
+    d = tmp_path / "w"
+    shutil.copytree(ws[0], d)
+    reads = []
+    real = pipeline.read_bytes
+    monkeypatch.setattr(pipeline, "read_bytes",
+                        lambda path: reads.append(Path(path).name) or real(path))
+    monkeypatch.setitem(STAGE_IO, "probe", (STAGE_IO["predict"][0] + ("gating.tsv",),
+                                            ("gating.tsv",)))
+    w = Workspace(d)
+    w.stage = "probe"
+    w.write_matrix("gating.tsv", np.ones((1, 1)), ["s"], ["t"])
+    assert w.matrix("gating.tsv")[0].shape == (1, 1)  # handed over, not checked
+    for name in STAGE_IO["predict"][0]:
+        if name.endswith(".ckpt"):
+            w.checkpoint(name, lambda path, data: data)
+        elif name.startswith(("split_", "target_")):
+            w.ids(name)
+        else:
+            w.matrix(name)
+    assert reads.count("manifest.json") == 1
+    assert "gating.tsv" not in reads
 
 
 def test_no_stage_after_deconv_reads_ground_truth():

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from duet.scprior import (
 )
 
 
-# Elementwise NB oracles: the formulas the fused kernel `_nb_terms` must
-# reproduce entry for entry. TestNbLoglik anchors them to scipy.stats.nbinom.
+# Elementwise NB oracles: the formulas the fused kernel `_nb_terms` computes
+# from reductions (dll/dmu entry for entry). TestNbLoglik anchors them to
+# scipy.stats.nbinom.
 
 
 def nb_loglik(x, mu, disp):
@@ -61,6 +63,71 @@ def _nb_dmu(x, mu, disp):
 def _nb_ddisp(x, mu, disp):
     total = disp + mu
     return digamma(x + disp) - digamma(disp) + np.log(disp / total) + (mu - x) / total
+
+
+def deconv_oracle(params, y, m_panel, eps_w, eps_d):
+    """deconv_loss's negative ELBO and gradients through the per-entry chain:
+    (S, G) oracle arrays for the NB terms, dll/dw = (s * d) @ M and
+    dll/dd = sum_g s * base. Also returns the chain's intermediates."""
+    s_n, g_n = y.shape
+    scale = 1.0 / (s_n * g_n)
+    sd_w, sd_d = np.exp(params["w_logstd"]), np.exp(params["d_logstd"])
+    w = np.exp(params["w_loc"] + sd_w * eps_w)
+    d = np.exp(params["d_loc"] + sd_d * eps_d)
+    alpha = positive(params["raw_alpha"])
+    base = w @ m_panel.T
+    rate = d[:, None] * base
+    disp_row = np.broadcast_to(alpha, y.shape)
+    ll = float(np.sum(nb_loglik(y, rate, disp_row)))
+    s = _nb_dmu(y, rate, disp_row)
+    d_ll_d_alpha = _nb_ddisp(y, rate, disp_row).sum(axis=0)
+    kl = float(np.sum(scprior._kl_std_normal(params["w_loc"], params["w_logstd"])))
+    kl += float(np.sum(scprior._kl_std_normal(params["d_loc"], params["d_logstd"])))
+    d_ll_d_w = (s * d[:, None]) @ m_panel
+    d_ll_d_d = np.sum(s * base, axis=1)
+    grads = {
+        "w_loc": -scale * (d_ll_d_w * w - params["w_loc"]),
+        "w_logstd": -scale * (d_ll_d_w * w * eps_w * sd_w - (sd_w**2 - 1.0)),
+        "d_loc": -scale * (d_ll_d_d * d - params["d_loc"]),
+        "d_logstd": -scale * (d_ll_d_d * d * eps_d * sd_d - (sd_d**2 - 1.0)),
+        "raw_alpha": -scale * d_ll_d_alpha * scprior.positive_grad(params["raw_alpha"]),
+    }
+    chain = dict(w=w, d=d, sd_w=sd_w, sd_d=sd_d, alpha=alpha, rate=rate, s=s,
+                 ll=ll, kl=kl, d_ll_d_w=d_ll_d_w, d_ll_d_d=d_ll_d_d)
+    return -scale * (ll - kl), grads, chain
+
+
+# Reductions whose summation order the kernel changed are compared with the
+# oracles within the standard worst-case bound for two sums of the same n
+# addends in different orders and groupings: each is within (n-1)u * sum|t|
+# of the exact sum, u = eps/2 (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., sec. 4.2), and each addend carries a few roundings of
+# its own, so 2 * n * eps * sum|t| covers both sides for n >= 3.
+EPS = np.finfo(np.float64).eps
+
+
+def summation_bound(terms, axis=None):
+    """2 n eps sum|t| over the addends `terms`, reduced along `axis`."""
+    a = np.abs(np.asarray(terms))
+    n = a.size if axis is None else a.size // np.sum(a, axis=axis).size
+    return 2.0 * n * EPS * np.sum(a, axis=axis)
+
+
+def nb_ll_terms(x, mu, disp):
+    """The addends of the NB log pmf, stacked: (7, S, G)."""
+    log_total = np.log(mu + disp)
+    return np.stack(np.broadcast_arrays(
+        gammaln(x + disp), gammaln(disp), gammaln(x + 1.0), disp * np.log(disp),
+        disp * log_total, x * np.log(mu), x * log_total))
+
+
+def nb_ddisp_terms(x, mu, disp):
+    """The addends of dll/ddisp, digamma(x+disp) - digamma(disp) + log(disp)
+    - log(total) + 1 - (x+disp)/total, stacked: (6, S, G)."""
+    total = mu + disp
+    return np.stack(np.broadcast_arrays(
+        digamma(x + disp), digamma(disp), np.log(disp), np.log(total),
+        np.ones_like(total), (x + disp) / total))
 
 
 def sample_nb(rng: Rng, mu, disp, shape):
@@ -136,29 +203,32 @@ class TestNbKernel:
         (1, 60, "C"), (60, 1, "F"),
     ])
     def test_matches_oracles_exactly(self, s_n, g_n, order, disp_kind):
+        # dll/dmu is the oracle's expression entry for entry, so it is exact;
+        # the log-likelihood and dll/ddisp are reduced per distinct pair and
+        # per column, so they are held to the summation bound
         x, mu, disp = kernel_case(s_n, g_n, order, disp_kind, seed=s_n * g_n)
         ll, dmu, ddisp = _nb_terms(_count_table(x), mu, disp)
         disp_row = np.broadcast_to(disp, x.shape)
-        # the oracles' elementwise arrays, reduced in the counts' memory order
-        want_ll = np.asarray(nb_loglik(x, mu, disp_row), order=order)
-        want_ddisp = np.asarray(_nb_ddisp(x, mu, disp_row), order=order)
-        assert ll == float(np.sum(want_ll))
         assert np.array_equal(dmu, _nb_dmu(x, mu, disp_row))
-        assert np.array_equal(ddisp, want_ddisp.sum(axis=0))
+        assert dmu.flags.c_contiguous
+        want_ll = np.sum(nb_loglik(x, mu, disp_row))
+        assert abs(ll - want_ll) <= summation_bound(nb_ll_terms(x, mu, disp))
+        want_ddisp = _nb_ddisp(x, mu, disp_row).sum(axis=0)
+        bound = summation_bound(nb_ddisp_terms(x, mu, disp), axis=(0, 1))
+        assert np.all(np.abs(ddisp - want_ddisp) <= bound)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_table_maps_back_to_counts(self, order):
+        # the pairs, by gene and then count, with how often each occurs
         x, _, _ = kernel_case(40, 7, order, "mixed")
         table = _count_table(x)
-        pairs = {(v, g) for v, g in zip(x.ravel(), np.tile(np.arange(7), 40))}
-        assert table.count.size == len(pairs)
-        assert table.index.dtype == np.intp
-        assert np.array_equal(table.count[table.index], x.ravel(order=order))
-        counts = table.expand(table.count, 0)
-        assert np.array_equal(counts, x)
-        assert counts.flags.f_contiguous == (order == "F")
-        assert np.array_equal(table.expand(table.gene.astype(float), 1),
-                              np.broadcast_to(np.arange(7), x.shape))
+        assert table.x.flags.c_contiguous
+        assert np.array_equal(table.x, x)
+        want = Counter(zip(x.ravel().tolist(), np.tile(np.arange(7), 40).tolist()))
+        got = zip(table.count.tolist(), table.gene.tolist(), table.mult.tolist())
+        assert {(c, g): m for c, g, m in got} == want
+        assert table.count.size == len(want)
+        assert np.all(np.diff(table.gene * 1e4 + table.count) > 0)
         assert np.array_equal(table.lgamma_x1, gammaln(table.count + 1.0))
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
@@ -268,6 +338,17 @@ class TestScratch:
         again = deconv_loss(params, y, m_panel, eps_w, eps_d, table)
         assert again[0] == first[0]
         assert all(np.array_equal(again[1][k], first[1][k]) for k in params)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_deconvolve_peak_memory(self, order):
+        # with six scratch arrays and an entry index, a whole deconvolve at
+        # 2000 x 100 peaked at 15.14 MB; the fit now keeps three scratch
+        # arrays, so it must stay their 4.8 MB below that, and a second
+        # scratch set, or a second copy of the counts, does not fit
+        y, m_panel, _, _, _ = small_deconv_problem(31, s_n=2000, t_n=5, g_n=100)
+        y = np.asarray(y, order=order)
+        peak = traced_peak(lambda: deconvolve(y, m_panel, epochs=3, rng=Rng(2)))
+        assert peak < 15_136_716 - 3 * y.size * 8
 
     def test_signature_loss_allocates_no_full_array(self):
         data = tiny_dataset(c=600, g=220, t=4, b=3)
@@ -470,6 +551,46 @@ class TestDeconvLoss:
         flat0 = np.concatenate([init[k].ravel() for k in names])
         assert fd_check(f, flat0, h=1e-6) < 1e-3
 
+    def test_matches_per_entry_chain(self):
+        # the kernel's reductions within their summation bounds, and the
+        # chains dll/dw = d * (s @ M), dll/dd = sum_t w * (s @ M) within
+        # theirs, each carried through the few roundings that follow it
+        s_n, t_n, g_n = 40, 4, 60
+        y, m_panel, _, _, _ = small_deconv_problem(33, s_n=s_n, t_n=t_n, g_n=g_n)
+        y = y.astype(float)
+        rng = np.random.default_rng(6)
+        params = {"w_loc": rng.normal(0.0, 0.5, (s_n, t_n)),
+                  "w_logstd": rng.normal(-1.5, 0.3, (s_n, t_n)),
+                  "d_loc": rng.normal(-1.0, 0.3, s_n),
+                  "d_logstd": rng.normal(-1.5, 0.3, s_n),
+                  "raw_alpha": rng.normal(0.5, 1.0, g_n)}
+        eps_w, eps_d = rng.standard_normal((s_n, t_n)), rng.standard_normal(s_n)
+        loss, grads = deconv_loss(params, y, m_panel, eps_w, eps_d)
+        want_loss, want, c = deconv_oracle(params, y, m_panel, eps_w, eps_d)
+        scale = 1.0 / y.size
+        s_abs, m_abs = np.abs(c["s"]), np.abs(m_panel)
+        ll_bound = summation_bound(nb_ll_terms(y, c["rate"], c["alpha"]))
+        alpha_bound = summation_bound(nb_ddisp_terms(y, c["rate"], c["alpha"]), axis=(0, 1))
+        w_bound = 2 * g_n * EPS * ((s_abs * c["d"][:, None]) @ m_abs)
+        d_bound = 2 * g_n * t_n * EPS * np.sum(s_abs * (c["w"] @ m_abs.T), axis=1)
+        # per gradient: (chain bound, factor, chain value, prior part)
+        parts = {
+            "w_loc": (w_bound, c["w"], c["d_ll_d_w"], params["w_loc"]),
+            "w_logstd": (w_bound, c["w"] * eps_w * c["sd_w"], c["d_ll_d_w"],
+                         c["sd_w"]**2 - 1.0),
+            "d_loc": (d_bound, c["d"], c["d_ll_d_d"], params["d_loc"]),
+            "d_logstd": (d_bound, c["d"] * eps_d * c["sd_d"], c["d_ll_d_d"],
+                         c["sd_d"]**2 - 1.0),
+            "raw_alpha": (alpha_bound, scprior.positive_grad(params["raw_alpha"]),
+                          -want["raw_alpha"] / scale, 0.0),
+        }
+        for k, (chain_bound, factor, value, prior) in parts.items():
+            f = np.abs(factor)
+            bound = scale * (f * chain_bound + 4 * EPS * (f * np.abs(value) + np.abs(prior)))
+            assert np.all(np.abs(grads[k] - want[k]) <= bound), k
+        assert abs(loss - want_loss) <= scale * (
+            ll_bound + 4 * EPS * (abs(c["ll"]) + abs(c["kl"])))
+
 
 def small_deconv_problem(seed, s_n=25, t_n=3, g_n=30):
     rng = Rng(seed)
@@ -526,6 +647,17 @@ class TestDeconvolve:
         y, m_panel, _, _, _ = small_deconv_problem(26, s_n=4)
         with pytest.raises(InputError):
             deconvolve(y[:, :-1], m_panel, epochs=5, rng=Rng(0))
+
+    def test_counts_layout_does_not_change_posterior(self):
+        # the fit works on one C-ordered copy of the counts, so C- and
+        # F-ordered counts give the same sums and the same posterior
+        y, m_panel, _, _, _ = small_deconv_problem(34, s_n=328, t_n=4, g_n=100)
+        a, b = (deconvolve(np.asarray(y, order=o), m_panel, epochs=20, rng=Rng(3))
+                for o in "CF")
+        for k in ("w_mean", "w_logstd", "detect_mean", "detect_logstd",
+                  "dispersion", "w_q05"):
+            assert np.array_equal(getattr(a, k), getattr(b, k)), k
+        assert a.fit_trace == b.fit_trace
 
     def test_same_seed_reproduces(self):
         y, m_panel, _, _, _ = small_deconv_problem(27, s_n=5)

@@ -134,6 +134,15 @@ class TestCheckpoints:
         f = Rng(7).child("f").standard_normal(7)
         assert np.array_equal(alpha_batch(back, f[None]), alpha_batch(ad, f[None]))
 
+    def test_negative_reg_coef_names_the_file(self, tmp_path):
+        ad = FuseAdapter.init(7, Rng(6))
+        ad.reg_coef = -1.0
+        path = tmp_path / "fuse.ckpt"
+        save_fuse(path, ad)
+        with pytest.raises(InputError) as err:
+            load_fuse(path)
+        assert str(path) in str(err.value)
+
     def test_wrong_magic_rejected(self, tmp_path):
         model = RegModel.init(4, 3, Rng(8), hidden=(8,))
         path = tmp_path / "reg.ckpt"
