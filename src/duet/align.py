@@ -13,11 +13,13 @@ import numpy as np
 
 from .core import Mlp, Rng, SgdState, as_matrix
 from .errors import InputError, NumericError
+from .tsvio import load_checkpoint, save_checkpoint
 
 DEFAULT_TEMPERATURE = 0.07
 DEFAULT_EMBED_DIM = 64
 DEFAULT_HIDDEN = 128
 DEFAULT_BATCH_SIZE = 128
+MAGIC_ALIGN = b"DUET-ALN1"
 
 
 @dataclass
@@ -48,12 +50,26 @@ class AlignModel:
     temperature: float = DEFAULT_TEMPERATURE
     embed_dim: int = DEFAULT_EMBED_DIM
 
+    def __post_init__(self):
+        if not self.img_head.out_dim == self.gene_head.out_dim == self.embed_dim:
+            raise InputError("embed dims disagree")
+
     @classmethod
     def init(cls, img_dim: int, gene_dim: int, rng: Rng, embed_dim: int = DEFAULT_EMBED_DIM,
              hidden: int = DEFAULT_HIDDEN, temperature: float = DEFAULT_TEMPERATURE) -> "AlignModel":
         img_head = Mlp.init([img_dim, hidden, embed_dim], rng.child("img_head"))
         gene_head = Mlp.init([gene_dim, hidden, embed_dim], rng.child("gene_head"))
         return cls(img_head, gene_head, temperature, embed_dim)
+
+
+def save_align(path, model: AlignModel) -> bytes:
+    return save_checkpoint(path, MAGIC_ALIGN, [model.temperature],
+                           [model.img_head, model.gene_head])
+
+
+def load_align(path, data: bytes | None = None) -> AlignModel:
+    return load_checkpoint(path, data, MAGIC_ALIGN, 1, 2,
+                           lambda t, img, gene: AlignModel(img, gene, t, img.out_dim))
 
 
 def l2_normalize(raw: np.ndarray):

@@ -18,10 +18,12 @@ import numpy as np
 
 from .core import Mlp, Rng, SgdState, as_matrix
 from .errors import InputError, NumericError
+from .tsvio import load_checkpoint, save_checkpoint
 
 DEFAULT_HIDDEN = 32
 DEFAULT_REG_COEF = 1.0
 Z_CLIP = 18.0  # tanh(18) is still strictly below 1 in float64
+MAGIC_FUSE = b"DUET-FUS1"
 
 
 @dataclass
@@ -44,6 +46,15 @@ class FuseAdapter:
         final.bias[...] = 0.0
         mlp.touch()
         return cls(mlp=mlp, reg_coef=reg_coef)
+
+
+def save_fuse(path, adapter: FuseAdapter) -> bytes:
+    return save_checkpoint(path, MAGIC_FUSE, [adapter.reg_coef], [adapter.mlp])
+
+
+def load_fuse(path, data: bytes | None = None) -> FuseAdapter:
+    return load_checkpoint(path, data, MAGIC_FUSE, 1, 1,
+                           lambda reg_coef, mlp: FuseAdapter(mlp, reg_coef))
 
 
 def _squash(z: np.ndarray):

@@ -33,26 +33,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import AlignTrainConfig, PairedBatch, train_align
+from .align import AlignTrainConfig, PairedBatch, load_align, save_align, train_align
 from .core import Rng, SgdState
 from .errors import InputError
-from .fuse import FuseAdapter, fuse_predict_batch, train_fuse
+from .fuse import FuseAdapter, fuse_predict_batch, load_fuse, save_fuse, train_fuse
 from .metrics import log1p_transform, metrics, variance_curve
-from .regress import AnnealSchedule, RegModel, RetrievalSources, train_regress
+from .regress import (AnnealSchedule, RegModel, RetrievalSources, load_reg, save_reg,
+                      train_regress)
 from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .scprior import build_gating, deconvolve, fit_signatures, select_panel
 from .scprior import ScDataset
 from .synth import SynthConfig, gen_sc, gen_spots
 from .tsvio import (
-    load_align,
-    load_fuse,
-    load_reg,
     read_bytes,
     read_ids_tsv,
+    read_manifest,
     read_matrix_tsv,
-    save_align,
-    save_fuse,
-    save_reg,
     update_manifest,
     write_atomic,
     write_ids_tsv,
@@ -185,11 +181,8 @@ class Workspace:
             self._recorded = {}
             path = self.root / MANIFEST
             if path.exists():
-                try:
-                    for entry in json.loads(read_bytes(path))["stages"].values():
-                        self._recorded.update(entry["outputs"])
-                except (ValueError, KeyError, TypeError, AttributeError):
-                    raise InputError(f"unreadable manifest: {path}") from None
+                for entry in read_manifest(path, read_bytes(path))["stages"].values():
+                    self._recorded.update(entry["outputs"])
         return self._recorded.get(name)
 
     def _keep(self, name: str, value, data: bytes) -> None:

@@ -21,11 +21,13 @@ from .align import AlignModel
 from .core import Mlp, Rng, SgdState, as_matrix
 from .errors import InputError, NumericError
 from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
+from .tsvio import load_checkpoint, save_checkpoint
 
 DEFAULT_HIDDEN = (256, 256)
 DEFAULT_BATCH_SIZE = 128
 DEFAULT_LAMBDA0 = 1.0
 DEFAULT_DECAY_EPOCHS = 30
+MAGIC_REG = b"DUET-REG1"
 
 
 @dataclass
@@ -48,6 +50,15 @@ class RegModel:
     def predict(self, features) -> np.ndarray:
         out, _ = self.head.forward(np.asarray(features, dtype=np.float64))
         return out
+
+
+def save_reg(path, model: RegModel) -> bytes:
+    return save_checkpoint(path, MAGIC_REG, [], [model.head])
+
+
+def load_reg(path, data: bytes | None = None) -> RegModel:
+    return load_checkpoint(path, data, MAGIC_REG, 0, 1,
+                           lambda head: RegModel(head, head.in_dim, head.out_dim))
 
 
 @dataclass
@@ -75,23 +86,26 @@ def lambda_at(sched: AnnealSchedule, e: int) -> float:
 
 
 def reg_loss(p_reg, y, p_ret, lam: float):
-    """MSE to truth plus lam-weighted MSE to the retrieved prediction.
+    """MSE to truth plus lam-weighted MSE to the retrieved prediction, each a
+    mean over all entries of aligned vectors or (n, g) batches.
 
-    Returns (loss, gradient w.r.t. p_reg); p_ret is a constant here.
+    Returns (loss, gradient w.r.t. p_reg); p_ret is a constant here. A p_ret
+    of None (lam must be 0) skips the term instead of zero-weighting it.
     """
     p_reg = np.asarray(p_reg, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    p_ret = np.asarray(p_ret, dtype=np.float64)
-    if not (p_reg.shape == y.shape == p_ret.shape) or p_reg.ndim != 1:
-        raise InputError("reg_loss needs three aligned vectors")
-    if lam < 0:
-        raise InputError("lam must be non-negative")
-    g = p_reg.shape[0]
+    aligned = p_ret is None or np.shape(p_ret) == p_reg.shape
+    if p_reg.shape != y.shape or p_reg.ndim not in (1, 2) or not aligned:
+        raise InputError("reg_loss needs three aligned vectors or (n, g) batches")
+    if lam < 0 or (p_ret is None and lam != 0):
+        raise InputError("lam must be non-negative, and 0 without p_ret")
     err = p_reg - y
-    gap = p_reg - p_ret
-    loss = float(err @ err + lam * (gap @ gap)) / g
-    grad = (2.0 / g) * (err + lam * gap)
-    return loss, grad
+    e = err.ravel()
+    if p_ret is None:
+        return float(e @ e) / err.size, (2.0 / err.size) * err
+    gap = p_reg - np.asarray(p_ret, dtype=np.float64)
+    d = gap.ravel()
+    return float(e @ e + lam * (d @ d)) / err.size, (2.0 / err.size) * (err + lam * gap)
 
 
 @dataclass
@@ -154,15 +168,9 @@ def train_regress(features, targets, align_model: AlignModel | None,
         for lo in range(0, stop, batch_size):
             idx = perm[lo:lo + batch_size]
             out, tape = model.head.forward(x[idx])
-            err = out - y[idx]
+            retrieved = None if lam == 0.0 else p_ret[idx]  # skipped, not zero-weighted
             with np.errstate(over="ignore", invalid="ignore"):
-                if lam == 0.0:  # retrieval skipped, not just zero-weighted
-                    batch_loss = float(np.mean(err**2))
-                    d_out = (2.0 / (g * idx.size)) * err
-                else:
-                    gap = out - p_ret[idx]
-                    batch_loss = float(np.mean(err**2) + lam * np.mean(gap**2))
-                    d_out = (2.0 / (g * idx.size)) * (err + lam * gap)
+                batch_loss, d_out = reg_loss(out, y[idx], retrieved, lam)
             if not np.isfinite(batch_loss):
                 raise NumericError(f"regression training diverged at epoch {e}")
             grads = model.head.backward(tape, d_out)

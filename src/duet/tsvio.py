@@ -28,12 +28,22 @@ that holds data and renaming onto one force the new data to disk before the
 call returns (40-110 ms per rewritten file on a 2-vCPU VM's virtio disk); a
 rename onto a free name does not.
 
-Checkpoints are little-endian binary: an ASCII magic tag, u32 layer counts
-and per-layer (out, in) dims, any format-specific f64 scalars, then the raw
-f64 parameters layer by layer (weight row-major, then bias). Activations are
-not stored; every head here is relu on hidden layers and identity on the
-final layer, which the loaders reinstate. The loaders reject (InputError,
-naming the file) any non-finite weight, bias or scalar.
+Every checkpoint has one layout, written by save_checkpoint and read by
+load_checkpoint. It is little-endian binary: an ASCII magic tag, then per net
+a u32 layer count and per-layer u32 (out, in) dims, then the model's f64
+scalars, then per net the raw f64 parameters layer by layer (weight
+row-major, then bias). Each model module keeps its tag and save/load pair
+next to the model: align (`DUET-ALN1`; temperature; image head, gene head),
+regress (`DUET-REG1`; no scalars; head) and fuse (`DUET-FUS1`; reg_coef;
+adapter net). Activations are not stored; every net is relu on hidden layers
+and identity on the final layer, which the loader reinstates. The loader
+rejects (InputError, naming the file) a wrong tag, a truncated file, trailing
+bytes, a layer count outside 1-64, any non-finite weight, bias or scalar, and
+whatever the model's own checks reject.
+
+A run manifest is JSON: the seed, the config echo, and per stage its
+completion time and the {file name: sha256} of its outputs and inputs.
+read_manifest rejects (InputError, naming the file) any other shape.
 """
 
 from __future__ import annotations
@@ -46,15 +56,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import AlignModel
 from .core import Layer, Mlp
 from .errors import InputError
-from .fuse import FuseAdapter
-from .regress import RegModel
-
-MAGIC_ALIGN = b"DUET-ALN1"
-MAGIC_REG = b"DUET-REG1"
-MAGIC_FUSE = b"DUET-FUS1"
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +180,10 @@ def read_ids_tsv(path, data: bytes | None = None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _pack_mlp_dims(net: Mlp) -> bytes:
-    out = struct.pack("<I", len(net.layers))
-    for layer in net.layers:
-        out += struct.pack("<II", *layer.weight.shape)
-    return out
-
-
-def _pack_mlp_params(net: Mlp) -> bytes:
-    out = b""
-    for layer in net.layers:
-        out += layer.weight.astype("<f8").tobytes()
-        out += layer.bias.astype("<f8").tobytes()
-    return out
-
-
 class _Reader:
-    def __init__(self, blob: bytes, path):
+    def __init__(self, blob: bytes, path, pos: int):
         self.blob = blob
-        self.pos = 0
+        self.pos = pos
         self.path = path
 
     def take(self, n: int) -> bytes:
@@ -205,11 +193,16 @@ class _Reader:
         self.pos += n
         return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def u32s(self, n: int) -> tuple:
+        return struct.unpack(f"<{n}I", self.take(4 * n))
 
-    def f64(self) -> float:
-        return float(self.f64s(1)[0])
+    def dims(self) -> list:
+        """One net's (out, in) layer dims, after its layer count."""
+        n_layers = self.u32s(1)[0]
+        if not 0 < n_layers <= 64:
+            raise InputError(f"implausible layer count in {self.path}")
+        flat = self.u32s(2 * n_layers)
+        return list(zip(flat[::2], flat[1::2]))
 
     def f64s(self, n: int) -> np.ndarray:
         out = np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
@@ -222,85 +215,39 @@ class _Reader:
             raise InputError(f"trailing bytes in checkpoint: {self.path}")
 
 
-def _read_dims(r: _Reader) -> list:
-    n_layers = r.u32()
-    if not 0 < n_layers <= 64:
-        raise InputError(f"implausible layer count in {r.path}")
-    return [(r.u32(), r.u32()) for _ in range(n_layers)]
+def save_checkpoint(path, magic: bytes, scalars, nets) -> bytes:
+    """Write `magic`, each net's dims, the f64 `scalars`, then each net's
+    parameters, as the module docstring lays them out."""
+    parts = [magic]
+    parts += [struct.pack(f"<{1 + 2 * len(net.layers)}I", len(net.layers),
+                          *(d for layer in net.layers for d in layer.weight.shape))
+              for net in nets]
+    parts.append(struct.pack(f"<{len(scalars)}d", *scalars))
+    parts += [net.get_flat().astype("<f8").tobytes() for net in nets]
+    return write_atomic(path, b"".join(parts))
 
 
-def save_align(path, model: AlignModel):
-    blob = MAGIC_ALIGN
-    blob += _pack_mlp_dims(model.img_head)
-    blob += _pack_mlp_dims(model.gene_head)
-    blob += struct.pack("<d", model.temperature)
-    blob += _pack_mlp_params(model.img_head)
-    blob += _pack_mlp_params(model.gene_head)
-    return write_atomic(path, blob)
-
-
-def _open_checkpoint(path, magic: bytes, data: bytes | None) -> _Reader:
+def load_checkpoint(path, data: bytes | None, magic: bytes, n_scalars: int,
+                    n_nets: int, build):
+    """The model build(*scalars, *nets) makes of the checkpoint at `path` (or
+    in `data`) that save_checkpoint wrote with `magic`. Every InputError, the
+    model's own checks in `build` included, names the file."""
     p = Path(path)
     blob = read_bytes(p) if data is None else data
     if blob[:len(magic)] != magic:
         raise InputError(f"bad checkpoint magic in {p}, expected {magic.decode()}")
-    r = _Reader(blob, p)
-    r.pos = len(magic)
-    return r
-
-
-def _read_mlp_with_dims(r: _Reader, dims: list) -> Mlp:
-    layers = []
-    for k, (out_d, in_d) in enumerate(dims):
-        w = r.f64s(out_d * in_d).reshape(out_d, in_d)
-        b = r.f64s(out_d)
-        act = "identity" if k == len(dims) - 1 else "relu"
-        layers.append(Layer(w, b, act))
-    return Mlp(layers)
-
-
-def load_align(path, data: bytes | None = None) -> AlignModel:
-    r = _open_checkpoint(path, MAGIC_ALIGN, data)
-    dims_img = _read_dims(r)
-    dims_gene = _read_dims(r)
-    temperature = r.f64()
-    img_head = _read_mlp_with_dims(r, dims_img)
-    gene_head = _read_mlp_with_dims(r, dims_gene)
+    r = _Reader(blob, p, len(magic))
+    dims = [r.dims() for _ in range(n_nets)]
+    scalars = r.f64s(n_scalars).tolist()
+    params = [[(r.f64s(o * i).reshape(o, i), r.f64s(o)) for o, i in net]
+              for net in dims]
     r.done()
-    if img_head.out_dim != gene_head.out_dim:
-        raise InputError(f"embed dims disagree in {r.path}")
-    return AlignModel(img_head=img_head, gene_head=gene_head,
-                      temperature=temperature, embed_dim=img_head.out_dim)
-
-
-def save_reg(path, model: RegModel):
-    blob = MAGIC_REG + _pack_mlp_dims(model.head) + _pack_mlp_params(model.head)
-    return write_atomic(path, blob)
-
-
-def load_reg(path, data: bytes | None = None) -> RegModel:
-    r = _open_checkpoint(path, MAGIC_REG, data)
-    head = _read_mlp_with_dims(r, _read_dims(r))
-    r.done()
-    return RegModel(head=head, feature_dim=head.in_dim, gene_dim=head.out_dim)
-
-
-def save_fuse(path, adapter: FuseAdapter):
-    blob = MAGIC_FUSE + _pack_mlp_dims(adapter.mlp)
-    blob += struct.pack("<d", adapter.reg_coef)
-    blob += _pack_mlp_params(adapter.mlp)
-    return write_atomic(path, blob)
-
-
-def load_fuse(path, data: bytes | None = None) -> FuseAdapter:
-    r = _open_checkpoint(path, MAGIC_FUSE, data)
-    dims = _read_dims(r)
-    reg_coef = r.f64()
-    if reg_coef < 0:
-        raise InputError(f"negative reg_coef in checkpoint: {r.path}")
-    mlp = _read_mlp_with_dims(r, dims)
-    r.done()
-    return FuseAdapter(mlp=mlp, reg_coef=reg_coef)
+    try:
+        nets = [Mlp([Layer(w, b, "identity" if k == len(net) - 1 else "relu")
+                     for k, (w, b) in enumerate(net)]) for net in params]
+        return build(*scalars, *nets)
+    except InputError as exc:
+        raise InputError(f"{p}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +255,29 @@ def load_fuse(path, data: bytes | None = None) -> FuseAdapter:
 # ---------------------------------------------------------------------------
 
 
+def read_manifest(path, data: bytes | None = None) -> dict:
+    """The manifest at `path` (or in `data`); InputError naming the file
+    unless it is a JSON object whose `stages` maps each stage name to an
+    object holding `outputs` and `inputs` objects."""
+    p = Path(path)
+    try:
+        doc = json.loads(read_bytes(p) if data is None else data)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        doc = None
+    stages = doc.get("stages") if isinstance(doc, dict) else None
+    if not isinstance(stages, dict) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("outputs"), dict)
+            and isinstance(entry.get("inputs"), dict) for entry in stages.values()):
+        raise InputError(f"unreadable manifest: {p}")
+    return doc
+
+
 def update_manifest(manifest_path, stage: str, seed: int, config: dict,
                     outputs: dict, inputs: dict):
     """Record stage completion: seed, config echo, and the {file name: sha256}
     of its outputs and inputs."""
     p = Path(manifest_path)
-    if p.exists():
-        manifest = json.loads(p.read_text(encoding="utf-8"))
-    else:
-        manifest = {"seed": seed, "config": config, "stages": {}}
+    manifest = read_manifest(p) if p.exists() else {"stages": {}}
     manifest["seed"] = seed
     manifest["config"] = config
     manifest["stages"][stage] = {

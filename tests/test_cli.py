@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from duet.cli import main
-from duet.tsvio import (load_fuse, load_reg, read_matrix_tsv, save_fuse, save_reg,
-                        write_matrix_tsv)
+from duet.core import Mlp, Rng
+from duet.fuse import MAGIC_FUSE, load_fuse, save_fuse
+from duet.regress import load_reg, save_reg
+from duet.tsvio import read_matrix_tsv, save_checkpoint, write_matrix_tsv
 from test_pipeline import rehash_outputs
 
 TINY = {
@@ -252,6 +254,27 @@ def test_negative_reg_coef_exit_1(trained, tmp_path, capsys):
     rehash_outputs(ws, "fuse.ckpt")
     assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
     assert str(ws / "fuse.ckpt") in capsys.readouterr().err
+
+
+def test_two_output_fuse_checkpoint_exit_1(trained, tmp_path, capsys):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    feature_dim = load_fuse(ws / "fuse.ckpt").mlp.in_dim
+    save_checkpoint(ws / "fuse.ckpt", MAGIC_FUSE, [1.0],
+                    [Mlp.init([feature_dim, 4, 2], Rng(0))])
+    rehash_outputs(ws, "fuse.ckpt")
+    assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    assert str(ws / "fuse.ckpt") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", ["{", "[]", '{"stages": 3}'])
+def test_unreadable_manifest_exit_1(doc, tmp_path, cfg_path, capsys, no_env_seed):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / "manifest.json").write_text(doc, encoding="utf-8")
+    assert main(["synth", "--config", str(cfg_path), "--seed", "7", "--out", str(ws)]) == 1
+    assert str(ws / "manifest.json") in capsys.readouterr().err
 
 
 def test_stale_input_exit_1(tmp_path, cfg_path, capsys, no_env_seed):

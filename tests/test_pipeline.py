@@ -316,6 +316,17 @@ def test_stale_input_rejected_naming_it(ws, tmp_path):
     assert w.matrix("st_counts.tsv")[0].shape == (60, 160)
 
 
+@pytest.mark.parametrize("doc", ["{", "[]", '{"stages": 3}'])
+def test_unreadable_manifest_rejected_naming_it(ws, tmp_path, doc):
+    d = tmp_path / "w"
+    shutil.copytree(ws[0], d)
+    (d / "manifest.json").write_text(doc, encoding="utf-8")
+    w = Workspace(d)
+    w.stage = "align"
+    with pytest.raises(InputError, match="manifest.json"):
+        w.matrix("st_counts.tsv")
+
+
 def test_manifest_read_once_and_hand_offs_unchecked(ws, tmp_path, monkeypatch):
     d = tmp_path / "w"
     shutil.copytree(ws[0], d)

@@ -112,6 +112,57 @@ class TestRegLoss:
             reg_loss(np.zeros(3), np.zeros(3), np.zeros(3), -0.5)
 
 
+class TestRegLossBatches:
+    def test_batch_gradient_matches_finite_differences(self):
+        rng = Rng(43)
+        y = rng.child("y").standard_normal((5, 4))
+        p_ret = rng.child("r").standard_normal((5, 4))
+        p0 = rng.child("p").standard_normal((5, 4))
+        assert fd_check(lambda p: reg_loss(p, y, p_ret, 0.8), p0) < 1e-6
+
+    def test_batch_is_the_mean_of_its_rows(self):
+        rng = Rng(44)
+        p, y, p_ret = (rng.child(k).standard_normal((6, 3)) for k in "pyr")
+        loss, grad = reg_loss(p, y, p_ret, 0.4)
+        rows = [reg_loss(p[i], y[i], p_ret[i], 0.4) for i in range(6)]
+        assert np.isclose(loss, np.mean([l for l, _ in rows]), rtol=1e-14)
+        assert np.allclose(grad, np.stack([g for _, g in rows]) / 6, rtol=1e-14,
+                           atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 3)])
+    def test_no_p_ret_is_the_plain_mse(self, shape):
+        rng = Rng(45)
+        p, y, p_ret = (rng.child(k).standard_normal(shape) for k in "pyr")
+        loss, grad = reg_loss(p, y, None, 0.0)
+        err = p - y
+        assert np.isclose(loss, np.mean(err**2), rtol=1e-14)
+        assert np.array_equal(grad, (2.0 / err.size) * err)
+        assert np.array_equal(grad, reg_loss(p, y, p_ret, 0.0)[1])
+
+    def test_rejects(self):
+        with pytest.raises(InputError):
+            reg_loss(np.zeros(3), np.zeros(3), None, 0.1)
+        with pytest.raises(InputError):
+            reg_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)), 0.1)
+        with pytest.raises(InputError):
+            reg_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), None, 0.0)
+
+    def test_train_regress_steps_on_reg_loss(self, monkeypatch):
+        calls = []
+        real = regress_module.reg_loss
+
+        def spy(p_reg, y, p_ret, lam):
+            calls.append((lam, p_ret is None))
+            return real(p_reg, y, p_ret, lam)
+
+        monkeypatch.setattr(regress_module, "reg_loss", spy)
+        x, y = linear_problem(46, n=64, d=8, g=6)
+        train_regress(x, y, make_align(8, 6, 47), make_sources(x, y, 48),
+                      AnnealSchedule(lambda0=1.0, decay_epochs=2), epochs=3,
+                      opt=SgdState(lr=0.01), rng=Rng(49), batch_size=32)
+        assert calls == [(1.0, False)] * 2 + [(0.5, False)] * 2 + [(0.0, True)] * 2
+
+
 def linear_problem(seed, n=400, d=16, g=20, noise=0.05):
     rng = Rng(seed)
     x = rng.child("x").standard_normal((n, d))

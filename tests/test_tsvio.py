@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import struct
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -12,22 +13,19 @@ from hypothesis.extra.numpy import arrays
 
 import duet
 from duet import tsvio
-from duet.align import AlignModel, embed_expressions, embed_images
+from duet.align import (MAGIC_ALIGN, AlignModel, embed_expressions, embed_images,
+                        load_align, save_align)
 from duet.core import Layer, Mlp, Rng
 from duet.errors import InputError
-from duet.fuse import FuseAdapter, alpha_batch
+from duet.fuse import MAGIC_FUSE, FuseAdapter, alpha_batch, load_fuse, save_fuse
 from duet.pipeline import PipelineConfig, stage_eval
-from duet.regress import RegModel
+from duet.regress import MAGIC_REG, RegModel, load_reg, save_reg
 from duet.tsvio import (
-    load_align,
-    load_fuse,
-    load_reg,
     read_bytes,
     read_ids_tsv,
+    read_manifest,
     read_matrix_tsv,
-    save_align,
-    save_fuse,
-    save_reg,
+    save_checkpoint,
     update_manifest,
     write_ids_tsv,
     write_matrix_tsv,
@@ -168,6 +166,89 @@ class TestCheckpoints:
             load_reg(path)
 
 
+def _net(*layers) -> Mlp:
+    """An Mlp of (weight rows, bias) pairs: relu hidden, identity last."""
+    return Mlp([Layer(np.array(w, dtype=float), np.array(b, dtype=float),
+                      "identity" if k == len(layers) - 1 else "relu")
+                for k, (w, b) in enumerate(layers)])
+
+
+class TestCheckpointGoldenBytes:
+    """Each save function writes the layout the tsvio docstring gives: magic,
+    per net a u32 layer count and u32 (out, in) dims, the f64 scalars, then
+    per net each layer's weight row-major and bias, all little-endian."""
+
+    def test_align(self, tmp_path):
+        img = _net(([[1.5, -2.0]], [0.25]), ([[3.0], [-0.0]], [5e-324, 7.0]))
+        gene = _net(([[0.5, 4.0, -1.0], [2.0, 0.0, 8.0]], [-3.5, 6.0]))
+        expected = b"".join([
+            b"DUET-ALN1",
+            struct.pack("<5I", 2, 1, 2, 2, 1),
+            struct.pack("<3I", 1, 2, 3),
+            struct.pack("<d", 0.07),
+            struct.pack("<3d", 1.5, -2.0, 0.25),
+            struct.pack("<4d", 3.0, -0.0, 5e-324, 7.0),
+            struct.pack("<8d", 0.5, 4.0, -1.0, 2.0, 0.0, 8.0, -3.5, 6.0),
+        ])
+        path = tmp_path / "align.ckpt"
+        data = save_align(path, AlignModel(img, gene, 0.07, 2))
+        assert data == path.read_bytes() == expected
+
+    def test_reg(self, tmp_path):
+        head = _net(([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [0.1, 0.2, 0.3]),
+                    ([[-1.0, -2.0, -3.0]], [1e300]))
+        expected = b"".join([
+            b"DUET-REG1",
+            struct.pack("<5I", 2, 3, 2, 1, 3),
+            struct.pack("<9d", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.1, 0.2, 0.3),
+            struct.pack("<4d", -1.0, -2.0, -3.0, 1e300),
+        ])
+        path = tmp_path / "reg.ckpt"
+        data = save_reg(path, RegModel(head, 2, 1))
+        assert data == path.read_bytes() == expected
+
+    def test_fuse(self, tmp_path):
+        mlp = _net(([[0.5], [-0.25]], [1.0, 2.0]), ([[4.0, 8.0]], [-0.0]))
+        expected = b"".join([
+            b"DUET-FUS1",
+            struct.pack("<5I", 2, 2, 1, 1, 2),
+            struct.pack("<d", 2.5),
+            struct.pack("<4d", 0.5, -0.25, 1.0, 2.0),
+            struct.pack("<3d", 4.0, 8.0, -0.0),
+        ])
+        path = tmp_path / "fuse.ckpt"
+        data = save_fuse(path, FuseAdapter(mlp, 2.5))
+        assert data == path.read_bytes() == expected
+
+
+class TestCheckpointModelErrors:
+    """The model's own checks run inside the loader, so they name the file."""
+
+    def test_fuse_net_with_two_outputs(self, tmp_path):
+        path = tmp_path / "fuse.ckpt"
+        save_checkpoint(path, MAGIC_FUSE, [1.0], [Mlp.init([3, 4, 2], Rng(0))])
+        with pytest.raises(InputError, match="one scalar") as err:
+            load_fuse(path)
+        assert str(path) in str(err.value)
+
+    def test_reg_layers_that_do_not_chain(self, tmp_path):
+        path = tmp_path / "reg.ckpt"
+        path.write_bytes(MAGIC_REG + struct.pack("<5I", 2, 4, 3, 2, 5)
+                         + np.zeros(4 * 3 + 4 + 2 * 5 + 2).tobytes())
+        with pytest.raises(InputError, match=r"chain mismatch: \(4, 3\) feeds \(2, 5\)") \
+                as err:
+            load_reg(path)
+        assert str(path) in str(err.value)
+
+    def test_align_heads_with_different_embed_dims(self, tmp_path):
+        path = tmp_path / "align.ckpt"
+        save_checkpoint(path, MAGIC_ALIGN, [0.07],
+                        [Mlp.init([3, 2], Rng(0)), Mlp.init([4, 5], Rng(1))])
+        with pytest.raises(InputError, match="embed dims") as err:
+            load_align(path)
+        assert str(path) in str(err.value)
+
+
 def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -198,6 +279,20 @@ class TestManifest:
             assert data == out.read_bytes() == read_bytes(out)
             hashes.append(hashlib.sha256(data).hexdigest())
         assert hashes[0] != hashes[1] and hashes[2] == hashes[0]
+
+    @pytest.mark.parametrize("doc", [
+        b"{", b"[]", b'{"stages": 3}', b'{"stages": {"synth": 1}}',
+        b'{"stages": {"synth": {"outputs": {}}}}',
+        b'{"stages": {"synth": {"outputs": [], "inputs": {}}}}', b"\xff{}",
+    ])
+    def test_unreadable_manifest_names_the_file(self, doc, tmp_path):
+        man = tmp_path / "manifest.json"
+        man.write_bytes(doc)
+        with pytest.raises(InputError, match="manifest.json"):
+            read_manifest(man)
+        with pytest.raises(InputError, match="manifest.json"):
+            update_manifest(man, "s", seed=1, config={}, outputs={}, inputs={})
+        assert man.read_bytes() == doc
 
     def test_manifest_is_valid_json(self, tmp_path):
         man = tmp_path / "manifest.json"
@@ -621,6 +716,22 @@ class TestAtomicWrites:
         with pytest.raises(KeyboardInterrupt):
             write_matrix_tsv(path, np.zeros((2, 2)), ["a", "b"], ["x", "y"])
         assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_checkpoint_layout_lives_in_tsvio(self):
+        """tsvio imports no model module, and only tsvio packs bytes."""
+        imports = {}
+        for src in sorted(Path(duet.__file__).parent.glob("*.py")):
+            names = set()
+            for node in ast.walk(ast.parse(src.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names |= {a.name for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names.add("." * node.level + node.module)
+                elif isinstance(node, ast.ImportFrom):
+                    names |= {"." * node.level + a.name for a in node.names}
+            imports[src.stem] = names
+        assert {n for n in imports["tsvio"] if n.startswith(".")} <= {".core", ".errors"}
+        assert [m for m, names in imports.items() if "struct" in names] == ["tsvio"]
 
     def test_no_other_writes_in_package(self):
         """Every file the package writes goes through tsvio.write_atomic."""
