@@ -20,7 +20,8 @@ from disk must hash as the manifest records it among its producer's outputs
 (if it records it at all), so a file changed since its stage wrote it fails
 with an InputError naming it. A stage given a path (the CLI, tests) wraps it
 in a fresh Workspace. Per-spot matrices (features, gating, truth_n) must
-carry st_counts.tsv's spot ids, in order.
+carry st_counts.tsv's spot ids, in order, and a checkpoint's dims must match
+the feature columns and target genes it is used with (_check_dims).
 The workspace holds exactly the files STAGE_IO names, plus manifest.json.
 """
 
@@ -395,10 +396,39 @@ def stage_align(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _train_db(ws: Workspace, spots, y, gating):
+def _check_dims(ws: Workspace, ckpt: str, *dims) -> None:
+    """Each (what, the checkpoint's dim, file, the file's dim, unit) of `dims`
+    must agree, or the InputError names the checkpoint and the file."""
+    for what, got, name, want, unit in dims:
+        if got != want:
+            raise InputError(f"{ws.root / ckpt}: {what} is {got}, but {name} "
+                             f"has {want} {unit}")
+
+
+def _align_model(ws: Workspace, f_img, y):
+    model = ws.checkpoint("align.ckpt", load_align)
+    _check_dims(ws, "align.ckpt",
+                ("image-head input dim", model.img_head.in_dim,
+                 "features_img.tsv", f_img.shape[1], "columns"),
+                ("gene-head input dim", model.gene_head.in_dim,
+                 "target_genes.tsv", y.shape[1], "genes"))
+    return model
+
+
+def _reg_model(ws: Workspace, f_fm, y):
+    model = ws.checkpoint("reg.ckpt", load_reg)
+    _check_dims(ws, "reg.ckpt",
+                ("input dim", model.feature_dim, "features_fm.tsv", f_fm.shape[1],
+                 "columns"),
+                ("output dim", model.gene_dim, "target_genes.tsv", y.shape[1],
+                 "genes"))
+    return model
+
+
+def _train_db(ws: Workspace, spots, y, gating, f_img):
     """The alignment model and the retrieval database of the training spots."""
     idx = _split(ws, spots, "train")
-    model = ws.checkpoint("align.ckpt", load_align)
+    model = _align_model(ws, f_img, y)
     db = rebuild_db(model, y[idx], gating[idx], [spots[i] for i in idx])
     return model, db
 
@@ -416,7 +446,7 @@ def stage_regress(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     f_fm = ws.spot_matrix("features_fm.tsv")
     gating = ws.spot_matrix("gating.tsv")
     idx = _split(ws, spots, "train")
-    align_model = ws.checkpoint("align.ckpt", load_align)
+    align_model = _align_model(ws, f_img, y)
     sources = RetrievalSources(
         expressions=y[idx],
         gating=gating[idx],
@@ -450,10 +480,10 @@ def stage_fuse(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     gating = ws.spot_matrix("gating.tsv")
     subset = _split(ws, spots, "fuse")
 
-    align_model, db = _train_db(ws, spots, y, gating)
+    align_model, db = _train_db(ws, spots, y, gating, f_img)
     y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
                            cfg.retrieval)
-    y_reg = ws.checkpoint("reg.ckpt", load_reg).predict(f_fm[subset])
+    y_reg = _reg_model(ws, f_fm, y).predict(f_fm[subset])
 
     adapter = FuseAdapter.init(f_fm.shape[1], rng.child("init"),
                                hidden=cfg.train.fuse_hidden,
@@ -479,11 +509,13 @@ def stage_predict(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     subset = _split(ws, spots, "test")
     ids = [spots[i] for i in subset]
 
-    align_model, db = _train_db(ws, spots, y, gating)
+    align_model, db = _train_db(ws, spots, y, gating, f_img)
     y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
                            cfg.retrieval)
-    y_reg = ws.checkpoint("reg.ckpt", load_reg).predict(f_fm[subset])
+    y_reg = _reg_model(ws, f_fm, y).predict(f_fm[subset])
     adapter = ws.checkpoint("fuse.ckpt", load_fuse)
+    _check_dims(ws, "fuse.ckpt", ("input dim", adapter.mlp.in_dim, "features_fm.tsv",
+                                   f_fm.shape[1], "columns"))
     y_duet, alphas = fuse_predict_batch(adapter, f_fm[subset], y_ret, y_reg)
 
     ws.write_matrix("pred_ret.tsv", y_ret, ids, target_genes)

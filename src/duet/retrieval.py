@@ -9,9 +9,9 @@ softmax weights to produce the retrieved expression prediction.
 retrieve_batch is the one implementation. It works through the queries in
 chunks of _CHUNK rows: one score block per chunk against the distinct
 database rows, an exact top-n shortlist per query, then gate, blend, top-k and
-softmax vectorized over the (queries x candidates) block. retrieve and
-candidates are its one-row views, and retrieve_spots embeds image features
-and retrieves for a whole spot set, once per stage.
+softmax vectorized over the (queries x candidates) block. retrieve is its
+one-row view, and retrieve_spots embeds image features and retrieves for a
+whole spot set, once per stage.
 
 All selection is exact (partial selection and sorts, no approximate index)
 with ties broken by ascending database index, and duplicated database rows
@@ -161,14 +161,6 @@ def _shortlist(uniq, inv, v: np.ndarray, n: int):
     order = np.argsort(-vals, axis=1, kind="stable")
     return (np.take_along_axis(cols, order, axis=1),
             np.take_along_axis(vals, order, axis=1))
-
-
-def candidates(db: EmbeddingDB, v_s: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n largest dot products, ties by ascending index."""
-    v = _check_queries(db, _one_row(v_s))
-    if not 0 < n <= db.size:
-        raise InputError(f"need 0 < n <= {db.size}, got {n}")
-    return _shortlist(*_unique_rows(db.h), v, n)[0][0]
 
 
 def blended_scores(phi, sim, beta: float) -> np.ndarray:

@@ -24,14 +24,24 @@ Both fits spend their time in one NB kernel, ``_nb_terms``, which returns
 the log-likelihood sum, dll/dmu and the column sums of dll/ddisp per step.
 Each fit first builds a count table (``_count_table``) once: one C-ordered
 float64 copy of the counts, their distinct (count, gene) pairs with how
-often each occurs, and gammaln(x+1) per pair. A step does (S, G) work only
+often each occurs, and lnΓ(x+1) per pair. A step does (S, G) work only
 for dll/dmu, the textbook expression entry for entry, and for what it
-shares with the rest, which comes from reductions: the gammaln and digamma
-terms per distinct pair, weighted by its count; column sums of log(mu+disp)
-and (x+disp)/(mu+disp); and x.log(mu), x.log(mu+disp) as dot products. So
-the log-likelihood and dll/ddisp agree with the per-entry formulas (kept in
-the tests as oracles) within the floating-point summation bound, and as
-every array shares the one C layout, a fit does not depend on its input's.
+shares with the rest, which comes from reductions: the lnΓ and ψ terms per
+distinct pair, weighted by its count; column sums of log(mu+disp) and
+(x+disp)/(mu+disp); and x.log(mu), x.log(mu+disp) as dot products. So the
+log-likelihood and dll/ddisp agree with the per-entry formulas (kept in the
+tests as oracles) within the floating-point summation bound, and as every
+array shares the one C layout, a fit does not depend on its input's.
+
+The lnΓ and ψ terms enter only as differences, lnΓ(x+disp) - lnΓ(disp)
+and ψ(x+disp) - ψ(disp), and ``_lgamma_psi_diffs`` computes them in numpy.
+Below x = 16 they are the exact finite sums over disp+i, i < x: the log of
+a running product and a running sum of reciprocals, one (17, G) table of
+each per step. From 16 up they come from the asymptotic series of lnΓ and
+ψ (Abramowitz & Stegun 6.1.41, 6.3.18), whose truncation there is below an
+ulp, at x+disp, minus lnΓ(disp) and ψ(disp) from the series at disp+16 and
+the tables. The count table keeps where each pair's terms come from, so a
+step only gathers them.
 
 The table also owns the fit's scratch: three C-ordered (S, G) float64
 arrays, allocated once. Every (S, G) intermediate of a step, in the kernel
@@ -50,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
 
 from .core import Rng, SgdState, as_matrix
 from .errors import InputError, NumericError
@@ -81,7 +90,9 @@ def positive_inv(value):
 
 
 def positive_grad(raw):
-    return expit(raw)
+    """The logistic function, d positive / d raw; exp(-|raw|) never overflows."""
+    e = np.exp(-np.abs(raw))
+    return np.where(raw >= 0, 1.0, e) / (1.0 + e)
 
 
 def validate_counts(counts, what: str = "counts") -> np.ndarray:
@@ -215,6 +226,96 @@ class DeconvPosterior:
 # ---------------------------------------------------------------------------
 
 
+# lnΓ and ψ differences: exact finite sums below this count K, the asymptotic
+# series at and above it (Abramowitz & Stegun 6.1.41, 6.3.18). At z >= 16
+# the first terms left out, 1/(156 z^13) and 1/(12 z^14), are below 1.5e-18,
+# well under an ulp of lnΓ(z) or ψ(z).
+_SERIES_FROM = 16
+_STEPS = np.arange(_SERIES_FROM, dtype=np.float64)[:, None]  # i = 0 .. K-1
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+# coefficients of w^j, w = 1/z^2, highest first: lnΓ(z) = (z-1/2) log z - z
+# + log(2π)/2 + (1/z) sum_j a_j w^j and ψ(z) = log z - 1/(2z) + w sum_j b_j w^j
+_LGAMMA_COEF = (-691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+_PSI_COEF = (691 / 32760, -1 / 132, 1 / 240, -1 / 252, 1 / 120, -1 / 12)
+
+
+def _lgamma_psi_series(z: np.ndarray, out: np.ndarray) -> None:
+    """lnΓ(z) and ψ(z) into the rows of `out`, (2, n), for z >= _SERIES_FROM."""
+    lg, psi = out
+    log_z = np.log(z)
+    inv = 1.0 / z
+    w = np.square(inv)
+    for row, coef in ((lg, _LGAMMA_COEF), (psi, _PSI_COEF)):
+        np.multiply(w, coef[0], out=row)
+        for c in coef[1:-1]:
+            row += c
+            row *= w
+        row += coef[-1]
+    lg *= inv
+    psi *= w
+    rest = np.subtract(z, 0.5, out=w)  # (z - 1/2) log z - z + log(2π)/2
+    rest *= log_z
+    rest -= z
+    rest += _HALF_LOG_2PI
+    lg += rest
+    inv *= 0.5  # log z - 1/(2z)
+    log_z -= inv
+    psi += log_z
+
+
+def _term_sources(count: np.ndarray, gene: np.ndarray, n_genes: int):
+    """Where _lgamma_psi_diffs finds each (count, gene) pair's terms.
+
+    Returns (source, far count, far gene): the counts >= K and their genes,
+    and per pair its column in the values _lgamma_psi_diffs builds: entry
+    c*G + gene of the (K+1, G) tables, or (K+1)*G + the pair's rank among
+    the far ones.
+    """
+    k = _SERIES_FROM
+    far = np.flatnonzero(count >= k)
+    source = np.minimum(count, k).astype(np.intp) * n_genes + gene
+    source[far] = (k + 1) * n_genes + np.arange(far.size)
+    return source, count[far], gene[far]
+
+
+def _lgamma_psi_diffs(alpha: np.ndarray, sources: tuple) -> np.ndarray:
+    """lnΓ(c+α) - lnΓ(α) and ψ(c+α) - ψ(α) per (count c, gene) pair, α per
+    gene, as the rows of a (2, P) array; ``sources`` is _term_sources'.
+
+    For c < K = _SERIES_FROM they are exact finite sums, read from per-gene
+    tables of the K steps α+i: the log of their running product and the
+    running sum of their reciprocals. For c >= K they are the series at c+α,
+    minus lnΓ(α) and ψ(α): the series at α+K minus the tables' full sums.
+    Each gene's steps are scaled by a power of two, exactly, where that keeps
+    their product finite, so no finite α overflows it.
+    """
+    source, far_count, far_gene = sources
+    k, g_n, n_far = _SERIES_FROM, alpha.size, far_count.size
+    n_tab = (k + 1) * g_n
+    # columns: the tables, the far pairs, then lnΓ and ψ at α per gene
+    values = np.empty((2, n_tab + n_far + g_n))
+    tables = values[:, :n_tab].reshape(2, k + 1, g_n)  # row c: count c
+    log_prod, recip_sum = tables
+    tables[:, 0] = 0.0
+    steps = _STEPS + alpha  # (K, G): α + i
+    shift = np.maximum(np.frexp(steps[-1])[1] - 62, 0)  # each step below 2^62
+    np.cumprod(steps * np.ldexp(1.0, -shift), axis=0, out=log_prod[1:])
+    np.log(log_prod[1:], out=log_prod[1:])
+    log_prod[1:] += (_STEPS + 1.0) * (shift * np.log(2.0))
+    np.cumsum(1.0 / steps, axis=0, out=recip_sum[1:])
+
+    z = np.empty(n_far + g_n)
+    np.take(alpha, far_gene, out=z[:n_far])
+    z[:n_far] += far_count
+    np.add(alpha, k, out=z[n_far:])
+    _lgamma_psi_series(z, values[:, n_tab:])
+    at_alpha = values[:, n_tab + n_far:]
+    at_alpha -= tables[:, k]  # lnΓ(α), ψ(α)
+    for far_row, alpha_row in zip(values[:, n_tab:n_tab + n_far], at_alpha):
+        far_row -= np.take(alpha_row, far_gene, out=z[:n_far])
+    return np.take(values, source, axis=1)
+
+
 @dataclass
 class _CountTable:
     """A count matrix as its distinct (count, gene) pairs and how often each
@@ -229,7 +330,8 @@ class _CountTable:
     count: np.ndarray  # (P,) count of each distinct pair, by gene, ascending
     gene: np.ndarray  # (P,) gene of each distinct pair
     mult: np.ndarray  # (P,) float64 number of entries holding each pair
-    lgamma_x1: np.ndarray  # (P,) gammaln(count + 1)
+    sources: tuple  # _term_sources(count, gene, G)
+    lgamma_x1: np.ndarray  # (P,) lnΓ(count + 1)
     scratch: list = field(repr=False)  # 3 (S, G) float64 arrays
     groups: tuple = ()  # signature fits: (rows, starts) by type, by batch
 
@@ -250,8 +352,10 @@ def _count_table(counts, what: str = "counts", groups: tuple = ()) -> _CountTabl
     count, gene = by_gene[first], np.nonzero(first)[0]
     mult = np.diff(np.append(np.flatnonzero(first), first.size)).astype(np.float64)
     del by_gene, first  # so the scratch can take the sort's memory
-    return _CountTable(x=x, count=count, gene=gene, mult=mult,
-                       lgamma_x1=gammaln(count + 1.0),
+    sources = _term_sources(count, gene, x.shape[1])
+    lgamma_x1 = _lgamma_psi_diffs(np.ones(x.shape[1]), sources)[0].copy()
+    return _CountTable(x=x, count=count, gene=gene, mult=mult, sources=sources,
+                       lgamma_x1=lgamma_x1,
                        scratch=[np.empty(x.shape) for _ in range(3)],
                        groups=groups)
 
@@ -262,9 +366,9 @@ def _nb_terms(table: _CountTable, mu: np.ndarray, disp: np.ndarray):
     mu: (S, G) positive finite rates (the callers check them); disp: (G,)
     inverse dispersions. Returns (sum of the log pmf, dll/dmu as a C-ordered
     (S, G) array, column sums of dll/ddisp as a (G,) array). Per entry the log
-    pmf is gammaln(x+disp) - gammaln(disp) - gammaln(x+1)
+    pmf is lnΓ(x+disp) - lnΓ(disp) - lnΓ(x+1)
     + disp*(log(disp) - log(mu+disp)) + x*(log(mu) - log(mu+disp)), and
-    dll/ddisp is digamma(x+disp) - digamma(disp) + log(disp/(mu+disp))
+    dll/ddisp is ψ(x+disp) - ψ(disp) + log(disp/(mu+disp))
     + (mu-x)/(mu+disp), which is summed here as ... + log(disp)
     - log(mu+disp) + 1 - (x+disp)/(mu+disp). Works in the table's scratch
     arrays 0 and 1, so mu must not be one of them; the returned dll/dmu is
@@ -278,11 +382,12 @@ def _nb_terms(table: _CountTable, mu: np.ndarray, disp: np.ndarray):
     s_n = x.shape[0]
     work, xd_total = table.scratch[0], table.scratch[1]
 
-    # the gammaln and digamma terms, once per distinct pair times its count
-    xd = table.count + disp[gene]
-    ll = mult @ (gammaln(xd) - gammaln(disp)[gene] - table.lgamma_x1)
-    ddisp = np.bincount(gene, mult * (digamma(xd) - digamma(disp)[gene]),
-                        minlength=disp.size)
+    # the lnΓ and ψ terms, once per distinct pair times its count
+    lg, psi = _lgamma_psi_diffs(disp, table.sources)
+    lg -= table.lgamma_x1
+    ll = mult @ lg
+    psi *= mult
+    ddisp = np.bincount(gene, psi, minlength=disp.size)
 
     # (x+disp)/total per entry, which dll/dmu and dll/ddisp share
     total = np.add(mu, disp, out=work)

@@ -1,13 +1,19 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import duet
+from duet.align import AlignModel, load_align, save_align
 from duet.cli import main
 from duet.core import Mlp, Rng
-from duet.fuse import MAGIC_FUSE, load_fuse, save_fuse
-from duet.regress import load_reg, save_reg
+from duet.fuse import MAGIC_FUSE, FuseAdapter, load_fuse, save_fuse
+from duet.regress import RegModel, load_reg, save_reg
 from duet.tsvio import read_matrix_tsv, save_checkpoint, write_matrix_tsv
 from test_pipeline import rehash_outputs
 
@@ -57,6 +63,23 @@ def test_pipeline_command_runs_and_prints_report(tmp_path, cfg_path, capsys,
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"duet", "ret", "reg"}
     assert (tmp_path / "ws" / "pred_duet.tsv").exists()
+
+
+def test_pipeline_loads_no_scipy(tmp_path, cfg_path):
+    # scipy is a test-only dependency: a whole run must not import it
+    script = (
+        "import sys\n"
+        "from duet.cli import main\n"
+        f"code = main(['pipeline', '--config', {str(cfg_path)!r}, '--seed', '7', "
+        f"'--out', {str(tmp_path / 'ws')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(duet.__file__).parents[1]))
+    env.pop("DUET_SEED", None)
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 def test_stage_commands_run_in_sequence(tmp_path, cfg_path, no_env_seed):
@@ -266,6 +289,47 @@ def test_two_output_fuse_checkpoint_exit_1(trained, tmp_path, capsys):
     rehash_outputs(ws, "fuse.ckpt")
     assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
     assert str(ws / "fuse.ckpt") in capsys.readouterr().err
+
+
+def _resize_checkpoint(path, extra_in, extra_out=0):
+    """Replace the checkpoint at `path` by a fresh model whose first input dim
+    (the image head's, for align.ckpt) is larger by extra_in and whose output
+    dim (the gene head's input dim, for align.ckpt) is larger by extra_out."""
+    if path.name == "reg.ckpt":
+        model = load_reg(path)
+        save_reg(path, RegModel.init(model.feature_dim + extra_in,
+                                     model.gene_dim + extra_out, Rng(0), hidden=(32, 32)))
+    elif path.name == "fuse.ckpt":
+        save_fuse(path, FuseAdapter.init(load_fuse(path).mlp.in_dim + extra_in, Rng(0),
+                                         hidden=16))
+    else:
+        model = load_align(path)
+        save_align(path, AlignModel.init(model.img_head.in_dim + extra_in,
+                                         model.gene_head.in_dim + extra_out, Rng(0),
+                                         embed_dim=16, hidden=32))
+
+
+@pytest.mark.parametrize("stage,ckpt,extra,other", [
+    # reg.ckpt with 3 outputs more than target_genes.tsv has genes, and with 2
+    # inputs more than features_fm.tsv has columns
+    ("predict", "reg.ckpt", (0, 3), "target_genes.tsv"),
+    ("predict", "reg.ckpt", (2, 0), "features_fm.tsv"),
+    ("fuse", "reg.ckpt", (2, 0), "features_fm.tsv"),
+    ("predict", "fuse.ckpt", (2,), "features_fm.tsv"),
+    ("predict", "align.ckpt", (2, 0), "features_img.tsv"),
+    ("fuse", "align.ckpt", (0, 3), "target_genes.tsv"),
+    ("regress", "align.ckpt", (2, 0), "features_img.tsv"),
+])
+def test_checkpoint_dims_disagree_exit_1(trained, tmp_path, capsys, stage, ckpt,
+                                         extra, other):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    _resize_checkpoint(ws / ckpt, *extra)
+    rehash_outputs(ws, ckpt)
+    assert main([stage, "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    err = capsys.readouterr().err
+    assert str(ws / ckpt) in err and other in err
 
 
 @pytest.mark.parametrize("doc", ["{", "[]", '{"stages": 3}'])

@@ -11,10 +11,12 @@ from duet.retrieval import (
     EmbeddingDB,
     RetrievalConfig,
     RetrievalResult,
+    _check_queries,
+    _one_row,
     _retrieve_chunk,
+    _shortlist,
     _unique_rows,
     blended_scores,
-    candidates,
     rebuild_db,
     retrieve,
     retrieve_batch,
@@ -63,6 +65,15 @@ def random_db(seed, n=300, d=8, g=12, t=4, duplicate_every=0):
 def unit_query(seed, d=8):
     v = Rng(seed).child("q").standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+def candidates(db, v_s, n):
+    """Indices of the n largest dot products, ties by ascending index: the
+    shortlist retrieve_batch takes, for one query."""
+    v = _check_queries(db, _one_row(v_s))
+    if not 0 < n <= db.size:
+        raise InputError(f"need 0 < n <= {db.size}, got {n}")
+    return _shortlist(*_unique_rows(db.h), v, n)[0][0]
 
 
 def brute_force_retrieve(db, v, g_s, cfg):

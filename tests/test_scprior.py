@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, expit, gammaln
 
 from duet import scprior
 from duet.core import Rng, fd_check
@@ -173,6 +173,53 @@ class TestNbLoglik:
             nb_loglik(-1, 1.0, 1.0)
 
 
+# _lgamma_psi_diffs against scipy.special, pair by pair. The bound is set by
+# the method, not by the observed error. The series' truncation: each series
+# is cut at z >= 16 before a term below 1/(156 z^13) (lnΓ) or 1/(12 z^14)
+# (ψ), and a difference takes two of them. The roundings: a running product
+# or sum of up to 16 steps, or about ten operations of the series on values
+# no larger than the addends f(c+α) and f(α), each carry at most 8 eps of the
+# addends' magnitude |f(c+α)| + |f(α)|; scipy's two values carry a few ulp
+# more, so 16 eps of that magnitude covers both sides.
+SERIES_REMAINDER = {gammaln: 2.0 / (156.0 * 16.0**13), digamma: 2.0 / (12.0 * 16.0**14)}
+
+
+def diff_bound(f, count, alpha):
+    return SERIES_REMAINDER[f] + 16 * EPS * (np.abs(f(count + alpha)) + np.abs(f(alpha)))
+
+
+def lgamma_psi_case(alphas):
+    """Every count below 16 and the boundary, then up to 1e5 in geometric
+    steps, for each gene (one per alpha), in shuffled pair order."""
+    counts = np.unique(np.concatenate((np.arange(40.0), np.round(np.geomspace(40, 1e5, 200)))))
+    count = np.tile(counts, len(alphas))
+    gene = np.repeat(np.arange(len(alphas)), counts.size)
+    order = np.random.default_rng(0).permutation(count.size)
+    count, gene = count[order], gene[order]
+    alpha = np.asarray(alphas, dtype=np.float64)
+    lg, psi = scprior._lgamma_psi_diffs(alpha, scprior._term_sources(count, gene, alpha.size))
+    return count, alpha[gene], lg, psi
+
+
+class TestLgammaPsiDiffs:
+    @pytest.mark.parametrize("alphas", [[1e-6, 1.0, 17.0, 1e4, 1e8], [1.0], [1e8, 1e-6]])
+    def test_matches_scipy_within_bound(self, alphas):
+        count, alpha, lg, psi = lgamma_psi_case(alphas)
+        assert count.max() == 1e5 and np.all(np.isin(np.arange(17.0), count))
+        for got, f in ((lg, gammaln), (psi, digamma)):
+            want = f(count + alpha) - f(alpha)
+            assert np.all(np.abs(got - want) <= diff_bound(f, count, alpha))
+
+    def test_zero_count_is_exactly_zero(self):
+        count, _, lg, psi = lgamma_psi_case([1e-6, 1.0, 17.0, 1e4, 1e8])
+        assert np.all(lg[count == 0] == 0.0) and np.all(psi[count == 0] == 0.0)
+
+    def test_finite_up_to_huge_alpha(self):
+        # the running product of 16 steps near 1e300 would overflow unscaled
+        _, _, lg, psi = lgamma_psi_case([1e20, 1e100, 1e200, 1e300])
+        assert np.all(np.isfinite(lg)) and np.all(np.isfinite(psi))
+
+
 def kernel_case(s_n, g_n, order, disp_kind, seed=0):
     """Counts in the given memory order (column 0 all zero when G > 1, a few
     entries up to 5000), positive rates, and a (G,) dispersion."""
@@ -229,7 +276,12 @@ class TestNbKernel:
         assert {(c, g): m for c, g, m in got} == want
         assert table.count.size == len(want)
         assert np.all(np.diff(table.gene * 1e4 + table.count) > 0)
-        assert np.array_equal(table.lgamma_x1, gammaln(table.count + 1.0))
+        # lnΓ(c+1) is the lnΓ difference at α = 1, bit for bit, and scipy's
+        # gammaln within the helper's bound
+        at_one = scprior._lgamma_psi_diffs(np.ones(7), table.sources)[0]
+        assert np.array_equal(table.lgamma_x1, at_one)
+        assert np.all(np.abs(table.lgamma_x1 - gammaln(table.count + 1.0))
+                      <= diff_bound(gammaln, table.count, 1.0))
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_bad_counts_rejected(self, bad):
@@ -381,6 +433,17 @@ class TestPositive:
     def test_roundtrip(self):
         vals = np.array([1e-5, 0.1, 1.0, 37.5, 900.0])
         assert np.max(np.abs(positive(positive_inv(vals)) - vals)) < 1e-9
+
+    def test_grad_is_the_logistic(self):
+        # e/(1+e) or 1/(1+e), e = exp(-|x|): a few roundings, relative
+        x = np.concatenate((np.linspace(-700.0, 700.0, 4001), [0.0, -0.0, 1e-300]))
+        assert np.allclose(scprior.positive_grad(x), expit(x), rtol=4 * EPS, atol=0.0)
+
+    def test_grad_does_not_overflow(self):
+        x = np.array([-np.inf, -1e308, -800.0, 800.0, 1e308, np.inf])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = scprior.positive_grad(x)
+        assert np.array_equal(got, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 
 
 def tiny_dataset(seed=11, c=40, g=6, t=2, b=2):
