@@ -18,8 +18,6 @@ from .metrics import metrics
 from .pipeline import STAGES, PipelineConfig, run_pipeline
 from .tsvio import read_matrix_tsv
 
-STAGE_COMMANDS = ("synth", "deconv", "align", "regress", "fuse", "predict")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract wants usage + exit 1
@@ -38,7 +36,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", type=Path, required=True,
                        help="workspace directory")
 
-    for name in STAGE_COMMANDS:
+    for name in (n for n in STAGES if n != "eval"):  # `eval` scores two files
         add_run_flags(sub.add_parser(name, help=f"run the {name} stage"))
     add_run_flags(sub.add_parser("pipeline", help="run every stage in order"))
 
@@ -70,10 +68,11 @@ def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "eval":
-        pred, pred_ids, _ = read_matrix_tsv(args.pred)
-        truth, truth_ids, _ = read_matrix_tsv(args.truth)
-        if pred_ids != truth_ids:
-            raise InputError("--pred and --truth row ids disagree")
+        pred, pred_ids, pred_cols = read_matrix_tsv(args.pred)
+        truth, truth_ids, truth_cols = read_matrix_tsv(args.truth)
+        if (pred_ids, pred_cols) != (truth_ids, truth_cols):
+            raise InputError(f"--pred {args.pred} and --truth {args.truth}: row ids "
+                             "or column ids disagree")
         report = metrics(pred, truth)
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0

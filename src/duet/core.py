@@ -1,6 +1,10 @@
 """Numerical kernel: dense matrices, a small MLP with hand-written backprop,
 SGD with momentum, a counter-based RNG, and a finite-difference gradient checker.
 
+Mlp owns the activation policy of every net duet builds or loads: ReLU on
+each hidden layer and identity on the last, so a Layer is only its weight
+and bias.
+
 Matrices are plain 2-D float64 numpy arrays (row-major). Every public
 operation validates shapes and leaves only finite values behind.
 """
@@ -13,8 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericError
-
-ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -97,7 +99,6 @@ class Rng:
 class Layer:
     weight: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str
 
     def __post_init__(self):
         self.weight = as_matrix(self.weight)
@@ -106,8 +107,6 @@ class Layer:
             raise InputError(
                 f"bias shape {self.bias.shape} does not match weight rows {self.weight.shape[0]}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise InputError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -127,7 +126,8 @@ class MlpGradients:
 
 
 class Mlp:
-    """Fully-connected net; weights are (out, in), forward is y = act(W a + b)."""
+    """Fully-connected net; weights are (out, in). Each hidden layer maps a to
+    relu(W a + b), the last to W a + b."""
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -149,21 +149,16 @@ class Mlp:
         return self.layers[-1].weight.shape[0]
 
     @classmethod
-    def init(cls, dims: list[int], rng: Rng, activations: list[str] | None = None) -> "Mlp":
-        """Xavier-uniform weights, zero biases. Default: relu hidden, identity out."""
+    def init(cls, dims: list[int], rng: Rng) -> "Mlp":
+        """Xavier-uniform weights, zero biases."""
         if len(dims) < 2:
             raise InputError("dims must list input and output sizes")
-        n_layers = len(dims) - 1
-        if activations is None:
-            activations = ["relu"] * (n_layers - 1) + ["identity"]
-        if len(activations) != n_layers:
-            raise InputError("one activation per layer required")
         layers = []
-        for i in range(n_layers):
+        for i in range(len(dims) - 1):
             fan_in, fan_out = dims[i], dims[i + 1]
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             w = rng.child("xavier", i).uniform(-limit, limit, size=(fan_out, fan_in))
-            layers.append(Layer(w, np.zeros(fan_out), activations[i]))
+            layers.append(Layer(w, np.zeros(fan_out)))
         return cls(layers)
 
     def touch(self):
@@ -199,9 +194,11 @@ class Mlp:
         if a.shape[1] != self.in_dim:
             raise InputError(f"input dim {a.shape[1]} != net input dim {self.in_dim}")
         acts = [a]
-        for layer in self.layers:
-            z = a @ layer.weight.T + layer.bias
-            a = _apply_activation(z, layer.activation)
+        last = len(self.layers) - 1
+        for k, layer in enumerate(self.layers):
+            a = a @ layer.weight.T + layer.bias
+            if k < last:
+                a = np.maximum(a, 0.0)
             acts.append(a)
         _ensure_finite(a, "mlp forward output")
         y = a[0] if single else a
@@ -218,33 +215,15 @@ class Mlp:
                 f"cotangent shape {da.shape} != output shape {tape.activations[-1].shape}"
             )
         grads: list = [None] * len(self.layers)
-        for k in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[k]
-            a_out = tape.activations[k + 1]
-            a_in = tape.activations[k]
-            dz = da * _activation_grad(a_out, layer.activation)
-            grads[k] = (dz.T @ a_in, dz.sum(axis=0))
-            da = dz @ layer.weight
+        last = len(self.layers) - 1
+        for k in range(last, -1, -1):
+            # relu's derivative is recoverable from its output alone
+            dz = da if k == last else da * (tape.activations[k + 1] > 0.0)
+            grads[k] = (dz.T @ tape.activations[k], dz.sum(axis=0))
+            da = dz @ self.layers[k].weight
         d_input = da[0] if tape.single else da
         _ensure_finite(d_input, "mlp backward input gradient")
         return MlpGradients(grads, d_input)
-
-
-def _apply_activation(z: np.ndarray, name: str) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _activation_grad(a_out: np.ndarray, name: str) -> np.ndarray:
-    # derivatives recoverable from the activation output alone
-    if name == "relu":
-        return (a_out > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - a_out * a_out
-    return np.ones_like(a_out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ single run seed; re-running any stage with the same seed and inputs rewrites
 byte-identical outputs (the manifest, which carries wall-clock timestamps, is
 the one exception). Every file is written atomically (tsvio.write_atomic).
 
-STAGE_IO, beside STAGES, declares each stage's input and output files. A
+The _stage decorator declares each stage where it is defined: its name and
+its input and output files (STAGE_IO). It registers in STAGES the runner all
+stages share, which wraps a path (the CLI, tests) in a fresh Workspace, sets
+the running stage, runs the body and records the stage in the manifest. A
 stage reads and writes only through a Workspace, which refuses (InputError)
 any name its stage did not declare. The Workspace parses each file at most
 once per run and hands every write to later reads: a TSV written or read
@@ -18,15 +21,15 @@ It also keeps the sha256 of the bytes it read or wrote, and the manifest
 records those for each stage's declared outputs and inputs. A file it parses
 from disk must hash as the manifest records it among its producer's outputs
 (if it records it at all), so a file changed since its stage wrote it fails
-with an InputError naming it. A stage given a path (the CLI, tests) wraps it
-in a fresh Workspace. Per-spot matrices (features, gating, truth_n) must
-carry st_counts.tsv's spot ids, in order, and a checkpoint's dims must match
-the feature columns and target genes it is used with (_check_dims).
+with an InputError naming it. Per-spot matrices (features, gating, truth_n)
+must carry st_counts.tsv's spot ids, in order, and a checkpoint's dims must
+match the feature columns and target genes it is used with (_check_dims).
 The workspace holds exactly the files STAGE_IO names, plus manifest.json.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -83,8 +86,15 @@ class TrainConfig:
     reg_batch: int = 128
 
     def __post_init__(self):
-        if isinstance(self.reg_hidden, list):
-            self.reg_hidden = tuple(self.reg_hidden)
+        # JSON gives bool for true/false and float for 1.5; neither is an int here
+        if not (isinstance(self.reg_hidden, (list, tuple))
+                and all(type(h) is int and h >= 1 for h in self.reg_hidden)):
+            raise InputError("bad config: 'train.reg_hidden' must be a list of "
+                             f"positive integers, got {self.reg_hidden!r}")
+        self.reg_hidden = tuple(self.reg_hidden)
+        if not (type(self.panel_size) is int and self.panel_size >= 1):
+            raise InputError("bad config: 'train.panel_size' must be an integer "
+                             f">= 1, got {self.panel_size!r}")
         if not (0 < self.train_frac < 1 and 0 < self.fuse_frac < 1):
             raise InputError("split fractions must lie in (0, 1)")
         if self.train_frac + self.fuse_frac >= 1:
@@ -109,13 +119,16 @@ class PipelineConfig:
         if isinstance(doc.get("synth"), dict) and "seed" in doc["synth"]:
             raise InputError("bad config: 'synth.seed' is not accepted; the run "
                              "seed (--seed, DUET_SEED or top-level 'seed') is used")
+        seed = doc.get("seed", 0)
+        if type(seed) is not int:
+            raise InputError(f"bad config: 'seed' must be an integer, got {seed!r}")
         try:
             return cls(
                 synth=SynthConfig(**doc.get("synth", {})),
                 retrieval=RetrievalConfig(**doc.get("retrieval", {})),
                 anneal=AnnealSchedule(**doc.get("anneal", {})),
                 train=TrainConfig(**doc.get("train", {})),
-                seed=int(doc.get("seed", 0)),
+                seed=seed,
             )
         except TypeError as exc:
             raise InputError(f"bad config: {exc}") from None
@@ -234,11 +247,31 @@ class Workspace:
                         {n: self._sha[n] for n in inputs})
 
 
-def _open(ws, stage: str | None) -> Workspace:
-    """`ws`, or a fresh Workspace over the path `ws`, set to run `stage`."""
-    ws = ws if isinstance(ws, Workspace) else Workspace(ws)
-    ws.stage = stage
-    return ws
+# each stage's (inputs, outputs): the only files it may read and write, and
+# the ones its manifest entry hashes
+STAGE_IO = {}
+STAGES = {}  # name -> runner(cfg, seed, path or Workspace), in pipeline order
+
+
+def _stage(inputs: tuple, outputs: tuple):
+    """Register the decorated `stage_<name>(cfg, seed, ws)` body as stage
+    <name>, reading `inputs` and writing `outputs`. The decorated name is
+    bound to the runner, which is STAGES[<name>]."""
+    def register(body):
+        name = body.__name__.removeprefix("stage_")
+        STAGE_IO[name] = (inputs, outputs)
+
+        @functools.wraps(body)
+        def run(cfg: PipelineConfig, seed: int, ws: Path | Workspace):
+            ws = ws if isinstance(ws, Workspace) else Workspace(ws)
+            ws.stage = name
+            result = body(cfg, seed, ws)
+            ws.stamp(cfg, seed)
+            return result
+
+        STAGES[name] = run
+        return run
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +310,12 @@ def _split(ws: Workspace, spots: list[str], name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def stage_synth(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
-    ws = _open(ws, "synth")
+@_stage((), (
+    "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
+    "features_fm.tsv", "truth_w.tsv", "truth_n.tsv", "truth_d.tsv",
+    "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
+    "split_train.tsv", "split_fuse.tsv", "split_test.tsv"))
+def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     ws.root.mkdir(parents=True, exist_ok=True)
     synth_cfg = replace(cfg.synth, seed=seed)
     sc, truth = gen_sc(synth_cfg)
@@ -316,7 +353,6 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
     ws.write_ids("split_train.tsv", ids[np.sort(perm[:n_train])])
     ws.write_ids("split_fuse.tsv", ids[np.sort(perm[n_train:n_train + n_fuse])])
     ws.write_ids("split_test.tsv", ids[np.sort(perm[n_train + n_fuse:])])
-    ws.stamp(cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +360,11 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
-    ws = _open(ws, "deconv")
+@_stage(("sc_counts.tsv", "sc_labels.tsv", "target_genes.tsv", "st_counts.tsv",
+         "truth_n.tsv"),
+        ("signature.tsv", "panel_genes.tsv", "deconv_w_mean.tsv",
+         "deconv_w_q05.tsv", "proportions.tsv", "gating.tsv"))
+def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("deconv-stage")
     sc_counts, cells, genes = ws.matrix("sc_counts.tsv")
     labels, _, label_cols = ws.matrix("sc_labels.tsv")
@@ -361,7 +400,6 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
 
     sig = build_gating(post, ws.spot_matrix("truth_n.tsv")[:, 0])
     ws.write_matrix("gating.tsv", sig.g, spots, types)
-    ws.stamp(cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +407,10 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_align(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
-    ws = _open(ws, "align")
+@_stage(("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
+         "split_train.tsv"),
+        ("align.ckpt",))
+def stage_align(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("align-stage")
     spots, _, y = _targets(ws)
     f_img = ws.spot_matrix("features_img.tsv")
@@ -388,7 +428,6 @@ def stage_align(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
                              embed_dim=tc.embed_dim, hidden=tc.align_hidden),
     )
     ws.save("align.ckpt", save_align, model)
-    ws.stamp(cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +454,31 @@ def _align_model(ws: Workspace, f_img, y):
     return model
 
 
-def _reg_model(ws: Workspace, f_fm, y):
-    model = ws.checkpoint("reg.ckpt", load_reg)
-    _check_dims(ws, "reg.ckpt",
-                ("input dim", model.feature_dim, "features_fm.tsv", f_fm.shape[1],
-                 "columns"),
-                ("output dim", model.gene_dim, "target_genes.tsv", y.shape[1],
-                 "genes"))
-    return model
+def _branch_predictions(cfg: PipelineConfig, ws: Workspace, split: str):
+    """(spot ids, target genes, (f_fm, y_ret, y_reg, y)) on split_<split>.tsv's
+    spots: their foundation-model features, the retrieval branch's prediction
+    from the training spots' database, the regression branch's prediction and
+    the log1p targets."""
+    spots, target_genes, y = _targets(ws)
+    f_img = ws.spot_matrix("features_img.tsv")
+    f_fm = ws.spot_matrix("features_fm.tsv")
+    gating = ws.spot_matrix("gating.tsv")
+    subset = _split(ws, spots, split)
 
-
-def _train_db(ws: Workspace, spots, y, gating, f_img):
-    """The alignment model and the retrieval database of the training spots."""
     idx = _split(ws, spots, "train")
-    model = _align_model(ws, f_img, y)
-    db = rebuild_db(model, y[idx], gating[idx], [spots[i] for i in idx])
-    return model, db
+    align_model = _align_model(ws, f_img, y)
+    db = rebuild_db(align_model, y[idx], gating[idx], [spots[i] for i in idx])
+    y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
+                           cfg.retrieval)
+    reg_model = ws.checkpoint("reg.ckpt", load_reg)
+    _check_dims(ws, "reg.ckpt",
+                ("input dim", reg_model.feature_dim, "features_fm.tsv",
+                 f_fm.shape[1], "columns"),
+                ("output dim", reg_model.gene_dim, "target_genes.tsv", y.shape[1],
+                 "genes"))
+    y_reg = reg_model.predict(f_fm[subset])
+    return [spots[i] for i in subset], target_genes, (f_fm[subset], y_ret, y_reg,
+                                                      y[subset])
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +486,10 @@ def _train_db(ws: Workspace, spots, y, gating, f_img):
 # ---------------------------------------------------------------------------
 
 
-def stage_regress(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
-    ws = _open(ws, "regress")
+@_stage(("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
+         "features_fm.tsv", "gating.tsv", "split_train.tsv", "align.ckpt"),
+        ("reg.ckpt",))
+def stage_regress(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("regress-stage")
     spots, _, y = _targets(ws)
     f_img = ws.spot_matrix("features_img.tsv")
@@ -463,7 +513,6 @@ def stage_regress(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
         model=model,
     )
     ws.save("reg.ckpt", save_reg, model)
-    ws.stamp(cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -471,28 +520,19 @@ def stage_regress(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_fuse(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
-    ws = _open(ws, "fuse")
+@_stage(("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
+         "features_fm.tsv", "gating.tsv", "split_train.tsv", "split_fuse.tsv",
+         "align.ckpt", "reg.ckpt"),
+        ("fuse.ckpt",))
+def stage_fuse(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("fuse-stage")
-    spots, _, y = _targets(ws)
-    f_img = ws.spot_matrix("features_img.tsv")
-    f_fm = ws.spot_matrix("features_fm.tsv")
-    gating = ws.spot_matrix("gating.tsv")
-    subset = _split(ws, spots, "fuse")
-
-    align_model, db = _train_db(ws, spots, y, gating, f_img)
-    y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
-                           cfg.retrieval)
-    y_reg = _reg_model(ws, f_fm, y).predict(f_fm[subset])
-
-    adapter = FuseAdapter.init(f_fm.shape[1], rng.child("init"),
+    _, _, data = _branch_predictions(cfg, ws, "fuse")
+    adapter = FuseAdapter.init(data[0].shape[1], rng.child("init"),
                                hidden=cfg.train.fuse_hidden,
                                reg_coef=cfg.train.reg_coef)
-    train_fuse(adapter, (f_fm[subset], y_ret, y_reg, y[subset]),
-               cfg.train.fuse_epochs, SgdState(lr=cfg.train.fuse_lr),
-               rng.child("fit"))
+    train_fuse(adapter, data, cfg.train.fuse_epochs,
+               SgdState(lr=cfg.train.fuse_lr), rng.child("fit"))
     ws.save("fuse.ckpt", save_fuse, adapter)
-    ws.stamp(cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -500,30 +540,23 @@ def stage_fuse(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_predict(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
-    ws = _open(ws, "predict")
-    spots, target_genes, y = _targets(ws)
-    f_img = ws.spot_matrix("features_img.tsv")
-    f_fm = ws.spot_matrix("features_fm.tsv")
-    gating = ws.spot_matrix("gating.tsv")
-    subset = _split(ws, spots, "test")
-    ids = [spots[i] for i in subset]
-
-    align_model, db = _train_db(ws, spots, y, gating, f_img)
-    y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
-                           cfg.retrieval)
-    y_reg = _reg_model(ws, f_fm, y).predict(f_fm[subset])
+@_stage(("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
+         "features_fm.tsv", "gating.tsv", "split_train.tsv", "split_test.tsv",
+         "align.ckpt", "reg.ckpt", "fuse.ckpt"),
+        ("pred_ret.tsv", "pred_reg.tsv", "pred_duet.tsv", "alphas.tsv",
+         "y_test.tsv"))
+def stage_predict(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
+    ids, target_genes, (f_fm, y_ret, y_reg, y) = _branch_predictions(cfg, ws, "test")
     adapter = ws.checkpoint("fuse.ckpt", load_fuse)
     _check_dims(ws, "fuse.ckpt", ("input dim", adapter.mlp.in_dim, "features_fm.tsv",
                                    f_fm.shape[1], "columns"))
-    y_duet, alphas = fuse_predict_batch(adapter, f_fm[subset], y_ret, y_reg)
+    y_duet, alphas = fuse_predict_batch(adapter, f_fm, y_ret, y_reg)
 
     ws.write_matrix("pred_ret.tsv", y_ret, ids, target_genes)
     ws.write_matrix("pred_reg.tsv", y_reg, ids, target_genes)
     ws.write_matrix("pred_duet.tsv", y_duet, ids, target_genes)
     ws.write_matrix("alphas.tsv", alphas[:, None], ids, ["alpha"])
-    ws.write_matrix("y_test.tsv", y[subset], ids, target_genes)
-    ws.stamp(cfg, seed)
+    ws.write_matrix("y_test.tsv", y, ids, target_genes)
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +564,17 @@ def stage_predict(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_eval(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> dict:
-    ws = _open(ws, "eval")
+@_stage(("y_test.tsv", "pred_duet.tsv", "pred_ret.tsv", "pred_reg.tsv"),
+        ("variance_curve_duet.tsv", "variance_curve_ret.tsv",
+         "variance_curve_reg.tsv", "metrics.json"))
+def stage_eval(cfg: PipelineConfig, seed: int, ws: Workspace) -> dict:
     y, ids, target_genes = ws.matrix("y_test.tsv")
     report = {}
     for branch in ("duet", "ret", "reg"):
-        pred, pids, _ = ws.matrix(f"pred_{branch}.tsv")
-        if pids != ids:
-            raise InputError(f"pred_{branch}.tsv spot ids disagree with y_test.tsv")
+        pred, pids, genes = ws.matrix(f"pred_{branch}.tsv")
+        if (pids, genes) != (ids, target_genes):
+            raise InputError(f"pred_{branch}.tsv spot ids or gene ids disagree "
+                             "with y_test.tsv")
         report[branch] = metrics(pred, y).to_dict()
         vc = variance_curve(pred, y)
         ws.write_matrix(
@@ -549,64 +585,15 @@ def stage_eval(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> dict:
         )
     ws.save("metrics.json", write_atomic,
             json.dumps(report, indent=2, sort_keys=True) + "\n")
-    ws.stamp(cfg, seed)
     return report
 
-
-# each stage's (inputs, outputs): the only files it may read and write, and
-# the ones its manifest entry hashes
-STAGE_IO = {
-    "synth": ((), (
-        "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
-        "features_fm.tsv", "truth_w.tsv", "truth_n.tsv", "truth_d.tsv",
-        "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
-        "split_train.tsv", "split_fuse.tsv", "split_test.tsv")),
-    "deconv": (
-        ("sc_counts.tsv", "sc_labels.tsv", "target_genes.tsv", "st_counts.tsv",
-         "truth_n.tsv"),
-        ("signature.tsv", "panel_genes.tsv", "deconv_w_mean.tsv",
-         "deconv_w_q05.tsv", "proportions.tsv", "gating.tsv")),
-    "align": (
-        ("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
-         "split_train.tsv"),
-        ("align.ckpt",)),
-    "regress": (
-        ("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
-         "features_fm.tsv", "gating.tsv", "split_train.tsv", "align.ckpt"),
-        ("reg.ckpt",)),
-    "fuse": (
-        ("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
-         "features_fm.tsv", "gating.tsv", "split_train.tsv", "split_fuse.tsv",
-         "align.ckpt", "reg.ckpt"),
-        ("fuse.ckpt",)),
-    "predict": (
-        ("st_counts.tsv", "target_genes.tsv", "features_img.tsv",
-         "features_fm.tsv", "gating.tsv", "split_train.tsv", "split_test.tsv",
-         "align.ckpt", "reg.ckpt", "fuse.ckpt"),
-        ("pred_ret.tsv", "pred_reg.tsv", "pred_duet.tsv", "alphas.tsv",
-         "y_test.tsv")),
-    "eval": (
-        ("y_test.tsv", "pred_duet.tsv", "pred_ret.tsv", "pred_reg.tsv"),
-        ("variance_curve_duet.tsv", "variance_curve_ret.tsv",
-         "variance_curve_reg.tsv", "metrics.json")),
-}
-
-STAGES = {
-    "synth": stage_synth,
-    "deconv": stage_deconv,
-    "align": stage_align,
-    "regress": stage_regress,
-    "fuse": stage_fuse,
-    "predict": stage_predict,
-    "eval": stage_eval,
-}
 
 PIPELINE_ORDER = tuple(STAGES)
 
 
 def run_pipeline(cfg: PipelineConfig, seed: int, ws: Path | Workspace) -> dict:
     """All stages in order, through one Workspace; returns the metrics report."""
-    ws = _open(ws, None)
+    ws = ws if isinstance(ws, Workspace) else Workspace(ws)
     result = None
     for name in PIPELINE_ORDER:
         result = STAGES[name](cfg, seed, ws)

@@ -35,10 +35,10 @@ scalars, then per net the raw f64 parameters layer by layer (weight
 row-major, then bias). Each model module keeps its tag and save/load pair
 next to the model: align (`DUET-ALN1`; temperature; image head, gene head),
 regress (`DUET-REG1`; no scalars; head) and fuse (`DUET-FUS1`; reg_coef;
-adapter net). Activations are not stored; every net is relu on hidden layers
-and identity on the final layer, which the loader reinstates. The loader
-rejects (InputError, naming the file) a wrong tag, a truncated file, trailing
-bytes, a layer count outside 1-64, any non-finite weight, bias or scalar, and
+adapter net). Activations are not stored: a net is its layers' weights and
+biases, and core.Mlp owns the one activation policy. The loader rejects
+(InputError, naming the file) a wrong tag, a truncated file, trailing bytes,
+a layer count outside 1-64, any non-finite weight, bias or scalar, and
 whatever the model's own checks reject.
 
 A run manifest is JSON: the seed, the config echo, and per stage its
@@ -243,8 +243,7 @@ def load_checkpoint(path, data: bytes | None, magic: bytes, n_scalars: int,
               for net in dims]
     r.done()
     try:
-        nets = [Mlp([Layer(w, b, "identity" if k == len(net) - 1 else "relu")
-                     for k, (w, b) in enumerate(net)]) for net in params]
+        nets = [Mlp([Layer(w, b) for w, b in net]) for net in params]
         return build(*scalars, *nets)
     except InputError as exc:
         raise InputError(f"{p}: {exc}") from None

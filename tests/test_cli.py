@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,9 +11,10 @@ import pytest
 
 import duet
 from duet.align import AlignModel, load_align, save_align
-from duet.cli import main
+from duet.cli import _build_parser, main
 from duet.core import Mlp, Rng
 from duet.fuse import MAGIC_FUSE, FuseAdapter, load_fuse, save_fuse
+from duet.pipeline import STAGES
 from duet.regress import RegModel, load_reg, save_reg
 from duet.tsvio import read_matrix_tsv, save_checkpoint, write_matrix_tsv
 from test_pipeline import rehash_outputs
@@ -109,6 +111,16 @@ def test_eval_mismatched_ids(tmp_path, capsys):
     assert "row ids" in capsys.readouterr().err
 
 
+def test_eval_swapped_gene_columns_exit_1_naming_both_files(tmp_path, capsys):
+    p = tmp_path / "p.tsv"
+    q = tmp_path / "q.tsv"
+    write_matrix_tsv(p, [[1.0, 2.0], [3.0, 5.0]], ["s0", "s1"], ["g1", "g0"])
+    write_matrix_tsv(q, [[2.0, 1.0], [5.0, 3.0]], ["s0", "s1"], ["g0", "g1"])
+    assert main(["eval", "--pred", str(p), "--truth", str(q)]) == 1
+    err = capsys.readouterr().err
+    assert "column ids" in err and str(p) in err and str(q) in err
+
+
 def test_missing_file_exit_1_with_path(tmp_path, capsys):
     missing = tmp_path / "nope.tsv"
     exists = tmp_path / "t.tsv"
@@ -153,6 +165,34 @@ def test_unknown_subcommand(capsys):
 
 def test_no_subcommand(capsys):
     assert main([]) == 1
+
+
+def test_subcommands_are_the_registered_stages(capsys):
+    # every stage but `eval` is a command; `eval` scores a --pred/--truth pair
+    usage = _build_parser().format_usage()
+    commands = re.search(r"\{(.+?)\}", usage).group(1).split(",")
+    assert commands == [n for n in STAGES if n != "eval"] + ["pipeline", "eval"]
+    assert main(["eval"]) == 1
+    assert "--pred" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"seed": "abc"}, "'seed'"),
+    ({"seed": 1.7}, "'seed'"),
+    ({"seed": True}, "'seed'"),
+    ({"train": {"reg_hidden": 5}}, "'train.reg_hidden'"),
+    ({"train": {"reg_hidden": [32, 0]}}, "'train.reg_hidden'"),
+    ({"train": {"reg_hidden": [32.5]}}, "'train.reg_hidden'"),
+    ({"train": {"panel_size": 0}}, "'train.panel_size'"),
+    ({"train": {"panel_size": 2.5}}, "'train.panel_size'"),
+])
+def test_wrong_type_config_value_exit_1_naming_key(tmp_path, capsys, no_env_seed,
+                                                   doc, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(p), "--out", str(tmp_path / "ws")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "ws").exists()
 
 
 def test_bad_config_exit_1(tmp_path, capsys):

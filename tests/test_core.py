@@ -90,12 +90,12 @@ class TestMatmul:
 
 class TestMlpForward:
     def test_zero_net_is_zero_map(self):
-        net = Mlp([Layer(np.zeros((3, 4)), np.zeros(3), "identity")])
+        net = Mlp([Layer(np.zeros((3, 4)), np.zeros(3))])
         y, _ = mlp_forward(net, np.array([1.0, -2.0, 3.0, 0.5]))
         assert np.array_equal(y, np.zeros(3))
 
     def test_identity_layer(self):
-        net = Mlp([Layer(np.eye(4), np.zeros(4), "identity")])
+        net = Mlp([Layer(np.eye(4), np.zeros(4))])
         x = np.array([0.3, -1.2, 5.0, 0.0])
         y, _ = mlp_forward(net, x)
         assert np.array_equal(y, x)
@@ -131,8 +131,8 @@ class TestMlpForward:
     def test_chain_mismatch_rejected(self):
         with pytest.raises(InputError):
             Mlp([
-                Layer(np.zeros((3, 4)), np.zeros(3), "relu"),
-                Layer(np.zeros((2, 5)), np.zeros(2), "identity"),
+                Layer(np.zeros((3, 4)), np.zeros(3)),
+                Layer(np.zeros((2, 5)), np.zeros(2)),
             ])
 
 
@@ -147,7 +147,7 @@ class TestMlpBackward:
 
     def test_scalar_linear_net(self):
         # y = w*x, dL/dy = 1 -> dL/dw = x
-        net = Mlp([Layer(np.array([[2.0]]), np.zeros(1), "identity")])
+        net = Mlp([Layer(np.array([[2.0]]), np.zeros(1))])
         y, tape = mlp_forward(net, np.array([3.0]))
         grads = mlp_backward(net, tape, np.array([1.0]))
         assert grads.layers[0][0][0, 0] == 3.0
@@ -169,11 +169,7 @@ class TestMlpBackward:
             r = arch_rng.child("trial", trial)
             n_layers = int(r.child("L").integers(1, 4))
             dims = [int(d) for d in r.child("dims").integers(1, 33, size=n_layers + 1)]
-            acts = [
-                ["relu", "tanh", "identity"][int(a)]
-                for a in r.child("acts").integers(0, 3, size=n_layers)
-            ]
-            net = Mlp.init(dims, r.child("init"), activations=acts)
+            net = Mlp.init(dims, r.child("init"))
             x = r.child("x").standard_normal(dims[0])
             u = r.child("u").standard_normal(dims[-1])
 
@@ -274,3 +270,11 @@ class TestRng:
     def test_seed_validation(self):
         with pytest.raises(InputError):
             Rng(-1)
+
+    def test_golden_streams(self):
+        # recorded values: a change to key derivation or to how the generator
+        # is built fails here, not only as a workspace diff
+        assert Rng(0).child("split").permutation(10).tolist() == [
+            0, 4, 9, 1, 7, 8, 6, 2, 3, 5]
+        assert Rng(0).child("a").child("b", 3).standard_normal(3).tolist() == [
+            0.21019569326942344, 0.4531164786802864, -1.28667196459265]

@@ -18,7 +18,7 @@ from duet.pipeline import (
     run_pipeline,
     stage_predict,
 )
-from duet.tsvio import read_ids_tsv, read_matrix_tsv
+from duet.tsvio import read_ids_tsv, read_matrix_tsv, write_matrix_tsv
 
 TINY = {
     "synth": {
@@ -314,6 +314,16 @@ def test_stale_input_rejected_naming_it(ws, tmp_path):
     w = Workspace(d)
     w.stage = "align"
     assert w.matrix("st_counts.tsv")[0].shape == (60, 160)
+
+
+def test_eval_rejects_swapped_gene_columns(ws, tmp_path):
+    d = tmp_path / "w"
+    shutil.copytree(ws[0], d)
+    m, rows, cols = read_matrix_tsv(d / "pred_reg.tsv")
+    write_matrix_tsv(d / "pred_reg.tsv", m, rows, [cols[1], cols[0], *cols[2:]])
+    rehash_outputs(d, "pred_reg.tsv")
+    with pytest.raises(InputError, match="pred_reg.tsv.*gene ids.*y_test.tsv"):
+        STAGES["eval"](tiny_cfg(), 3, d)
 
 
 @pytest.mark.parametrize("doc", ["{", "[]", '{"stages": 3}'])

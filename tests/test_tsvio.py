@@ -167,10 +167,9 @@ class TestCheckpoints:
 
 
 def _net(*layers) -> Mlp:
-    """An Mlp of (weight rows, bias) pairs: relu hidden, identity last."""
-    return Mlp([Layer(np.array(w, dtype=float), np.array(b, dtype=float),
-                      "identity" if k == len(layers) - 1 else "relu")
-                for k, (w, b) in enumerate(layers)])
+    """An Mlp of (weight rows, bias) pairs."""
+    return Mlp([Layer(np.array(w, dtype=float), np.array(b, dtype=float))
+                for w, b in layers])
 
 
 class TestCheckpointGoldenBytes:
@@ -359,7 +358,7 @@ class TestExactRoundTrips:
 
 @st.composite
 def mlps(draw, out_dim=None):
-    """Relu-hidden, identity-final nets with arbitrary finite parameters."""
+    """Nets with arbitrary finite parameters."""
     n_layers = draw(st.integers(1, 3))
     dims = [draw(st.integers(1, 5)) for _ in range(n_layers + 1)]
     dims[-1] = out_dim or dims[-1]
@@ -367,12 +366,12 @@ def mlps(draw, out_dim=None):
     for k in range(n_layers):
         w = draw(arrays(np.float64, (dims[k + 1], dims[k]), elements=FINITE))
         b = draw(arrays(np.float64, dims[k + 1], elements=FINITE))
-        layers.append(Layer(w, b, "identity" if k == n_layers - 1 else "relu"))
+        layers.append(Layer(w, b))
     return Mlp(layers)
 
 
 def assert_same_mlp(a: Mlp, b: Mlp):
-    assert [l.activation for l in a.layers] == [l.activation for l in b.layers]
+    assert len(a.layers) == len(b.layers)
     for la, lb in zip(a.layers, b.layers):
         assert la.weight.shape == lb.weight.shape
         assert np.array_equal(bits(la.weight), bits(lb.weight))
@@ -395,8 +394,8 @@ def align_heads(draw):
 class TestCheckpointRoundTrips:
     @settings(max_examples=30, deadline=None)
     @given(heads=align_heads(), temperature=FINITE)
-    @example(heads=(Mlp([Layer(np.array([EDGE_ROW]), [5e-324], "identity")]),
-                    Mlp([Layer(np.array([[-0.0]]), [1.7e308], "identity")])),
+    @example(heads=(Mlp([Layer(np.array([EDGE_ROW]), [5e-324])]),
+                    Mlp([Layer(np.array([[-0.0]]), [1.7e308])])),
              temperature=-0.0)
     def test_align(self, heads, temperature, tmp_path_factory):
         img, gene = heads
@@ -425,7 +424,7 @@ class TestCheckpointRoundTrips:
     @settings(max_examples=30, deadline=None)
     @given(mlp=mlps(out_dim=1),
            reg_coef=st.floats(min_value=0.0, allow_infinity=False))
-    @example(mlp=Mlp([Layer(np.array([EDGE_ROW]), [-0.0], "identity")]),
+    @example(mlp=Mlp([Layer(np.array([EDGE_ROW]), [-0.0])]),
              reg_coef=5e-324)
     def test_fuse(self, mlp, reg_coef, tmp_path_factory):
         path = tmp_path_factory.mktemp("ck") / "fuse.ckpt"
