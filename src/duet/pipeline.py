@@ -320,6 +320,7 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     synth_cfg = replace(cfg.synth, seed=seed)
     sc, truth = gen_sc(synth_cfg)
     st_counts, f_img, f_fm, gating_truth = gen_spots(synth_cfg, truth)
+    truth.mu_spot = None  # no file holds it; free its (S, G) array first
 
     genes = truth.gene_names
     cells = [f"c{i:05d}" for i in range(sc.n_cells)]
@@ -331,6 +332,7 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     labels = np.stack([sc.cell_type, sc.batch], axis=1).astype(np.float64)
     ws.write_matrix("sc_labels.tsv", labels, cells, ["cell_type", "batch"])
     ws.write_matrix("st_counts.tsv", st_counts, spots, genes)
+    del st_counts  # the workspace holds its float64 copy
     ws.write_matrix("features_img.tsv", f_img, spots, feats)
     ws.write_matrix("features_fm.tsv", f_fm, spots, feats)
     ws.write_matrix("truth_w.tsv", truth.w_true, spots, types)
@@ -371,7 +373,7 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     if label_cols != ["cell_type", "batch"]:
         raise InputError("sc_labels.tsv must have cell_type and batch columns")
     data = ScDataset(
-        counts=sc_counts.astype(np.int64),
+        counts=sc_counts,
         cell_type=labels[:, 0].astype(np.int64),
         batch=labels[:, 1].astype(np.int64),
     )
@@ -391,7 +393,7 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     _target_index(st_genes, target_genes)  # every target gene is measured
     if st_genes != genes:
         raise InputError("st_counts and sc_counts gene columns disagree")
-    post = deconvolve(st[:, panel_idx].astype(np.int64), signature[panel_idx],
+    post = deconvolve(st[:, panel_idx], signature[panel_idx],
                       cfg.train.deconv_epochs, rng.child("vi"),
                       lr=cfg.train.deconv_lr)
     ws.write_matrix("deconv_w_mean.tsv", post.w_mean, spots, types)

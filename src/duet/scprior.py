@@ -95,7 +95,9 @@ def positive_grad(raw):
     return np.where(raw >= 0, 1.0, e) / (1.0 + e)
 
 
-def validate_counts(counts, what: str = "counts") -> np.ndarray:
+def validate_counts(counts, what: str = "counts", dtype=np.int64) -> np.ndarray:
+    """`counts` as a `dtype` matrix, copied only when its dtype differs;
+    InputError unless every entry is a non-negative integer."""
     arr = np.asarray(counts)
     if arr.ndim != 2:
         raise InputError(f"{what} must be a 2-D matrix")
@@ -103,10 +105,9 @@ def validate_counts(counts, what: str = "counts") -> np.ndarray:
         rounded = np.rint(arr)
         if not np.all(np.isfinite(arr)) or np.any(np.abs(arr - rounded) > 0):
             raise InputError(f"{what} must be integers")
-        arr = rounded.astype(np.int64)
     if np.any(arr < 0):
         raise InputError(f"{what} must be non-negative")
-    return arr.astype(np.int64)
+    return arr.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +600,7 @@ def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
 def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
                lr: float = 0.1) -> DeconvPosterior:
     """Fit per-spot abundance posteriors against a fixed signature panel."""
-    y = np.ascontiguousarray(validate_counts(st_counts, "spot counts"), dtype=np.float64)
+    y = np.ascontiguousarray(validate_counts(st_counts, "spot counts", np.float64))
     m_panel = as_matrix(m_panel)
     if y.shape[1] != m_panel.shape[0]:
         raise InputError(

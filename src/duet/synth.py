@@ -6,6 +6,12 @@ recorded so statistical tests can score recovery against known truth. Image
 and foundation features are random linear maps of the noise-free expected
 log-expression plus Gaussian noise; feature_noise_std is the knob that makes
 spots look alike while differing molecularly.
+
+The spot-side arrays are (S, G), and S may run to thousands: gen_spots keeps
+mu_spot and the counts and lets at most one other (S, G) array live at a time.
+It scales w @ mu_true in place to make mu_spot, drops the gamma draw, the log
+expression and the log counts as soon as each is used, and takes the target
+genes' variance in place.
 """
 
 from __future__ import annotations
@@ -72,8 +78,7 @@ def sample_nb_counts(rng: Rng, mean: np.ndarray, disp: np.ndarray) -> np.ndarray
     """Gamma-Poisson draw of NB(mean, disp), elementwise."""
     mean = np.asarray(mean, dtype=np.float64)
     disp = np.broadcast_to(np.asarray(disp, dtype=np.float64), mean.shape)
-    lam = rng.gamma(disp, mean / disp)
-    return rng.poisson(lam).astype(np.int64)
+    return rng.poisson(rng.gamma(disp, mean / disp))  # int64
 
 
 def expected_spot_expression(w: np.ndarray, mu_true: np.ndarray,
@@ -129,12 +134,13 @@ def gen_spots(cfg: SynthConfig, truth: SynthTruth):
     n_true = rng.child("cells").integers(5, 51, size=s_n).astype(np.float64)
     w_true = props * n_true[:, None]
 
-    base = w_true @ truth.mu_true  # (S, G) expected counts at d=1
+    # expected_spot_expression, with w @ mu taken once and scaled in place
+    mu_spot = w_true @ truth.mu_true  # (S, G) expected counts at d=1
     if cfg.reads_per_spot is not None:
-        d_true = cfg.reads_per_spot / base.sum(axis=1)
+        d_true = cfg.reads_per_spot / mu_spot.sum(axis=1)
     else:
         d_true = np.ones(s_n)
-    mu_spot = expected_spot_expression(w_true, truth.mu_true, d_true)
+    mu_spot *= d_true[:, None]
 
     st_counts = sample_nb_counts(rng.child("counts"), mu_spot,
                                  truth.alpha_true[None, :])
@@ -145,14 +151,19 @@ def gen_spots(cfg: SynthConfig, truth: SynthTruth):
     map_fm = rng.child("map-fm").standard_normal((g_n, cfg.feature_dim)) * scale
     features_img = logexpr @ map_img
     features_fm = logexpr @ map_fm
+    del logexpr
     if cfg.feature_noise_std > 0:
         features_img = features_img + cfg.feature_noise_std * \
             rng.child("noise-img").standard_normal(features_img.shape)
         features_fm = features_fm + cfg.feature_noise_std * \
             rng.child("noise-fm").standard_normal(features_fm.shape)
 
-    # prediction targets are the high-variance genes of the observed counts
-    var = np.log1p(st_counts.astype(np.float64)).var(axis=0)
+    # prediction targets are the high-variance genes of the observed counts;
+    # the variance is np.var's, step for step, in place on one array
+    dev = np.log1p(st_counts, dtype=np.float64)
+    dev -= dev.mean(axis=0)
+    dev *= dev
+    var = dev.mean(axis=0)
     order = np.argsort(-var, kind="stable")
     target_idx = np.sort(order[:cfg.n_target_genes])
 

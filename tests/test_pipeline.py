@@ -300,6 +300,19 @@ def test_deconv_rejects_unmeasured_target_gene(ws, tmp_path):
         STAGES["deconv"](tiny_cfg(), 3, tmp_path / "w")
 
 
+@pytest.mark.parametrize("name, what", [("sc_counts.tsv", "single-cell counts"),
+                                        ("st_counts.tsv", "spot counts")])
+def test_deconv_rejects_fractional_counts(ws, tmp_path, name, what):
+    # the counts reach the fits as read, without a truncating int cast
+    d = tmp_path / "w"
+    shutil.copytree(ws[0], d)
+    m, rows, cols = read_matrix_tsv(d / name)
+    write_matrix_tsv(d / name, m + 0.5, rows, cols)
+    rehash_outputs(d, name)
+    with pytest.raises(InputError, match=f"{what} must be integers"):
+        STAGES["deconv"](tiny_cfg(), 3, d)
+
+
 def test_stale_input_rejected_naming_it(ws, tmp_path):
     d = tmp_path / "w"
     shutil.copytree(ws[0], d)

@@ -479,6 +479,18 @@ class TestScDataset:
                 batch=np.array([0]),
             )
 
+    def test_rejects_fractional_float_counts(self):
+        with pytest.raises(InputError, match="single-cell counts must be integers"):
+            ScDataset(counts=np.array([[1.0, 2.5]]), cell_type=np.array([0]),
+                      batch=np.array([0]))
+
+    def test_counts_copied_only_to_change_dtype(self):
+        ints = np.array([[1, 2], [0, 3]])
+        floats = ints.astype(np.float64)
+        assert scprior.validate_counts(ints) is ints
+        assert scprior.validate_counts(floats, dtype=np.float64) is floats
+        assert np.array_equal(scprior.validate_counts(floats), ints)
+
     def test_rejects_label_out_of_range(self):
         with pytest.raises(InputError):
             ScDataset(
@@ -721,6 +733,26 @@ class TestDeconvolve:
                   "dispersion", "w_q05"):
             assert np.array_equal(getattr(a, k), getattr(b, k)), k
         assert a.fit_trace == b.fit_trace
+
+    def test_integral_float_counts_give_the_int_posterior(self):
+        # a float64 panel goes to the fit as it is, an int64 one is converted
+        # once; both must give the same posterior bit for bit
+        y, m_panel, _, _, _ = small_deconv_problem(35, s_n=40)
+        a, b = (deconvolve(c, m_panel, epochs=20, rng=Rng(3))
+                for c in (y, y.astype(np.float64)))
+        for k in ("w_mean", "w_logstd", "detect_mean", "detect_logstd",
+                  "dispersion", "w_q05"):
+            assert np.array_equal(getattr(a, k), getattr(b, k)), k
+        assert a.fit_trace == b.fit_trace
+
+    @pytest.mark.parametrize("bad, rule", [(1.5, "integers"), (np.nan, "integers"),
+                                           (np.inf, "integers"), (-1.0, "non-negative")])
+    def test_rejects_float_non_counts(self, bad, rule):
+        y, m_panel, _, _, _ = small_deconv_problem(36, s_n=4)
+        y = y.astype(np.float64)
+        y[1, 2] = bad
+        with pytest.raises(InputError, match=f"spot counts must be {rule}"):
+            deconvolve(y, m_panel, epochs=5, rng=Rng(0))
 
     def test_same_seed_reproduces(self):
         y, m_panel, _, _, _ = small_deconv_problem(27, s_n=5)

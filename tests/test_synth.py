@@ -10,6 +10,7 @@ from duet.synth import (
     gen_spots,
     sample_nb_counts,
 )
+from test_scprior import traced_peak
 
 
 class TestConfig:
@@ -81,6 +82,14 @@ class TestGenSpots:
         assert np.allclose(mu[0], 2.0 * 7.0 * mu_true[1])
         assert np.allclose(mu[1], 0.5 * 3.0 * mu_true[2])
 
+    @pytest.mark.parametrize("reads", [None, 5000.0])
+    def test_mu_spot_is_the_expected_expression(self, reads):
+        cfg = SynthConfig(seed=11, reads_per_spot=reads, n_cells_per_type=5)
+        _, truth = gen_sc(cfg)
+        gen_spots(cfg, truth)
+        expected = expected_spot_expression(truth.w_true, truth.mu_true, truth.d_true)
+        assert np.array_equal(truth.mu_spot.view(np.uint64), expected.view(np.uint64))
+
     def test_monte_carlo_spot_mean(self):
         # replicate count draws for one fixed spot through the same sampler
         cfg = SynthConfig(seed=9, n_spots=6, n_cells_per_type=5)
@@ -138,3 +147,15 @@ class TestGenSpots:
                               n_cells_per_type=5)
         with pytest.raises(InputError):
             gen_spots(bad_cfg, truth)
+
+
+class TestGenSpotsMemory:
+    def test_peak_in_spot_by_gene_arrays(self):
+        # mu_spot and the counts are outputs, and each step needs one more
+        # (S, G) array: the gamma draw, log1p(mu_spot), then the log-count
+        # deviations; with the small features this peaks at 3.7 arrays.
+        # Holding each temporary to the end of the function peaked at 6.7
+        cfg = SynthConfig(seed=4, n_spots=2000)
+        _, truth = gen_sc(cfg)
+        peak = traced_peak(lambda: gen_spots(cfg, truth))
+        assert peak < 4 * cfg.n_spots * cfg.n_genes * 8

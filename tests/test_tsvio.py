@@ -30,6 +30,7 @@ from duet.tsvio import (
     write_ids_tsv,
     write_matrix_tsv,
 )
+from test_scprior import traced_peak
 
 
 class TestMatrixTsv:
@@ -307,6 +308,7 @@ class TestManifest:
 # examples below pin them so every run covers them.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EDGE_ROW = [-0.0, 5e-324, -2.2250738585072e-308, 1.7e308, -1.7976931348623157e308]
+INTEGRAL = st.integers(-(2**53 - 1), 2**53 - 1).map(float)
 ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
                                 blacklist_characters="\t\n\r"), min_size=1)
 
@@ -346,6 +348,32 @@ class TestExactRoundTrips:
         assert (rids, cids) == (rows, cols)
 
     @settings(max_examples=60, deadline=None)
+    @given(m=arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 6)),
+                    elements=INTEGRAL))
+    @example(m=np.array([[2.0**53 - 1, -(2.0**53 - 1)]]))
+    @example(m=np.array([[3.0, 2.0**53], [-7.0, 0.0]]))
+    @example(m=np.array([[3.0, -2.0**53], [-7.0, 0.0]]))
+    @example(m=np.array([[3.0, 1e16], [-7.0, 0.0]]))
+    @example(m=np.array([[3.0, -0.0], [-7.0, 0.0]]))
+    @example(m=np.array([[3.0, np.nan], [-7.0, 0.0]]))
+    @example(m=np.array([[3.0, np.inf], [-np.inf, 0.0]]))
+    def test_integral_matrix_bits_and_bytes(self, m, tmp_path_factory):
+        rows = [f"r{i}" for i in range(m.shape[0])]
+        cols = [f"c{j}" for j in range(m.shape[1])]
+        path = tmp_path_factory.mktemp("mx") / "m.tsv"
+        write_matrix_tsv(path, m, rows, cols)
+        assert path.read_bytes() == per_value_matrix_text(m, rows, cols).encode()
+        back, _, _ = read_matrix_tsv(path)
+        assert np.array_equal(bits(back), bits(m))
+
+    @pytest.mark.parametrize("v, exact", [
+        (2.0**53 - 1, True), (-(2.0**53 - 1), True), (2.0**53, False),
+        (-2.0**53, False), (1e16, False), (-0.0, False), (0.5, False),
+        (np.nan, False), (np.inf, False), (-np.inf, False)])
+    def test_only_exact_ints_take_the_integer_path(self, v, exact):
+        assert tsvio._exact_ints(np.array([[3.0, v], [-7.0, 0.0]])) is exact
+
+    @settings(max_examples=60, deadline=None)
     @given(ids=st.lists(ID_TEXT, max_size=8))
     @example(ids=[])
     @example(ids=["é", " x ", "\x0b\x0c\u2028", "id"])
@@ -354,6 +382,19 @@ class TestExactRoundTrips:
         write_ids_tsv(path, ids)
         assert path.read_bytes() == ("\n".join(["id", *ids]) + "\n").encode()
         assert read_ids_tsv(path) == ids
+
+
+class TestWriterMemory:
+    def test_write_matrix_holds_one_copy_of_the_text(self, tmp_path):
+        # the file's bytes, one float64 copy of the matrix and slack: a list
+        # of row strings, its join and the encoded text held 3x the bytes
+        m = np.random.default_rng(3).normal(size=(2000, 64))
+        rows = [f"s{i:05d}" for i in range(2000)]
+        cols = [f"f{j}" for j in range(64)]
+        written = []
+        peak = traced_peak(lambda: written.append(
+            write_matrix_tsv(tmp_path / "m.tsv", m, rows, cols)))
+        assert peak < len(written[0]) + m.nbytes + 256 * 1024
 
 
 @st.composite
