@@ -78,7 +78,7 @@ def sample_nb_counts(rng: Rng, mean: np.ndarray, disp: np.ndarray) -> np.ndarray
     """Gamma-Poisson draw of NB(mean, disp), elementwise."""
     mean = np.asarray(mean, dtype=np.float64)
     disp = np.broadcast_to(np.asarray(disp, dtype=np.float64), mean.shape)
-    return rng.poisson(rng.gamma(disp, mean / disp))  # int64
+    return rng.poisson(rng.gamma(disp, mean / disp))  # numpy's default int
 
 
 def expected_spot_expression(w: np.ndarray, mu_true: np.ndarray,

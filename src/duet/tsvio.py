@@ -3,12 +3,9 @@
 TSV matrices are UTF-8, tab-delimited, newline-terminated; the header's first
 cell is the literal `id` followed by column ids, and each data row starts
 with its row id. Floats serialize with 17 significant digits (`%.17g`) so a
-write/read round trip is lossless for float64. write_matrix_tsv encodes its
-rows, a block of them at a time, into one buffer, so the text of a written
-file exists once, as the one `bytes` object it returns. A block whose values
-are all integers below 2**53 in magnitude, none of them -0.0, is formatted
-with `%d` from int64: the same bytes as `%.17g`, at about half the cost (the
-count matrices). An id-list file is a header line and then
+write/read round trip is lossless for float64. write_matrix_tsv encodes each
+row straight into one buffer, so the text of a written file exists once, as
+the one `bytes` object it returns. An id-list file is a header line and then
 one id per line. So that every id reads back as written, the writers reject
 (InputError, naming it) any id holding a tab, `\n` or `\r`, and an empty
 id in an id list; the readers reject a file that is not UTF-8.
@@ -130,19 +127,6 @@ def _read_lines(p: Path, data: bytes | None) -> list[str]:
     return [ln for ln in text.split("\n") if ln]
 
 
-# rows converted per numpy call; small blocks keep the temporaries made
-# beside the growing text buffer small, so they fragment the heap less
-_BLOCK_ROWS = 32
-
-
-def _exact_ints(block: np.ndarray) -> bool:
-    """True when every value is an integer below 2**53 in magnitude and none
-    is -0.0, so `%d` of its int64 gives the bytes `%.17g` gives."""
-    mag = np.abs(block)
-    return bool(np.all(mag < 2.0 ** 53) and np.array_equal(np.trunc(block), block)
-                and not np.signbit(block[mag == 0]).any())
-
-
 def write_matrix_tsv(path, matrix, row_ids, col_ids) -> bytes:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -151,17 +135,11 @@ def write_matrix_tsv(path, matrix, row_ids, col_ids) -> bytes:
         raise InputError("ids do not match matrix shape")
     row_ids = _writable_ids(row_ids, "row id", path)
     col_ids = _writable_ids(col_ids, "column id", path)
-    float_fmt, int_fmt = ("\t".join([f] * matrix.shape[1]) + "\n" for f in ("%.17g", "%d"))
+    row_fmt = "\t".join(["%.17g"] * matrix.shape[1]) + "\n"
     buf = io.BytesIO()
     buf.write(("id\t" + "\t".join(col_ids) + "\n").encode("utf-8"))
-    for start in range(0, matrix.shape[0], _BLOCK_ROWS):
-        block = matrix[start:start + _BLOCK_ROWS]
-        if _exact_ints(block):
-            fmt, rows = int_fmt, block.astype(np.int64).tolist()
-        else:
-            fmt, rows = float_fmt, block.tolist()
-        for rid, row in zip(row_ids[start:start + _BLOCK_ROWS], rows):
-            buf.write((rid + "\t" + fmt % tuple(row)).encode("utf-8"))
+    for rid, row in zip(row_ids, matrix):
+        buf.write((rid + "\t" + row_fmt % tuple(row.tolist())).encode("utf-8"))
     return write_atomic(path, buf.getvalue())
 
 

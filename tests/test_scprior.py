@@ -485,7 +485,7 @@ class TestScDataset:
                       batch=np.array([0]))
 
     def test_counts_copied_only_to_change_dtype(self):
-        ints = np.array([[1, 2], [0, 3]])
+        ints = np.array([[1, 2], [0, 3]], dtype=np.int64)
         floats = ints.astype(np.float64)
         assert scprior.validate_counts(ints) is ints
         assert scprior.validate_counts(floats, dtype=np.float64) is floats

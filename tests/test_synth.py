@@ -153,8 +153,12 @@ class TestGenSpotsMemory:
     def test_peak_in_spot_by_gene_arrays(self):
         # mu_spot and the counts are outputs, and each step needs one more
         # (S, G) array: the gamma draw, log1p(mu_spot), then the log-count
-        # deviations; with the small features this peaks at 3.7 arrays.
-        # Holding each temporary to the end of the function peaked at 6.7
+        # deviations. The peak, 3.7 arrays, is reached twice with the same
+        # named arrays live: mu_spot, the int64 counts and one temporary
+        # (log1p(mu_spot) while features_fm is made, then the deviations),
+        # plus features_img and features_fm, (S, 64) each, 0.29 of an array.
+        # No numpy-internal temporary adds to it. Holding each temporary to
+        # the end of the function peaked at 6.7
         cfg = SynthConfig(seed=4, n_spots=2000)
         _, truth = gen_sc(cfg)
         peak = traced_peak(lambda: gen_spots(cfg, truth))

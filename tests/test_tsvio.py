@@ -366,13 +366,6 @@ class TestExactRoundTrips:
         back, _, _ = read_matrix_tsv(path)
         assert np.array_equal(bits(back), bits(m))
 
-    @pytest.mark.parametrize("v, exact", [
-        (2.0**53 - 1, True), (-(2.0**53 - 1), True), (2.0**53, False),
-        (-2.0**53, False), (1e16, False), (-0.0, False), (0.5, False),
-        (np.nan, False), (np.inf, False), (-np.inf, False)])
-    def test_only_exact_ints_take_the_integer_path(self, v, exact):
-        assert tsvio._exact_ints(np.array([[3.0, v], [-7.0, 0.0]])) is exact
-
     @settings(max_examples=60, deadline=None)
     @given(ids=st.lists(ID_TEXT, max_size=8))
     @example(ids=[])
