@@ -58,12 +58,6 @@ def _resolve_seed(args, cfg: PipelineConfig) -> int:
     return cfg.seed
 
 
-def _load_config(args) -> PipelineConfig:
-    if args.config is None:
-        return PipelineConfig()
-    return PipelineConfig.from_json(args.config)
-
-
 def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -77,7 +71,7 @@ def _run(argv) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0
 
-    cfg = _load_config(args)
+    cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
     seed = _resolve_seed(args, cfg)
     if args.command == "pipeline":
         report = run_pipeline(cfg, seed, args.out)

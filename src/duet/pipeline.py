@@ -136,11 +136,9 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         p = Path(path)
-        if not p.exists():
-            raise InputError(f"no such file: {p}")
         try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            doc = json.loads(read_bytes(p).decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise InputError(f"invalid JSON in {p}: {exc}") from None
         return cls.from_dict(doc)
 
@@ -316,7 +314,10 @@ def _split(ws: Workspace, spots: list[str], name: str) -> np.ndarray:
     "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
     "split_train.tsv", "split_fuse.tsv", "split_test.tsv"))
 def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
-    ws.root.mkdir(parents=True, exist_ok=True)
+    try:
+        ws.root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make workspace {ws.root}: {exc.strerror}") from None
     synth_cfg = replace(cfg.synth, seed=seed)
     sc, truth = gen_sc(synth_cfg)
     st_counts, f_img, f_fm, gating_truth = gen_spots(synth_cfg, truth)

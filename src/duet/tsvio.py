@@ -10,10 +10,13 @@ one id per line. So that every id reads back as written, the writers reject
 (InputError, naming it) any id holding a tab, `\n` or `\r`, and an empty
 id in an id list; the readers reject a file that is not UTF-8.
 
-The readers take `\r\n` and a lone `\r` as line ends and skip empty lines.
+The readers scan the file's bytes in place. They check that the bytes are
+UTF-8 without keeping the text, take `\r\n` and a lone `\r` as line ends
+(rewriting them only when a `\r` occurs) and skip empty lines.
 read_matrix_tsv requires as many tabs in every body row as in the header,
-splits the row ids off, and parses the numeric block in one np.loadtxt call
-(numpy's C reader). A cell is a decimal or exponent float literal, `inf`,
+decodes each row id alone, and parses the numeric block from the same bytes
+in one np.loadtxt call (numpy's C reader), which must give one row per row
+id. A cell is a decimal or exponent float literal, `inf`,
 `infinity` or `nan` in any case, with an optional sign and surrounding
 whitespace (here also U+001C to U+001F); `0x10`, `1,5`, `1_000`,
 non-ASCII digits and empty cells are rejected. Every failure is an
@@ -88,11 +91,11 @@ def write_atomic(path, data) -> bytes:
 
 
 def read_bytes(path) -> bytes:
-    """The file's bytes; InputError naming it when there is no such file."""
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {p}")
-    return p.read_bytes()
+    """The file's bytes; InputError naming it when it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:  # no such file, a directory, no permission...
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +119,28 @@ def _writable_ids(ids, what: str, path, allow_empty: bool = True) -> list[str]:
     return ids
 
 
-def _read_lines(p: Path, data: bytes | None) -> list[str]:
-    """The non-empty lines of `data`, or of the file at `p` when data is None."""
-    try:
-        text = (read_bytes(p) if data is None else data).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{p} is not UTF-8 text: {exc}") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return [ln for ln in text.split("\n") if ln]
+def _scan(p: Path, data: bytes | None):
+    """The bytes of `data` (or of the file at `p`) with every line end a
+    newline, and an iterator over the (start, end) of each non-empty line."""
+    raw = read_bytes(p) if data is None else data
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")  # a check only: the text is not kept
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{p} is not UTF-8 text: {exc}") from None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw, _line_spans(raw)
+
+
+def _line_spans(raw: bytes):
+    start = 0
+    while start < len(raw):
+        end = raw.find(b"\n", start)
+        end = len(raw) if end < 0 else end
+        if end > start:
+            yield start, end
+        start = end + 1
 
 
 def write_matrix_tsv(path, matrix, row_ids, col_ids) -> bytes:
@@ -146,23 +162,28 @@ def write_matrix_tsv(path, matrix, row_ids, col_ids) -> bytes:
 def read_matrix_tsv(path, data: bytes | None = None):
     """(matrix, row ids, column ids) of the TSV at `path` (or in `data`)."""
     p = Path(path)
-    lines = _read_lines(p, data)
-    if not lines:
+    raw, lines = _scan(p, data)
+    head = next(lines, None)
+    if head is None:
         raise InputError(f"empty TSV: {p}")
-    header = lines[0].split("\t")
+    header = raw[head[0]:head[1]].decode().split("\t")
     if header[0] != "id":
         raise InputError(f"malformed TSV header in {p}: first cell must be 'id'")
-    n, body = len(header) - 1, lines[1:]
-    if any(ln.count("\t") != n for ln in body):
-        raise InputError(f"ragged TSV row in {p}")
-    row_ids = [ln.split("\t", 1)[0] for ln in body]
-    if not (n and body):
-        return np.zeros((len(body), n)), row_ids, header[1:]
+    n, row_ids = len(header) - 1, []
+    for start, end in lines:
+        if raw.count(b"\t", start, end) != n:
+            raise InputError(f"ragged TSV row in {p}")
+        row_ids.append(raw[start:raw.find(b"\t", start, end) if n else end].decode())
+    if not (n and row_ids):
+        return np.zeros((len(row_ids), n)), row_ids, header[1:]
     try:
-        matrix = np.loadtxt(body, delimiter="\t", comments=None,
-                            usecols=range(1, n + 1), ndmin=2)
+        matrix = np.loadtxt(io.BytesIO(raw), delimiter="\t", comments=None,
+                            usecols=range(1, n + 1), ndmin=2, encoding="utf-8",
+                            skiprows=raw.count(b"\n", 0, head[1]) + 1)
     except ValueError as exc:
         raise InputError(f"non-numeric cell in {p}: {exc}") from None
+    if len(matrix) != len(row_ids):
+        raise InputError(f"{p}: {len(matrix)} rows parsed for {len(row_ids)} row ids")
     return matrix, row_ids, header[1:]
 
 
@@ -173,10 +194,10 @@ def write_ids_tsv(path, ids, header: str = "id"):
 
 def read_ids_tsv(path, data: bytes | None = None) -> list[str]:
     p = Path(path)
-    lines = _read_lines(p, data)
-    if not lines:
+    raw, lines = _scan(p, data)
+    if next(lines, None) is None:
         raise InputError(f"empty id list: {p}")
-    return lines[1:]
+    return [raw[start:end].decode() for start, end in lines]
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,32 @@ def test_undecodable_file_exit_1_with_path(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+# name -> (argv with {d} for a directory, {f} for a file and {x} for a
+# non-UTF-8 config, the path the error names)
+OS_ERROR_CASES = {
+    "eval --pred a directory": (["eval", "--pred", "{d}", "--truth", "{f}"], "{d}"),
+    "--config not UTF-8": (["pipeline", "--config", "{x}", "--out", "{d}/ws"], "{x}"),
+    "--config a directory": (["pipeline", "--config", "{d}", "--out", "{d}/ws"],
+                             "{d}"),
+    "pipeline --out a file": (["pipeline", "--out", "{f}"], "{f}"),
+    "synth --out under a file": (["synth", "--out", "{f}/ws"], "{f}/ws"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OS_ERROR_CASES))
+def test_os_errors_exit_1_naming_the_path(case, tmp_path, no_env_seed, capsys):
+    argv, named = OS_ERROR_CASES[case]
+    paths = {"d": tmp_path / "adir", "f": tmp_path / "t.tsv", "x": tmp_path / "x.json"}
+    paths["d"].mkdir()
+    data = write_matrix_tsv(paths["f"], [[1.0], [2.0]], ["s0", "s1"], ["g0"])
+    paths["x"].write_bytes(b'{"seed": "\xff"}')
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert named.format(**paths) in err and "Traceback" not in err
+    assert paths["f"].read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "t.tsv", "x.json"]
+
+
 def test_unwritable_id_exit_1(tmp_path, no_env_seed, capsys):
     # every non-target gene goes into the panel, so an empty gene name
     # reaches panel_genes.tsv, where an empty line would not read back

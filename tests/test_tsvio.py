@@ -390,6 +390,20 @@ class TestWriterMemory:
         assert peak < len(written[0]) + m.nbytes + 256 * 1024
 
 
+class TestReaderMemory:
+    def test_read_matrix_holds_no_copy_of_the_text(self, tmp_path):
+        # the result, its row ids and slack: the decoded text and the list of
+        # line strings the line-based reader parsed held twice the bytes
+        m = np.random.default_rng(4).normal(size=(2000, 64))
+        path = tmp_path / "m.tsv"
+        data = write_matrix_tsv(path, m, [f"s{i:05d}" for i in range(2000)],
+                                [f"f{j}" for j in range(64)])
+        read = []
+        peak = traced_peak(lambda: read.append(read_matrix_tsv(path, data)))
+        assert np.array_equal(bits(read[0][0]), bits(m))
+        assert peak < m.nbytes + 512 * 1024
+
+
 @st.composite
 def mlps(draw, out_dim=None):
     """Nets with arbitrary finite parameters."""
@@ -507,6 +521,21 @@ class TestIdChecks:
         assert (rows, cols) == (["", "r1"], ["c0", ""])
 
 
+@pytest.mark.parametrize("read", [read_bytes, read_matrix_tsv, read_ids_tsv,
+                                  read_manifest])
+@pytest.mark.parametrize("where", ["a directory", "under a file"])
+def test_os_errors_name_the_path(read, where, tmp_path):
+    path = tmp_path / "d.tsv"
+    if where == "a directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"id\n")
+        path = path / "m.tsv"
+    with pytest.raises(InputError) as err:
+        read(path)
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.parametrize("read", [read_matrix_tsv, read_ids_tsv])
 def test_readers_reject_undecodable_bytes(read, tmp_path):
     path = tmp_path / "latin1.tsv"
@@ -539,6 +568,13 @@ class TestReaderGrammar:
         back, rows, cols = read_matrix_tsv(path)
         assert (rows, cols) == (["r0", "r1", "r2"], ["a"])
         assert back.tolist() == [[1.0], [2.0], [3.0]]
+
+    def test_blank_lines_before_the_header(self, tmp_path):
+        path = tmp_path / "blank.tsv"
+        path.write_bytes(b"\n\r\n\nid\ta\tb\nr0\t1\t2\n\nr1\t3\t4")
+        back, rows, cols = read_matrix_tsv(path)
+        assert (rows, cols) == (["r0", "r1"], ["a", "b"])
+        assert back.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_bytes_argument_is_parsed_instead_of_the_file(self, tmp_path):
         path = tmp_path / "m.tsv"
@@ -585,6 +621,119 @@ TSV_TOKENS = [b"id", b"\t", b"\n", b"\r", b"1", b"-2.5e3", b"nan", b"inf",
               b"x", b"", b"\xff", b"\xc3\xa9", b"\xc3", b"\x00", b" "]
 TSV_BYTES = st.one_of(st.binary(max_size=200),
                       st.lists(st.sampled_from(TSV_TOKENS), max_size=40).map(b"".join))
+
+
+def _oracle_lines(p, data: bytes) -> list[str]:
+    """Oracle: the non-empty lines of the whole decoded text, as the readers
+    split them before they scanned the bytes in place."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{p} is not UTF-8 text: {exc}") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return [ln for ln in text.split("\n") if ln]
+
+
+def oracle_matrix(p, data: bytes):
+    """Oracle: read_matrix_tsv on a list of line strings."""
+    lines = _oracle_lines(p, data)
+    if not lines:
+        raise InputError(f"empty TSV: {p}")
+    header = lines[0].split("\t")
+    if header[0] != "id":
+        raise InputError(f"malformed TSV header in {p}")
+    n, body = len(header) - 1, lines[1:]
+    if any(ln.count("\t") != n for ln in body):
+        raise InputError(f"ragged TSV row in {p}")
+    row_ids = [ln.split("\t", 1)[0] for ln in body]
+    if not (n and body):
+        return np.zeros((len(body), n)), row_ids, header[1:]
+    try:
+        matrix = np.loadtxt(body, delimiter="\t", comments=None,
+                            usecols=range(1, n + 1), ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"non-numeric cell in {p}: {exc}") from None
+    return matrix, row_ids, header[1:]
+
+
+def oracle_ids(p, data: bytes) -> list[str]:
+    lines = _oracle_lines(p, data)
+    if not lines:
+        raise InputError(f"empty id list: {p}")
+    return lines[1:]
+
+
+def outcome(read, path, data):
+    """read(path, data), or InputError when it raises one naming `path`."""
+    try:
+        return read(path, data)
+    except InputError as exc:
+        assert str(path) in str(exc)
+        return InputError
+
+
+# token blobs, some behind a header so that more of them parse
+HEADED_BYTES = st.tuples(st.sampled_from([b"", b"id\t", b"\nid\ta\n"]),
+                         TSV_BYTES).map(b"".join)
+ORACLE_EXAMPLES = [
+    b"\nid\ta\tb\nr0\t1\t2\n",  # a blank line before the header
+    b"\r\n\rid\ta\r\nr0\t1\r\n",
+    b"id\ta\r\nr0\t1\r\nr1\t2\r\n",  # \r\n line ends
+    b"id\ta\rr0\t1\rr1\t2\r",  # lone \r
+    b"id\ta\nr0\t1\r\nr1\t2\rr2\t3\n",
+    b"id\ta\n\nr0\t1\n\n\nr1\t2\n\n",  # blank lines between rows
+    "id\tg\u00e8ne\nsp\u00f6t\t1\n\u00e9\U0001f600\t2\n".encode(),  # non-ASCII ids
+    "id\ta\tb\nr0\t1\u00a0\t\u00a02\n".encode(),  # U+00A0 inside a cell
+    b"id\ta\nr0\t1\nr1\t2",  # no trailing newline
+    b"id\ta\tb\n",  # header only
+    b"id\ta\tb",
+    b"id\nr0\nr1\n",  # an id-only header
+    b"id",
+]
+
+
+def _with_examples(test):
+    for blob in ORACLE_EXAMPLES:
+        test = example(blob=blob)(test)
+    return test
+
+
+class TestReaderAgainstOracle:
+    # from the file or from its bytes, each reader gives the oracle's ids,
+    # columns and matrix bits, or both raise an InputError naming the file
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=HEADED_BYTES)
+    @_with_examples
+    def test_matrix(self, blob, tmp_path_factory):
+        path = tmp_path_factory.mktemp("or") / "f.tsv"
+        path.write_bytes(blob)
+        want = outcome(oracle_matrix, path, blob)
+        for got in (outcome(read_matrix_tsv, path, None),
+                    outcome(read_matrix_tsv, path, blob)):
+            if want is InputError:
+                assert got is InputError
+                continue
+            assert got is not InputError
+            assert got[0].shape == want[0].shape
+            assert np.array_equal(bits(got[0]), bits(want[0]))
+            assert got[1:] == want[1:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=HEADED_BYTES)
+    @_with_examples
+    def test_ids(self, blob, tmp_path_factory):
+        path = tmp_path_factory.mktemp("or") / "ids.tsv"
+        path.write_bytes(blob)
+        want = outcome(oracle_ids, path, blob)
+        assert outcome(read_ids_tsv, path, None) == want
+        assert outcome(read_ids_tsv, path, blob) == want
+
+    def test_examples_parse(self, tmp_path):
+        # the examples other than a non-UTF-8 file all read, so the test
+        # above compares matrices on them, not two errors
+        for blob in ORACLE_EXAMPLES:
+            assert outcome(read_matrix_tsv, tmp_path / "f.tsv", blob) is not InputError
 
 
 class TestReaderFuzz:
