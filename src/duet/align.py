@@ -175,8 +175,8 @@ def train_align(data: PairedBatch, epochs: int, opt: SgdState, rng: Rng,
                 cfg: AlignTrainConfig | None = None, model: AlignModel | None = None) -> AlignModel:
     """Train both projection heads on paired data; deterministic given rng."""
     cfg = cfg or AlignTrainConfig(epochs=epochs)
-    if epochs < 0:
-        raise InputError("epochs must be >= 0")
+    if epochs < 0 or cfg.epochs != epochs:
+        raise InputError(f"epochs {epochs} must be >= 0 and equal cfg.epochs {cfg.epochs}")
     if model is None:
         model = AlignModel.init(
             data.img_features.shape[1], data.expressions.shape[1], rng.child("init"),

@@ -47,14 +47,12 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_seed(args, cfg: PipelineConfig) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("DUET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"DUET_SEED must be an integer, got {env!r}") from None
+    for source, raw in (("--seed", args.seed), ("DUET_SEED", os.environ.get("DUET_SEED"))):
+        if raw is not None:
+            if not (str(raw).isdecimal() and int(raw) < 2**64):
+                raise InputError(f"{source} must be an integer >= 0 and < 2**64, "
+                                 f"got {raw!r}")
+            return int(raw)
     return cfg.seed
 
 

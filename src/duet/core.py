@@ -12,7 +12,9 @@ operation validates shapes and leaves only finite values behind.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -35,6 +37,45 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndar
     if cols is not None and m.shape[1] != cols:
         raise InputError(f"expected {cols} cols, got {m.shape[1]}")
     return m
+
+
+def bound(default, **limits):
+    """A config field defaulting to `default` that check_config holds to
+    `limits`: any of ge, gt, le and lt."""
+    return field(default=default, metadata=limits)
+
+
+# annotation -> what a value must be; a tuple field is a list of integers
+_KINDS = {"int": "an integer", "float": "a finite number",
+          "float | None": "null or a finite number", "tuple": "a list of integers"}
+_LIMITS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
+           "le": (operator.le, "<="), "lt": (operator.lt, "<")}
+
+
+def _fits(f, v) -> bool:
+    """Whether `v` (an item, for a tuple) suits field `f`; a bool is no int."""
+    if v is None or isinstance(v, bool) or not isinstance(v, (int, float)):
+        return v is None and f.type == "float | None"
+    if isinstance(v, float) and (f.type in ("int", "tuple") or not math.isfinite(v)):
+        return False
+    return all(_LIMITS[op][0](v, b) for op, b in f.metadata.items())
+
+
+def check_config(cfg, section: str) -> None:
+    """Check each field of config dataclass `cfg` (its __post_init__ calls
+    this) against its annotation string and its limits; an InputError names
+    the key as 'section.key'. A field holding a dataclass checks itself."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            continue
+        items = value if f.type == "tuple" else [value]
+        if not (isinstance(items, (list, tuple)) and all(_fits(f, v) for v in items)):
+            limits = " and ".join(f"{_LIMITS[op][1]} {b}" for op, b in f.metadata.items())
+            raise InputError(f"bad config: {f'{section}.{f.name}'.lstrip('.')!r} must be "
+                             f"{_KINDS[f.type]} {limits}".rstrip() + f", got {value!r}")
+        if f.type == "tuple":
+            setattr(cfg, f.name, tuple(value))
 
 
 # ---------------------------------------------------------------------------

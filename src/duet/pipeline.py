@@ -21,7 +21,7 @@ It also keeps the sha256 of the bytes it read or wrote, and the manifest
 records those for each stage's declared outputs and inputs. A file it parses
 from disk must hash as the manifest records it among its producer's outputs
 (if it records it at all), so a file changed since its stage wrote it fails
-with an InputError naming it. Per-spot matrices (features, gating, truth_n)
+with an InputError naming it. Per-spot matrices (features, gating, cell counts)
 must carry st_counts.tsv's spot ids, in order, and a checkpoint's dims must
 match the feature columns and target genes it is used with (_check_dims).
 The workspace holds exactly the files STAGE_IO names, plus manifest.json.
@@ -32,13 +32,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .align import AlignTrainConfig, PairedBatch, load_align, save_align, train_align
-from .core import Rng, SgdState
+from .core import Rng, SgdState, bound, check_config
 from .errors import InputError
 from .fuse import FuseAdapter, fuse_predict_batch, load_fuse, save_fuse, train_fuse
 from .metrics import log1p_transform, metrics, variance_curve
@@ -64,41 +64,34 @@ MANIFEST = "manifest.json"
 
 @dataclass
 class TrainConfig:
-    sig_epochs: int = 120
-    deconv_epochs: int = 300
-    align_epochs: int = 30
-    reg_epochs: int = 45
-    fuse_epochs: int = 150
-    sig_lr: float = 0.2
-    deconv_lr: float = 0.1
-    align_lr: float = 0.05
-    reg_lr: float = 0.03
-    fuse_lr: float = 0.3
-    embed_dim: int = 32
-    align_hidden: int = 64
-    reg_hidden: tuple = (64, 64)
-    fuse_hidden: int = 32
-    reg_coef: float = 1.0
-    panel_size: int = 100
+    sig_epochs: int = bound(120, ge=1)
+    deconv_epochs: int = bound(300, ge=1)
+    align_epochs: int = bound(30, ge=0)
+    reg_epochs: int = bound(45, ge=1)
+    fuse_epochs: int = bound(150, ge=0)
+    sig_lr: float = bound(0.2, gt=0)
+    deconv_lr: float = bound(0.1, gt=0)
+    align_lr: float = bound(0.05, gt=0)
+    reg_lr: float = bound(0.03, gt=0)
+    fuse_lr: float = bound(0.3, gt=0)
+    embed_dim: int = bound(32, ge=1)
+    align_hidden: int = bound(64, ge=1)
+    reg_hidden: tuple = bound((64, 64), ge=1)
+    fuse_hidden: int = bound(32, ge=1)
+    reg_coef: float = bound(1.0, ge=0)
+    panel_size: int = bound(100, ge=1)
+    # the split rule below bounds both fractions
     train_frac: float = 0.7
     fuse_frac: float = 0.1
-    align_batch: int = 128
-    reg_batch: int = 128
+    align_batch: int = bound(128, ge=2)  # InfoNCE needs two pairs a batch
+    reg_batch: int = bound(128, ge=1)
 
     def __post_init__(self):
-        # JSON gives bool for true/false and float for 1.5; neither is an int here
-        if not (isinstance(self.reg_hidden, (list, tuple))
-                and all(type(h) is int and h >= 1 for h in self.reg_hidden)):
-            raise InputError("bad config: 'train.reg_hidden' must be a list of "
-                             f"positive integers, got {self.reg_hidden!r}")
-        self.reg_hidden = tuple(self.reg_hidden)
-        if not (type(self.panel_size) is int and self.panel_size >= 1):
-            raise InputError("bad config: 'train.panel_size' must be an integer "
-                             f">= 1, got {self.panel_size!r}")
-        if not (0 < self.train_frac < 1 and 0 < self.fuse_frac < 1):
-            raise InputError("split fractions must lie in (0, 1)")
-        if self.train_frac + self.fuse_frac >= 1:
-            raise InputError("train_frac + fuse_frac must leave room for a test split")
+        check_config(self, "train")
+        if not (0 < self.train_frac and 0 < self.fuse_frac
+                and self.train_frac + self.fuse_frac < 1):
+            raise InputError("bad config: split fractions 'train.train_frac' and "
+                             "'train.fuse_frac' must be > 0 and leave room for a test split")
 
 
 @dataclass
@@ -107,31 +100,15 @@ class PipelineConfig:
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     anneal: AnnealSchedule = field(default_factory=AnnealSchedule)
     train: TrainConfig = field(default_factory=TrainConfig)
-    seed: int = 0
+    seed: int = bound(0, ge=0, lt=2**64)
+
+    def __post_init__(self):
+        check_config(self, "")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        if not isinstance(doc, dict):
-            raise InputError("bad config: the top level must be an object")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise InputError(f"bad config: unknown key {unknown[0]!r}")
-        if isinstance(doc.get("synth"), dict) and "seed" in doc["synth"]:
-            raise InputError("bad config: 'synth.seed' is not accepted; the run "
-                             "seed (--seed, DUET_SEED or top-level 'seed') is used")
-        seed = doc.get("seed", 0)
-        if type(seed) is not int:
-            raise InputError(f"bad config: 'seed' must be an integer, got {seed!r}")
-        try:
-            return cls(
-                synth=SynthConfig(**doc.get("synth", {})),
-                retrieval=RetrievalConfig(**doc.get("retrieval", {})),
-                anneal=AnnealSchedule(**doc.get("anneal", {})),
-                train=TrainConfig(**doc.get("train", {})),
-                seed=seed,
-            )
-        except TypeError as exc:
-            raise InputError(f"bad config: {exc}") from None
+        """The config `doc` gives; a key it leaves out keeps its default."""
+        return _from_doc(cls, doc, "")
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -147,6 +124,24 @@ class PipelineConfig:
         del doc["synth"]["seed"]  # the run seed replaces it (stage_synth)
         doc["train"]["reg_hidden"] = list(doc["train"]["reg_hidden"])
         return doc
+
+
+def _from_doc(cls, doc, section: str):
+    """A `cls` (config section `section`, or the top level if it is empty) from
+    `doc`, which must be an object whose every key names a field of `cls`. The
+    run seed replaces synth.seed, so that key is refused too."""
+    if not isinstance(doc, dict):
+        where = repr(section) if section else "the top level"
+        raise InputError(f"bad config: {where} must be an object")
+    if section == "synth" and "seed" in doc:
+        raise InputError("bad config: 'synth.seed' is not accepted; the run seed "
+                         "(--seed, DUET_SEED or top-level 'seed') is used")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InputError(f"bad config: unknown key {f'{section}.{unknown[0]}'.lstrip('.')!r}")
+    return cls(**{f.name: _from_doc(f.default_factory, doc[f.name], f.name)
+                  if is_dataclass(f.default_factory) else doc[f.name]
+                  for f in fields(cls) if f.name in doc})
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +305,8 @@ def _split(ws: Workspace, spots: list[str], name: str) -> np.ndarray:
 
 @_stage((), (
     "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
-    "features_fm.tsv", "truth_w.tsv", "truth_n.tsv", "truth_d.tsv",
-    "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
+    "features_fm.tsv", "cell_counts.tsv", "truth_w.tsv", "truth_n.tsv",
+    "truth_d.tsv", "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
     "split_train.tsv", "split_fuse.tsv", "split_test.tsv"))
 def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     try:
@@ -336,6 +331,8 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     del st_counts  # the workspace holds its float64 copy
     ws.write_matrix("features_img.tsv", f_img, spots, feats)
     ws.write_matrix("features_fm.tsv", f_fm, spots, feats)
+    # observed counts, which deconv reads; truth_* files are for scoring only
+    ws.write_matrix("cell_counts.tsv", truth.n_true[:, None], spots, ["n"])
     ws.write_matrix("truth_w.tsv", truth.w_true, spots, types)
     ws.write_matrix("truth_n.tsv", truth.n_true[:, None], spots, ["n"])
     ws.write_matrix("truth_d.tsv", truth.d_true[:, None], spots, ["d"])
@@ -364,7 +361,7 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
 
 
 @_stage(("sc_counts.tsv", "sc_labels.tsv", "target_genes.tsv", "st_counts.tsv",
-         "truth_n.tsv"),
+         "cell_counts.tsv"),
         ("signature.tsv", "panel_genes.tsv", "deconv_w_mean.tsv",
          "deconv_w_q05.tsv", "proportions.tsv", "gating.tsv"))
 def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
@@ -401,7 +398,7 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     ws.write_matrix("deconv_w_q05.tsv", post.w_q05, spots, types)
     ws.write_matrix("proportions.tsv", post.proportions(), spots, types)
 
-    sig = build_gating(post, ws.spot_matrix("truth_n.tsv")[:, 0])
+    sig = build_gating(post, ws.spot_matrix("cell_counts.tsv")[:, 0])
     ws.write_matrix("gating.tsv", sig.g, spots, types)
 
 

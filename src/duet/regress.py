@@ -18,15 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import AlignModel
-from .core import Mlp, Rng, SgdState, as_matrix
+from .core import Mlp, Rng, SgdState, as_matrix, bound, check_config
 from .errors import InputError, NumericError
 from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .tsvio import load_checkpoint, save_checkpoint
 
 DEFAULT_HIDDEN = (256, 256)
 DEFAULT_BATCH_SIZE = 128
-DEFAULT_LAMBDA0 = 1.0
-DEFAULT_DECAY_EPOCHS = 30
 MAGIC_REG = b"DUET-REG1"
 
 
@@ -63,14 +61,11 @@ def load_reg(path, data: bytes | None = None) -> RegModel:
 
 @dataclass
 class AnnealSchedule:
-    lambda0: float = DEFAULT_LAMBDA0
-    decay_epochs: int = DEFAULT_DECAY_EPOCHS
+    lambda0: float = bound(1.0, ge=0)
+    decay_epochs: int = bound(30, ge=1)
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise InputError("lambda0 must be non-negative")
-        if self.decay_epochs < 1:
-            raise InputError("decay_epochs must be >= 1")
+        check_config(self, "anneal")
 
 
 def lambda_at(sched: AnnealSchedule, e: int) -> float:

@@ -25,14 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import AlignModel, embed_expressions, embed_images
-from .core import as_matrix
+from .core import as_matrix, bound, check_config
 from .errors import InputError
-
-DEFAULT_N_CANDIDATES = 150
-DEFAULT_TOP_K = 100
-DEFAULT_TAU_C = 0.5
-DEFAULT_TAU_P = 0.3
-DEFAULT_BETA = 0.3
 
 # queries per chunk in retrieve_batch: the largest temporaries are
 # (_CHUNK x database size) float64 blocks, 358 KB for the 1,400-entry database
@@ -73,26 +67,20 @@ class EmbeddingDB:
 
 @dataclass
 class RetrievalConfig:
-    n_candidates: int = DEFAULT_N_CANDIDATES
-    top_k: int = DEFAULT_TOP_K
-    tau_c: float = DEFAULT_TAU_C
-    tau_p: float = DEFAULT_TAU_P
-    beta: float = DEFAULT_BETA
-    softmax_temp: float = 1.0
+    n_candidates: int = bound(150, ge=1)
+    top_k: int = bound(100, ge=1)
+    tau_c: float = bound(0.5, ge=0, le=1)
+    # tau_p = -1 admits every finite composition, which is how the
+    # gating ablation switches the composition test off
+    tau_p: float = bound(0.3, ge=-1, le=1)
+    beta: float = bound(0.3, ge=0, le=1)
+    softmax_temp: float = bound(1.0, gt=0)
 
     def __post_init__(self):
-        if not 0 < self.top_k <= self.n_candidates:
-            raise InputError("need 0 < top_k <= n_candidates")
-        if not 0.0 <= self.tau_c <= 1.0:
-            raise InputError("tau_c must lie in [0, 1]")
-        # tau_p = -1 admits every finite composition, which is how the
-        # gating ablation switches the composition test off
-        if not -1.0 <= self.tau_p <= 1.0:
-            raise InputError("tau_p must lie in [-1, 1]")
-        if not 0.0 <= self.beta <= 1.0:
-            raise InputError("beta must lie in [0, 1]")
-        if self.softmax_temp <= 0:
-            raise InputError("softmax_temp must be positive")
+        check_config(self, "retrieval")
+        if self.top_k > self.n_candidates:
+            raise InputError("bad config: need 'retrieval.top_k' <= "
+                             "'retrieval.n_candidates'")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng
+from .core import Rng, bound, check_config
 from .errors import InputError
 from .scprior import GatingSignal, ScDataset, gating_from_rows
 
@@ -29,32 +29,22 @@ PANEL_RESERVE = 100  # non-target genes that must remain available
 
 @dataclass
 class SynthConfig:
-    n_types: int = 4
-    n_genes: int = 220
-    n_target_genes: int = 80
-    n_cells_per_type: int = 150
-    n_spots: int = 80
-    n_batches: int = 2
-    reads_per_spot: float | None = None
-    feature_dim: int = 64
-    feature_noise_std: float = 0.1
-    seed: int = 0
+    n_types: int = bound(4, ge=1)
+    n_genes: int = bound(220, ge=1)
+    n_target_genes: int = bound(80, ge=1)
+    n_cells_per_type: int = bound(150, ge=1)
+    n_spots: int = bound(80, ge=1)
+    n_batches: int = bound(2, ge=1)
+    reads_per_spot: float | None = bound(None, gt=0)
+    feature_dim: int = bound(64, ge=1)
+    feature_noise_std: float = bound(0.1, ge=0)
+    seed: int = bound(0, ge=0, lt=2**64)
 
     def __post_init__(self):
-        if min(self.n_types, self.n_genes, self.n_target_genes,
-               self.n_cells_per_type, self.n_spots, self.n_batches,
-               self.feature_dim) < 1:
-            raise InputError("synth config sizes must be >= 1")
+        check_config(self, "synth")
         if self.n_target_genes + PANEL_RESERVE > self.n_genes:
-            raise InputError(
-                f"need n_target_genes + {PANEL_RESERVE} <= n_genes for a "
-                f"disjoint deconvolution panel, got "
-                f"{self.n_target_genes} + {PANEL_RESERVE} > {self.n_genes}"
-            )
-        if self.reads_per_spot is not None and self.reads_per_spot <= 0:
-            raise InputError("reads_per_spot must be positive or None")
-        if self.feature_noise_std < 0:
-            raise InputError("feature_noise_std must be non-negative")
+            raise InputError(f"bad config: need 'synth.n_target_genes' + {PANEL_RESERVE} "
+                             f"<= 'synth.n_genes' for a disjoint deconvolution panel")
 
 
 @dataclass

@@ -161,6 +161,13 @@ class TestTraining:
         with pytest.raises(InputError):
             train_align(data, 1, SgdState(lr=0.05), Rng(9), model=model)
 
+    def test_epochs_must_match_cfg_epochs(self):
+        # one source for the epoch count: a cfg that disagrees is refused
+        data = make_linear_pairs(4, 32)
+        with pytest.raises(InputError, match="cfg.epochs"):
+            train_align(data, 3, SgdState(lr=0.05), Rng(9),
+                        cfg=AlignTrainConfig(epochs=5))
+
 
 class TestPairedBatch:
     def test_requires_two_pairs(self):

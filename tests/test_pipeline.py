@@ -47,8 +47,8 @@ TINY = {
 
 EXPECTED_FILES = [
     "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
-    "features_fm.tsv", "truth_w.tsv", "truth_n.tsv", "truth_d.tsv",
-    "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
+    "features_fm.tsv", "cell_counts.tsv", "truth_w.tsv", "truth_n.tsv",
+    "truth_d.tsv", "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
     "split_train.tsv", "split_fuse.tsv", "split_test.tsv",
     "signature.tsv", "panel_genes.tsv", "deconv_w_mean.tsv",
     "deconv_w_q05.tsv", "proportions.tsv", "gating.tsv",
@@ -104,6 +104,20 @@ def test_all_expected_files_written(ws):
     d, _ = ws
     for name in EXPECTED_FILES:
         assert (d / name).exists(), name
+
+
+def test_no_stage_but_synth_reads_generator_truth():
+    for name, (inputs, _) in STAGE_IO.items():
+        if name != "synth":
+            truth = [f for f in inputs
+                     if f.startswith("truth_") or f == "gating_truth.tsv"]
+            assert truth == [], name
+
+
+def test_cell_counts_are_the_true_counts(ws):
+    # observed without counting noise: the same bytes as the ground truth
+    d, _ = ws
+    assert (d / "cell_counts.tsv").read_bytes() == (d / "truth_n.tsv").read_bytes()
 
 
 def test_splits_partition_spots(ws):
