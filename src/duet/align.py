@@ -7,7 +7,7 @@ backward, so gradients reaching the raw MLP output are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,10 +15,7 @@ from .core import Mlp, Rng, SgdState, as_matrix
 from .errors import InputError, NumericError
 from .tsvio import load_checkpoint, save_checkpoint
 
-DEFAULT_TEMPERATURE = 0.07
-DEFAULT_EMBED_DIM = 64
-DEFAULT_HIDDEN = 128
-DEFAULT_BATCH_SIZE = 128
+TEMPERATURE = 0.07  # the InfoNCE temperature of every model AlignModel.init makes
 MAGIC_ALIGN = b"DUET-ALN1"
 
 
@@ -47,19 +44,22 @@ class PairedBatch:
 class AlignModel:
     img_head: Mlp
     gene_head: Mlp
-    temperature: float = DEFAULT_TEMPERATURE
-    embed_dim: int = DEFAULT_EMBED_DIM
+    temperature: float
 
     def __post_init__(self):
-        if not self.img_head.out_dim == self.gene_head.out_dim == self.embed_dim:
+        if self.img_head.out_dim != self.gene_head.out_dim:
             raise InputError("embed dims disagree")
 
+    @property
+    def embed_dim(self) -> int:
+        return self.img_head.out_dim
+
     @classmethod
-    def init(cls, img_dim: int, gene_dim: int, rng: Rng, embed_dim: int = DEFAULT_EMBED_DIM,
-             hidden: int = DEFAULT_HIDDEN, temperature: float = DEFAULT_TEMPERATURE) -> "AlignModel":
+    def init(cls, img_dim: int, gene_dim: int, rng: Rng, embed_dim: int,
+             hidden: int) -> "AlignModel":
         img_head = Mlp.init([img_dim, hidden, embed_dim], rng.child("img_head"))
         gene_head = Mlp.init([gene_dim, hidden, embed_dim], rng.child("gene_head"))
-        return cls(img_head, gene_head, temperature, embed_dim)
+        return cls(img_head, gene_head, TEMPERATURE)
 
 
 def save_align(path, model: AlignModel) -> bytes:
@@ -69,7 +69,7 @@ def save_align(path, model: AlignModel) -> bytes:
 
 def load_align(path, data: bytes | None = None) -> AlignModel:
     return load_checkpoint(path, data, MAGIC_ALIGN, 1, 2,
-                           lambda t, img, gene: AlignModel(img, gene, t, img.out_dim))
+                           lambda t, img, gene: AlignModel(img, gene, t))
 
 
 def l2_normalize(raw: np.ndarray):
@@ -154,11 +154,10 @@ def embed_images(model: AlignModel, img_features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AlignTrainConfig:
-    epochs: int = 40
-    batch_size: int = DEFAULT_BATCH_SIZE
-    embed_dim: int = DEFAULT_EMBED_DIM
-    hidden: int = DEFAULT_HIDDEN
-    temperature: float = DEFAULT_TEMPERATURE
+    epochs: int
+    batch_size: int
+    embed_dim: int
+    hidden: int
 
 
 def _epoch_batches(n: int, batch_size: int, perm: np.ndarray):
@@ -172,20 +171,12 @@ def _epoch_batches(n: int, batch_size: int, perm: np.ndarray):
 
 
 def train_align(data: PairedBatch, epochs: int, opt: SgdState, rng: Rng,
-                cfg: AlignTrainConfig | None = None, model: AlignModel | None = None) -> AlignModel:
+                cfg: AlignTrainConfig) -> AlignModel:
     """Train both projection heads on paired data; deterministic given rng."""
-    cfg = cfg or AlignTrainConfig(epochs=epochs)
     if epochs < 0 or cfg.epochs != epochs:
         raise InputError(f"epochs {epochs} must be >= 0 and equal cfg.epochs {cfg.epochs}")
-    if model is None:
-        model = AlignModel.init(
-            data.img_features.shape[1], data.expressions.shape[1], rng.child("init"),
-            embed_dim=cfg.embed_dim, hidden=cfg.hidden, temperature=cfg.temperature,
-        )
-    if data.img_features.shape[1] != model.img_head.in_dim:
-        raise InputError("image feature dim drifted from the model")
-    if data.expressions.shape[1] != model.gene_head.in_dim:
-        raise InputError("expression dim drifted from the model")
+    model = AlignModel.init(data.img_features.shape[1], data.expressions.shape[1],
+                            rng.child("init"), embed_dim=cfg.embed_dim, hidden=cfg.hidden)
 
     params = model.img_head.param_arrays() + model.gene_head.param_arrays()
     n = len(data)

@@ -20,8 +20,6 @@ from .core import Mlp, Rng, SgdState, as_matrix
 from .errors import InputError, NumericError
 from .tsvio import load_checkpoint, save_checkpoint
 
-DEFAULT_HIDDEN = 32
-DEFAULT_REG_COEF = 1.0
 Z_CLIP = 18.0  # tanh(18) is still strictly below 1 in float64
 MAGIC_FUSE = b"DUET-FUS1"
 
@@ -29,7 +27,7 @@ MAGIC_FUSE = b"DUET-FUS1"
 @dataclass
 class FuseAdapter:
     mlp: Mlp
-    reg_coef: float = DEFAULT_REG_COEF
+    reg_coef: float
 
     def __post_init__(self):
         if self.mlp.out_dim != 1:
@@ -38,8 +36,8 @@ class FuseAdapter:
             raise InputError("reg_coef must be non-negative")
 
     @classmethod
-    def init(cls, feature_dim: int, rng: Rng, hidden: int = DEFAULT_HIDDEN,
-             reg_coef: float = DEFAULT_REG_COEF) -> "FuseAdapter":
+    def init(cls, feature_dim: int, rng: Rng, hidden: int,
+             reg_coef: float) -> "FuseAdapter":
         mlp = Mlp.init([feature_dim, hidden, 1], rng.child("fuse-init"))
         final = mlp.layers[-1]
         final.weight[...] = 0.0

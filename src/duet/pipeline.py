@@ -42,8 +42,8 @@ from .core import Rng, SgdState, bound, check_config
 from .errors import InputError
 from .fuse import FuseAdapter, fuse_predict_batch, load_fuse, save_fuse, train_fuse
 from .metrics import log1p_transform, metrics, variance_curve
-from .regress import (AnnealSchedule, RegModel, RetrievalSources, load_reg, save_reg,
-                      train_regress)
+from .regress import (BATCH_SIZE as REG_BATCH, AnnealSchedule, RegModel,
+                      RetrievalSources, load_reg, save_reg, train_regress)
 from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .scprior import build_gating, deconvolve, fit_signatures, select_panel
 from .scprior import ScDataset
@@ -84,7 +84,7 @@ class TrainConfig:
     train_frac: float = 0.7
     fuse_frac: float = 0.1
     align_batch: int = bound(128, ge=2)  # InfoNCE needs two pairs a batch
-    reg_batch: int = bound(128, ge=1)
+    reg_batch: int = bound(REG_BATCH, ge=1)
 
     def __post_init__(self):
         check_config(self, "train")
@@ -104,6 +104,16 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_config(self, "")
+        s, t = self.synth, self.train
+        if s.n_target_genes + t.panel_size > s.n_genes:
+            raise InputError("bad config: need 'synth.n_target_genes' + 'train.panel_size' "
+                             "<= 'synth.n_genes' for a disjoint deconvolution panel")
+        sizes = _split_sizes(self)
+        if min(sizes) < 2:
+            raise InputError(f"bad config: splits too small: 'synth.n_spots' {s.n_spots}, "
+                             f"'train.train_frac' {t.train_frac} and 'train.fuse_frac' "
+                             f"{t.fuse_frac} give train/fuse/test {sizes}; each needs "
+                             ">= 2 spots")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -124,6 +134,14 @@ class PipelineConfig:
         del doc["synth"]["seed"]  # the run seed replaces it (stage_synth)
         doc["train"]["reg_hidden"] = list(doc["train"]["reg_hidden"])
         return doc
+
+
+def _split_sizes(cfg: PipelineConfig) -> tuple[int, int, int]:
+    """(n_train, n_fuse, n_test): how many of the run's spots each split gets."""
+    n = cfg.synth.n_spots
+    n_train = round(cfg.train.train_frac * n)
+    n_fuse = round(cfg.train.fuse_frac * n)
+    return n_train, n_fuse, n - n_train - n_fuse
 
 
 def _from_doc(cls, doc, section: str):
@@ -306,7 +324,7 @@ def _split(ws: Workspace, spots: list[str], name: str) -> np.ndarray:
 @_stage((), (
     "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
     "features_fm.tsv", "cell_counts.tsv", "truth_w.tsv", "truth_n.tsv",
-    "truth_d.tsv", "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
+    "truth_d.tsv", "truth_mu.tsv", "target_genes.tsv",
     "split_train.tsv", "split_fuse.tsv", "split_test.tsv"))
 def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     try:
@@ -315,7 +333,7 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
         raise InputError(f"cannot make workspace {ws.root}: {exc.strerror}") from None
     synth_cfg = replace(cfg.synth, seed=seed)
     sc, truth = gen_sc(synth_cfg)
-    st_counts, f_img, f_fm, gating_truth = gen_spots(synth_cfg, truth)
+    st_counts, f_img, f_fm, _ = gen_spots(synth_cfg, truth)
     truth.mu_spot = None  # no file holds it; free its (S, G) array first
 
     genes = truth.gene_names
@@ -337,18 +355,10 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     ws.write_matrix("truth_n.tsv", truth.n_true[:, None], spots, ["n"])
     ws.write_matrix("truth_d.tsv", truth.d_true[:, None], spots, ["d"])
     ws.write_matrix("truth_mu.tsv", truth.mu_true, types, genes)
-    ws.write_matrix("gating_truth.tsv", gating_truth.g, spots, types)
     ws.write_ids("target_genes.tsv", truth.target_genes)
 
-    n = len(spots)
-    perm = Rng(seed).child("split").permutation(n)
-    n_train = int(round(cfg.train.train_frac * n))
-    n_fuse = int(round(cfg.train.fuse_frac * n))
-    n_test = n - n_train - n_fuse
-    if min(n_train, n_fuse, n_test) < 2:
-        raise InputError(
-            f"splits too small for {n} spots: {n_train}/{n_fuse}/{n_test}"
-        )
+    n_train, n_fuse, _ = _split_sizes(cfg)
+    perm = Rng(seed).child("split").permutation(len(spots))
     ids = np.array(spots)
     ws.write_ids("split_train.tsv", ids[np.sort(perm[:n_train])])
     ws.write_ids("split_fuse.tsv", ids[np.sort(perm[n_train:n_train + n_fuse])])
@@ -422,10 +432,9 @@ def stage_align(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     )
     tc = cfg.train
     model = train_align(
-        data, tc.align_epochs,
-        SgdState(lr=tc.align_lr), rng,
-        cfg=AlignTrainConfig(epochs=tc.align_epochs, batch_size=tc.align_batch,
-                             embed_dim=tc.embed_dim, hidden=tc.align_hidden),
+        data, tc.align_epochs, SgdState(lr=tc.align_lr), rng,
+        AlignTrainConfig(epochs=tc.align_epochs, batch_size=tc.align_batch,
+                         embed_dim=tc.embed_dim, hidden=tc.align_hidden),
     )
     ws.save("align.ckpt", save_align, model)
 
@@ -509,8 +518,7 @@ def stage_regress(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
                           hidden=tc.reg_hidden)
     model = train_regress(
         f_fm[idx], y[idx], align_model, sources, cfg.anneal, tc.reg_epochs,
-        SgdState(lr=tc.reg_lr), rng.child("fit"), batch_size=tc.reg_batch,
-        model=model,
+        SgdState(lr=tc.reg_lr), rng.child("fit"), model, batch_size=tc.reg_batch,
     )
     ws.save("reg.ckpt", save_reg, model)
 

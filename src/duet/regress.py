@@ -23,27 +23,25 @@ from .errors import InputError, NumericError
 from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .tsvio import load_checkpoint, save_checkpoint
 
-DEFAULT_HIDDEN = (256, 256)
-DEFAULT_BATCH_SIZE = 128
+BATCH_SIZE = 128  # train_regress's minibatch, and the default of train.reg_batch
 MAGIC_REG = b"DUET-REG1"
 
 
 @dataclass
 class RegModel:
     head: Mlp
-    feature_dim: int
-    gene_dim: int
 
-    def __post_init__(self):
-        if self.head.in_dim != self.feature_dim or self.head.out_dim != self.gene_dim:
-            raise InputError("regression head dims disagree with declared dims")
+    @property
+    def feature_dim(self) -> int:
+        return self.head.in_dim
+
+    @property
+    def gene_dim(self) -> int:
+        return self.head.out_dim
 
     @classmethod
-    def init(cls, feature_dim: int, gene_dim: int, rng: Rng,
-             hidden: tuple = DEFAULT_HIDDEN) -> "RegModel":
-        dims = [feature_dim, *hidden, gene_dim]
-        head = Mlp.init(dims, rng.child("reg-init"))
-        return cls(head=head, feature_dim=feature_dim, gene_dim=gene_dim)
+    def init(cls, feature_dim: int, gene_dim: int, rng: Rng, hidden: tuple) -> "RegModel":
+        return cls(Mlp.init([feature_dim, *hidden, gene_dim], rng.child("reg-init")))
 
     def predict(self, features) -> np.ndarray:
         out, _ = self.head.forward(np.asarray(features, dtype=np.float64))
@@ -55,8 +53,7 @@ def save_reg(path, model: RegModel) -> bytes:
 
 
 def load_reg(path, data: bytes | None = None) -> RegModel:
-    return load_checkpoint(path, data, MAGIC_REG, 0, 1,
-                           lambda head: RegModel(head, head.in_dim, head.out_dim))
+    return load_checkpoint(path, data, MAGIC_REG, 0, 1, RegModel)
 
 
 @dataclass
@@ -125,9 +122,8 @@ class RetrievalSources:
 
 def train_regress(features, targets, align_model: AlignModel | None,
                   db_sources: RetrievalSources | None, sched: AnnealSchedule,
-                  epochs: int, opt: SgdState, rng: Rng,
-                  start_epoch: int = 0, batch_size: int = DEFAULT_BATCH_SIZE,
-                  model: RegModel | None = None) -> RegModel:
+                  epochs: int, opt: SgdState, rng: Rng, model: RegModel,
+                  batch_size: int = BATCH_SIZE) -> RegModel:
     """Minibatch SGD on the annealed objective; retrieval runs at most once."""
     x = as_matrix(features)
     y = as_matrix(targets)
@@ -136,8 +132,6 @@ def train_regress(features, targets, align_model: AlignModel | None,
     if epochs < 1:
         raise InputError("train_regress needs epochs >= 1")
     n, g = y.shape
-    if model is None:
-        model = RegModel.init(x.shape[1], g, rng)
     if model.feature_dim != x.shape[1] or model.gene_dim != g:
         raise InputError("model dims disagree with the training data")
     if db_sources is not None and x.shape[0] != db_sources.expressions.shape[0]:
@@ -145,8 +139,7 @@ def train_regress(features, targets, align_model: AlignModel | None,
 
     params = model.head.param_arrays()
     p_ret = None  # retrieved targets, computed on the first epoch that needs them
-    for i in range(epochs):
-        e = start_epoch + i
+    for e in range(epochs):
         lam = lambda_at(sched, e)
         if lam > 0.0 and p_ret is None:
             if align_model is None or db_sources is None:

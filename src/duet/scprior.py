@@ -515,8 +515,8 @@ def _repin_cell_scales(model: NbSignatureModel):
     model.raw_mu[...] = positive_inv(np.maximum(model.mu * s, 2 * POSITIVE_FLOOR))
 
 
-def fit_signatures(data: ScDataset, epochs: int, rng: Rng | None = None,
-                   lr: float = 0.2) -> NbSignatureModel:
+def fit_signatures(data: ScDataset, epochs: int, rng: Rng | None = None, *,
+                   lr: float) -> NbSignatureModel:
     """Fit the signature model by full-batch MAP gradient descent.
 
     The fit is deterministic and reads no ``rng``; the parameter is unused and
@@ -526,7 +526,7 @@ def fit_signatures(data: ScDataset, epochs: int, rng: Rng | None = None,
         raise InputError("fit_signatures needs epochs >= 1")
     table = _signature_table(data)
     model = _init_signature_model(data)
-    opt = SgdState(lr=lr, momentum=0.9, weight_decay=0.0)
+    opt = SgdState(lr=lr, weight_decay=0.0)
     params = model.param_arrays()
     for epoch in range(epochs):
         # anneal the step size so late epochs settle monotonically
@@ -598,7 +598,7 @@ def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
 
 
 def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
-               lr: float = 0.1) -> DeconvPosterior:
+               lr: float) -> DeconvPosterior:
     """Fit per-spot abundance posteriors against a fixed signature panel."""
     y = np.ascontiguousarray(validate_counts(st_counts, "spot counts", np.float64))
     m_panel = as_matrix(m_panel)
@@ -624,7 +624,7 @@ def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
         "raw_alpha": np.full(g_n, float(positive_inv(1.0))),
     }
     names = list(params)
-    opt = SgdState(lr=lr, momentum=0.9, weight_decay=0.0)
+    opt = SgdState(lr=lr, weight_decay=0.0)
     noise = rng.child("deconv-noise")
     trace = []
     for step in range(epochs):
@@ -656,8 +656,8 @@ def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
 # ---------------------------------------------------------------------------
 
 
-def select_panel(all_genes: list[str], target_genes: list[str], k: int = 100,
-                 rng: Rng | None = None) -> list[str]:
+def select_panel(all_genes: list[str], target_genes: list[str], k: int,
+                 rng: Rng) -> list[str]:
     """Sample k non-target genes for deconvolution, deterministic per seed."""
     if k < 0:
         raise InputError("panel size must be non-negative")
@@ -669,7 +669,6 @@ def select_panel(all_genes: list[str], target_genes: list[str], k: int = 100,
         )
     if k == 0:
         return []
-    rng = rng or Rng(0)
     order = rng.child("panel").permutation(len(candidates))
     chosen = [candidates[i] for i in order[:k]]
     return sorted(chosen)

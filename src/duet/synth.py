@@ -22,9 +22,7 @@ import numpy as np
 
 from .core import Rng, bound, check_config
 from .errors import InputError
-from .scprior import GatingSignal, ScDataset, gating_from_rows
-
-PANEL_RESERVE = 100  # non-target genes that must remain available
+from .scprior import ScDataset, gating_from_rows
 
 
 @dataclass
@@ -42,9 +40,6 @@ class SynthConfig:
 
     def __post_init__(self):
         check_config(self, "synth")
-        if self.n_target_genes + PANEL_RESERVE > self.n_genes:
-            raise InputError(f"bad config: need 'synth.n_target_genes' + {PANEL_RESERVE} "
-                             f"<= 'synth.n_genes' for a disjoint deconvolution panel")
 
 
 @dataclass
@@ -69,12 +64,6 @@ def sample_nb_counts(rng: Rng, mean: np.ndarray, disp: np.ndarray) -> np.ndarray
     mean = np.asarray(mean, dtype=np.float64)
     disp = np.broadcast_to(np.asarray(disp, dtype=np.float64), mean.shape)
     return rng.poisson(rng.gamma(disp, mean / disp))  # numpy's default int
-
-
-def expected_spot_expression(w: np.ndarray, mu_true: np.ndarray,
-                             d: np.ndarray) -> np.ndarray:
-    """mu_sg = d_s * sum_t w_st * M_gt with M_gt = mu_true[t, g]."""
-    return d[:, None] * (w @ mu_true)
 
 
 def gen_sc(cfg: SynthConfig) -> tuple[ScDataset, SynthTruth]:
@@ -124,7 +113,8 @@ def gen_spots(cfg: SynthConfig, truth: SynthTruth):
     n_true = rng.child("cells").integers(5, 51, size=s_n).astype(np.float64)
     w_true = props * n_true[:, None]
 
-    # expected_spot_expression, with w @ mu taken once and scaled in place
+    # mu_sg = d_s * sum_t w_st * mu_true[t, g], with w @ mu taken once and
+    # scaled in place
     mu_spot = w_true @ truth.mu_true  # (S, G) expected counts at d=1
     if cfg.reads_per_spot is not None:
         d_true = cfg.reads_per_spot / mu_spot.sum(axis=1)

@@ -187,8 +187,8 @@ def read_matrix_tsv(path, data: bytes | None = None):
     return matrix, row_ids, header[1:]
 
 
-def write_ids_tsv(path, ids, header: str = "id"):
-    lines = [header] + _writable_ids(ids, "id", path, allow_empty=False)
+def write_ids_tsv(path, ids):
+    lines = ["id"] + _writable_ids(ids, "id", path, allow_empty=False)
     return write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -67,6 +67,31 @@ def test_pipeline_command_runs_and_prints_report(tmp_path, cfg_path, capsys,
     assert (tmp_path / "ws" / "pred_duet.tsv").exists()
 
 
+def _dims(net: Mlp) -> list[int]:
+    return [net.in_dim] + [layer.weight.shape[0] for layer in net.layers]
+
+
+def test_config_sizes_reach_the_models(tmp_path, no_env_seed):
+    # TINY sets every size off its default; reg_coef moves off it here
+    doc = json.loads(json.dumps(TINY))
+    doc["train"]["reg_coef"] = 0.25
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    ws = tmp_path / "ws"
+    assert main(["pipeline", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 0
+    s, t = doc["synth"], doc["train"]
+    align = load_align(ws / "align.ckpt")
+    assert _dims(align.img_head) == [s["feature_dim"], t["align_hidden"], t["embed_dim"]]
+    assert _dims(align.gene_head) == [s["n_target_genes"], t["align_hidden"],
+                                      t["embed_dim"]]
+    assert align.temperature == 0.07
+    assert _dims(load_reg(ws / "reg.ckpt").head) == [s["feature_dim"], *t["reg_hidden"],
+                                                     s["n_target_genes"]]
+    fuse = load_fuse(ws / "fuse.ckpt")
+    assert _dims(fuse.mlp) == [s["feature_dim"], t["fuse_hidden"], 1]
+    assert fuse.reg_coef == 0.25
+
+
 def test_pipeline_loads_no_scipy(tmp_path, cfg_path):
     # scipy is a test-only dependency: a whole run must not import it
     script = (
@@ -367,7 +392,7 @@ def _resize_checkpoint(path, extra_in, extra_out=0):
                                      model.gene_dim + extra_out, Rng(0), hidden=(32, 32)))
     elif path.name == "fuse.ckpt":
         save_fuse(path, FuseAdapter.init(load_fuse(path).mlp.in_dim + extra_in, Rng(0),
-                                         hidden=16))
+                                         hidden=16, reg_coef=1.0))
     else:
         model = load_align(path)
         save_align(path, AlignModel.init(model.img_head.in_dim + extra_in,

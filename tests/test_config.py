@@ -11,7 +11,9 @@ import math
 import pytest
 
 from duet.cli import main
-from duet.pipeline import PipelineConfig
+from duet.errors import InputError
+from duet.pipeline import STAGES, PipelineConfig
+from duet.tsvio import read_ids_tsv
 
 SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
             if dataclasses.is_dataclass(f.default_factory)}
@@ -61,6 +63,14 @@ SPLIT_CASES = [
     ({"train": {"train_frac": 0}}, "'train.train_frac'"),
     ({"train": {"fuse_frac": -0.1}}, "'train.fuse_frac'"),
     ({"train": {"train_frac": 0.9, "fuse_frac": 0.1}}, "'train.train_frac'"),
+]
+
+# the rules PipelineConfig checks across sections, before synth writes a file
+CROSS_SECTION_CASES = [
+    ({"synth": {"n_spots": 3}}, "'synth.n_spots'"),  # a 2/0/1 split
+    # 20 targets and a 500-gene panel need 520 of the 120 genes
+    ({"synth": {"n_genes": 120, "n_target_genes": 20}, "train": {"panel_size": 500}},
+     "'train.panel_size'"),
 ]
 
 # the failures that, before the schema, a whole 80-spot `duet pipeline` run
@@ -145,9 +155,29 @@ def _refused(tmp_path, capsys, argv, doc=None) -> str:
     return err
 
 
-@pytest.mark.parametrize("doc, key", BAD + SPLIT_CASES)
+@pytest.mark.parametrize("doc, key", BAD + SPLIT_CASES + CROSS_SECTION_CASES)
 def test_bad_value_exit_1_naming_key(tmp_path, capsys, no_env_seed, doc, key):
     assert key in _refused(tmp_path, capsys, ["synth"], doc)
+
+
+def test_smallest_accepted_spot_count_splits_two_spots_each(tmp_path):
+    def refusal(n):
+        """The error refusing n spots, or None if they are accepted."""
+        try:
+            PipelineConfig.from_dict({"synth": {"n_spots": n, "n_cells_per_type": 5}})
+        except InputError as exc:
+            return str(exc)
+        return None
+
+    n = next(n for n in range(1, 100) if refusal(n) is None)
+    assert all(refusal(m) for m in range(1, n))
+    for key in ("'synth.n_spots'", "'train.train_frac'", "'train.fuse_frac'"):
+        assert key in refusal(n - 1)
+    STAGES["synth"](PipelineConfig.from_dict(
+        {"synth": {"n_spots": n, "n_cells_per_type": 5}}), 0, tmp_path)
+    sizes = [len(read_ids_tsv(tmp_path / f"split_{s}.tsv"))
+             for s in ("train", "fuse", "test")]
+    assert min(sizes) == 2 and sum(sizes) == n
 
 
 @pytest.mark.parametrize("doc, key", REPRODUCERS)

@@ -50,7 +50,7 @@ def fuse_predict(adapter: FuseAdapter, f_s, y_ret, y_reg) -> FusedPrediction:
 
 
 def fresh_adapter(seed=1, d=6, reg_coef=1.0):
-    return FuseAdapter.init(d, Rng(seed), reg_coef=reg_coef)
+    return FuseAdapter.init(d, Rng(seed), hidden=32, reg_coef=reg_coef)
 
 
 def randomized_adapter(seed=2, d=6):
@@ -91,7 +91,7 @@ class TestAlpha:
     def test_adapter_must_output_scalar(self):
         from duet.core import Mlp
         with pytest.raises(InputError):
-            FuseAdapter(mlp=Mlp.init([4, 8, 2], Rng(5)))
+            FuseAdapter(mlp=Mlp.init([4, 8, 2], Rng(5)), reg_coef=1.0)
 
 
 class TestFusePredict:

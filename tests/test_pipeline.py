@@ -48,7 +48,7 @@ TINY = {
 EXPECTED_FILES = [
     "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
     "features_fm.tsv", "cell_counts.tsv", "truth_w.tsv", "truth_n.tsv",
-    "truth_d.tsv", "truth_mu.tsv", "gating_truth.tsv", "target_genes.tsv",
+    "truth_d.tsv", "truth_mu.tsv", "target_genes.tsv",
     "split_train.tsv", "split_fuse.tsv", "split_test.tsv",
     "signature.tsv", "panel_genes.tsv", "deconv_w_mean.tsv",
     "deconv_w_q05.tsv", "proportions.tsv", "gating.tsv",
@@ -102,16 +102,13 @@ def ws(tmp_path_factory):
 
 def test_all_expected_files_written(ws):
     d, _ = ws
-    for name in EXPECTED_FILES:
-        assert (d / name).exists(), name
+    assert sorted(p.name for p in d.iterdir()) == sorted(EXPECTED_FILES)
 
 
 def test_no_stage_but_synth_reads_generator_truth():
     for name, (inputs, _) in STAGE_IO.items():
         if name != "synth":
-            truth = [f for f in inputs
-                     if f.startswith("truth_") or f == "gating_truth.tsv"]
-            assert truth == [], name
+            assert [f for f in inputs if f.startswith("truth_")] == [], name
 
 
 def test_cell_counts_are_the_true_counts(ws):

@@ -322,11 +322,11 @@ class TestNbKernel:
                             counting("sig", scprior.signature_loss))
         monkeypatch.setattr(scprior, "deconv_loss",
                             counting("deconv", scprior.deconv_loss))
-        fit_signatures(tiny_dataset(), epochs=5)
+        fit_signatures(tiny_dataset(), epochs=5, lr=0.2)
         assert calls == ["table"] + ["sig"] * 5
         calls.clear()
         y, m_panel, _, _, _ = small_deconv_problem(28, s_n=6)
-        deconvolve(y, m_panel, epochs=4, rng=Rng(2))
+        deconvolve(y, m_panel, epochs=4, rng=Rng(2), lr=0.1)
         assert calls == ["table"] + ["deconv"] * 4
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -399,7 +399,7 @@ class TestScratch:
         # scratch set, or a second copy of the counts, does not fit
         y, m_panel, _, _, _ = small_deconv_problem(31, s_n=2000, t_n=5, g_n=100)
         y = np.asarray(y, order=order)
-        peak = traced_peak(lambda: deconvolve(y, m_panel, epochs=3, rng=Rng(2)))
+        peak = traced_peak(lambda: deconvolve(y, m_panel, epochs=3, rng=Rng(2), lr=0.1))
         assert peak < 15_136_716 - 3 * y.size * 8
 
     def test_signature_loss_allocates_no_full_array(self):
@@ -536,7 +536,7 @@ class TestSignatureLoss:
 
     def test_loss_drops_from_init(self):
         data = tiny_dataset()
-        model = fit_signatures(data, epochs=60)
+        model = fit_signatures(data, epochs=60, lr=0.2)
         assert model.fit_trace[-1] < model.fit_trace[0]
 
 
@@ -549,7 +549,7 @@ class TestFitSignatures:
             cell_type=np.zeros(300, dtype=int),
             batch=np.zeros(300, dtype=int),
         )
-        model = fit_signatures(data, epochs=250)
+        model = fit_signatures(data, epochs=250, lr=0.2)
         mu_hat = model.mu[0]
         assert np.all(np.abs(mu_hat - 5.0) / 5.0 < 0.1)
 
@@ -562,7 +562,7 @@ class TestFitSignatures:
             cell_type=np.zeros(400, dtype=int),
             batch=batches,
         )
-        model = fit_signatures(data, epochs=250)
+        model = fit_signatures(data, epochs=250, lr=0.2)
         assert np.mean(np.abs(model.batch_effect[1])) < 0.1
 
     def test_zero_counts_hit_floor_without_crash(self):
@@ -571,24 +571,24 @@ class TestFitSignatures:
             cell_type=np.array([0, 1, 2]),
             batch=np.array([0, 0, 0]),
         )
-        model = fit_signatures(data, epochs=80)
+        model = fit_signatures(data, epochs=80, lr=0.2)
         assert np.all(np.isfinite(model.mu))
         assert np.all(model.mu >= 1e-6)
         assert np.all(model.mu < 0.1)
 
     def test_reference_batch_stays_zero(self):
         data = tiny_dataset()
-        model = fit_signatures(data, epochs=40)
+        model = fit_signatures(data, epochs=40, lr=0.2)
         assert np.all(model.batch_effect[0] == 0.0)
 
     def test_cell_scales_pinned_to_mean_one(self):
         data = tiny_dataset()
-        model = fit_signatures(data, epochs=40)
+        model = fit_signatures(data, epochs=40, lr=0.2)
         assert abs(model.cell_scale.mean() - 1.0) < 1e-6
 
     def test_loss_non_increasing_late(self):
         data = tiny_dataset()
-        model = fit_signatures(data, epochs=200)
+        model = fit_signatures(data, epochs=200, lr=0.2)
         tail = np.asarray(model.fit_trace[-20:])
         assert np.all(np.diff(tail) <= 1e-9)
 
@@ -685,27 +685,27 @@ def small_deconv_problem(seed, s_n=25, t_n=3, g_n=30):
 class TestDeconvolve:
     def test_recovers_proportions(self):
         y, m_panel, props, _, _ = small_deconv_problem(21)
-        post = deconvolve(y, m_panel, epochs=400, rng=Rng(2))
+        post = deconvolve(y, m_panel, epochs=400, rng=Rng(2), lr=0.1)
         est = post.proportions()
         err = np.abs(est - props).mean()
         assert err < 0.1
 
     def test_single_type_proportions_are_one(self):
         y, m_panel, _, _, _ = small_deconv_problem(22, t_n=1)
-        post = deconvolve(y, m_panel, epochs=50, rng=Rng(2))
+        post = deconvolve(y, m_panel, epochs=50, rng=Rng(2), lr=0.1)
         assert np.allclose(post.proportions(), 1.0)
         assert np.allclose(post.q05_normalized(), 1.0)
 
     def test_zero_count_spot_stays_positive(self):
         y, m_panel, _, _, _ = small_deconv_problem(23, s_n=6)
         y[0] = 0
-        post = deconvolve(y, m_panel, epochs=80, rng=Rng(2))
+        post = deconvolve(y, m_panel, epochs=80, rng=Rng(2), lr=0.1)
         assert np.all(post.w_q05 > 0)
         assert np.allclose(post.q05_normalized().sum(axis=1), 1.0)
 
     def test_q05_below_mean(self):
         y, m_panel, _, _, _ = small_deconv_problem(24, s_n=8)
-        post = deconvolve(y, m_panel, epochs=100, rng=Rng(2))
+        post = deconvolve(y, m_panel, epochs=100, rng=Rng(2), lr=0.1)
         assert np.all(post.w_q05 < post.w_mean)
 
     def test_type_permutation_equivariance(self):
@@ -713,21 +713,21 @@ class TestDeconvolve:
         perm = np.array([2, 0, 1])
         diffs = []
         for seed in (31, 32, 33):
-            a = deconvolve(y, m_panel, epochs=300, rng=Rng(seed)).proportions()
-            b = deconvolve(y, m_panel[:, perm], epochs=300, rng=Rng(seed)).proportions()
+            a = deconvolve(y, m_panel, epochs=300, rng=Rng(seed), lr=0.1).proportions()
+            b = deconvolve(y, m_panel[:, perm], epochs=300, rng=Rng(seed), lr=0.1).proportions()
             diffs.append(np.abs(a[:, perm] - b).mean())
         assert np.mean(diffs) < 0.02
 
     def test_rejects_gene_mismatch(self):
         y, m_panel, _, _, _ = small_deconv_problem(26, s_n=4)
         with pytest.raises(InputError):
-            deconvolve(y[:, :-1], m_panel, epochs=5, rng=Rng(0))
+            deconvolve(y[:, :-1], m_panel, epochs=5, rng=Rng(0), lr=0.1)
 
     def test_counts_layout_does_not_change_posterior(self):
         # the fit works on one C-ordered copy of the counts, so C- and
         # F-ordered counts give the same sums and the same posterior
         y, m_panel, _, _, _ = small_deconv_problem(34, s_n=328, t_n=4, g_n=100)
-        a, b = (deconvolve(np.asarray(y, order=o), m_panel, epochs=20, rng=Rng(3))
+        a, b = (deconvolve(np.asarray(y, order=o), m_panel, epochs=20, rng=Rng(3), lr=0.1)
                 for o in "CF")
         for k in ("w_mean", "w_logstd", "detect_mean", "detect_logstd",
                   "dispersion", "w_q05"):
@@ -738,7 +738,7 @@ class TestDeconvolve:
         # a float64 panel goes to the fit as it is, an int64 one is converted
         # once; both must give the same posterior bit for bit
         y, m_panel, _, _, _ = small_deconv_problem(35, s_n=40)
-        a, b = (deconvolve(c, m_panel, epochs=20, rng=Rng(3))
+        a, b = (deconvolve(c, m_panel, epochs=20, rng=Rng(3), lr=0.1)
                 for c in (y, y.astype(np.float64)))
         for k in ("w_mean", "w_logstd", "detect_mean", "detect_logstd",
                   "dispersion", "w_q05"):
@@ -752,12 +752,12 @@ class TestDeconvolve:
         y = y.astype(np.float64)
         y[1, 2] = bad
         with pytest.raises(InputError, match=f"spot counts must be {rule}"):
-            deconvolve(y, m_panel, epochs=5, rng=Rng(0))
+            deconvolve(y, m_panel, epochs=5, rng=Rng(0), lr=0.1)
 
     def test_same_seed_reproduces(self):
         y, m_panel, _, _, _ = small_deconv_problem(27, s_n=5)
-        a = deconvolve(y, m_panel, epochs=60, rng=Rng(4))
-        b = deconvolve(y, m_panel, epochs=60, rng=Rng(4))
+        a = deconvolve(y, m_panel, epochs=60, rng=Rng(4), lr=0.1)
+        b = deconvolve(y, m_panel, epochs=60, rng=Rng(4), lr=0.1)
         assert np.array_equal(a.w_mean, b.w_mean)
         assert np.array_equal(a.w_q05, b.w_q05)
 

@@ -3,20 +3,22 @@ import pytest
 
 from duet.core import Rng
 from duet.errors import InputError
-from duet.synth import (
-    SynthConfig,
-    expected_spot_expression,
-    gen_sc,
-    gen_spots,
-    sample_nb_counts,
-)
+from duet.pipeline import PipelineConfig
+from duet.synth import SynthConfig, gen_sc, gen_spots, sample_nb_counts
 from test_scprior import traced_peak
+
+
+def expected_spot_expression(w: np.ndarray, mu_true: np.ndarray,
+                             d: np.ndarray) -> np.ndarray:
+    """Reference: mu_sg = d_s * sum_t w_st * M_gt with M_gt = mu_true[t, g]."""
+    return d[:, None] * (w @ mu_true)
 
 
 class TestConfig:
     def test_rejects_infeasible_panel(self):
-        with pytest.raises(InputError):
-            SynthConfig(n_genes=150, n_target_genes=80)
+        # 80 targets and the default 100-gene panel need 180 of the 150 genes
+        with pytest.raises(InputError, match="'train.panel_size'"):
+            PipelineConfig.from_dict({"synth": {"n_genes": 150, "n_target_genes": 80}})
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(InputError):

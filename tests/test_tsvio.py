@@ -101,7 +101,8 @@ class TestMatrixTsv:
 class TestCheckpoints:
     def test_align_roundtrip(self, tmp_path):
         model = AlignModel.init(img_dim=10, gene_dim=14, rng=Rng(2),
-                                embed_dim=8, hidden=16, temperature=0.05)
+                                embed_dim=8, hidden=16)
+        model.temperature = 0.05
         path = tmp_path / "align.ckpt"
         save_align(path, model)
         back = load_align(path)
@@ -123,7 +124,7 @@ class TestCheckpoints:
         assert np.array_equal(back.predict(x), model.predict(x))
 
     def test_fuse_roundtrip(self, tmp_path):
-        ad = FuseAdapter.init(7, Rng(6), reg_coef=2.5)
+        ad = FuseAdapter.init(7, Rng(6), hidden=32, reg_coef=2.5)
         ad.mlp.layers[-1].bias[...] = 0.3
         ad.mlp.touch()
         path = tmp_path / "fuse.ckpt"
@@ -134,7 +135,7 @@ class TestCheckpoints:
         assert np.array_equal(alpha_batch(back, f[None]), alpha_batch(ad, f[None]))
 
     def test_negative_reg_coef_names_the_file(self, tmp_path):
-        ad = FuseAdapter.init(7, Rng(6))
+        ad = FuseAdapter.init(7, Rng(6), hidden=32, reg_coef=1.0)
         ad.reg_coef = -1.0
         path = tmp_path / "fuse.ckpt"
         save_fuse(path, ad)
@@ -191,7 +192,7 @@ class TestCheckpointGoldenBytes:
             struct.pack("<8d", 0.5, 4.0, -1.0, 2.0, 0.0, 8.0, -3.5, 6.0),
         ])
         path = tmp_path / "align.ckpt"
-        data = save_align(path, AlignModel(img, gene, 0.07, 2))
+        data = save_align(path, AlignModel(img, gene, 0.07))
         assert data == path.read_bytes() == expected
 
     def test_reg(self, tmp_path):
@@ -204,7 +205,7 @@ class TestCheckpointGoldenBytes:
             struct.pack("<4d", -1.0, -2.0, -3.0, 1e300),
         ])
         path = tmp_path / "reg.ckpt"
-        data = save_reg(path, RegModel(head, 2, 1))
+        data = save_reg(path, RegModel(head))
         assert data == path.read_bytes() == expected
 
     def test_fuse(self, tmp_path):
@@ -447,8 +448,7 @@ class TestCheckpointRoundTrips:
              temperature=-0.0)
     def test_align(self, heads, temperature, tmp_path_factory):
         img, gene = heads
-        model = AlignModel(img_head=img, gene_head=gene, temperature=temperature,
-                           embed_dim=img.out_dim)
+        model = AlignModel(img_head=img, gene_head=gene, temperature=temperature)
         path = tmp_path_factory.mktemp("ck") / "align.ckpt"
         save_align(path, model)
         back = load_align(path)
@@ -461,7 +461,7 @@ class TestCheckpointRoundTrips:
     @settings(max_examples=30, deadline=None)
     @given(head=mlps())
     def test_reg(self, head, tmp_path_factory):
-        model = RegModel(head=head, feature_dim=head.in_dim, gene_dim=head.out_dim)
+        model = RegModel(head=head)
         path = tmp_path_factory.mktemp("ck") / "reg.ckpt"
         save_reg(path, model)
         back = load_reg(path)
@@ -591,7 +591,8 @@ CHECKPOINTS = {
               lambda m: m.gene_head),
     "reg": (save_reg, load_reg, lambda: RegModel.init(3, 2, Rng(2), hidden=(4,)),
             lambda m: m.head),
-    "fuse": (save_fuse, load_fuse, lambda: FuseAdapter.init(3, Rng(3)),
+    "fuse": (save_fuse, load_fuse,
+             lambda: FuseAdapter.init(3, Rng(3), hidden=32, reg_coef=1.0),
              lambda m: m.mlp),
 }
 
@@ -815,7 +816,7 @@ WRITERS = {
     "save_reg": ("reg.ckpt", lambda ws, k: save_reg(
         ws / "reg.ckpt", RegModel.init(5, 3, Rng(k), hidden=(8,)))),
     "save_fuse": ("fuse.ckpt", lambda ws, k: save_fuse(
-        ws / "fuse.ckpt", FuseAdapter.init(5, Rng(k), reg_coef=k + 1.0))),
+        ws / "fuse.ckpt", FuseAdapter.init(5, Rng(k), hidden=32, reg_coef=k + 1.0))),
     "update_manifest": ("manifest.json", lambda ws, k: update_manifest(
         ws / "manifest.json", "synth", seed=k, config={"k": k}, outputs={},
         inputs={})),
