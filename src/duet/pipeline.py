@@ -12,18 +12,23 @@ its input and output files (STAGE_IO). It registers in STAGES the runner all
 stages share, which wraps a path (the CLI, tests) in a fresh Workspace, sets
 the running stage, runs the body and records the stage in the manifest. A
 stage reads and writes only through a Workspace, which refuses (InputError)
-any name its stage did not declare. The Workspace parses each file at most
+any name its stage did not declare. The Workspace reads each file at most
 once per run and hands every write to later reads: a TSV written or read
 through it is held parsed, with read-only float64 arrays, so run_pipeline,
 which passes one Workspace to every stage, parses no TSV at all; a checkpoint
 is held as its bytes and decoded per load, so no two stages share a model.
 It also keeps the sha256 of the bytes it read or wrote, and the manifest
-records those for each stage's declared outputs and inputs. A file it parses
+records those for each stage's declared outputs and inputs. A file it reads
 from disk must hash as the manifest records it among its producer's outputs
 (if it records it at all), so a file changed since its stage wrote it fails
-with an InputError naming it. Per-spot matrices (features, gating, cell counts)
-must carry st_counts.tsv's spot ids, in order, and a checkpoint's dims must
-match the feature columns and target genes it is used with (_check_dims).
+with an InputError naming it. A stage may ask for some rows (by position) and
+columns (by id) of a matrix. Only those cells are parsed if the manifest
+vouches for the file: every hash it records for it, as an output and as an
+input, is the file's, so write_matrix_tsv wrote it and every cell parses.
+Any other file is parsed whole, every cell checked, and then indexed.
+Per-spot matrices (features, gating, cell counts) must carry st_counts.tsv's
+spot ids, in order, and a checkpoint's dims must match the feature columns
+and target genes it is used with (_check_dims).
 The workspace holds exactly the files STAGE_IO names, plus manifest.json.
 """
 
@@ -49,6 +54,7 @@ from .scprior import build_gating, deconvolve, fit_signatures, select_panel
 from .scprior import ScDataset
 from .synth import SynthConfig, gen_sc, gen_spots
 from .tsvio import (
+    column_positions,
     read_bytes,
     read_ids_tsv,
     read_manifest,
@@ -178,8 +184,9 @@ class Workspace:
         self.root = Path(root)
         self.stage = None  # the running stage, whose STAGE_IO entry applies
         self._held = {}  # name -> parsed TSV, id list or checkpoint bytes
+        self._fetched = {}  # name -> bytes read and checked, not yet parsed
         self._sha = {}  # name -> sha256 of the bytes read or written
-        self._recorded = None  # name -> sha256 the manifest records as output
+        self._recorded = None  # ({name: output sha256}, {name: input sha256s})
 
     def _declared(self, name: str, io: int) -> Path:
         if name not in STAGE_IO[self.stage][io]:
@@ -188,42 +195,66 @@ class Workspace:
                              f"as an {kind}")
         return self.root / name
 
-    def _load(self, name: str, parse):
+    def _load(self, name: str, parse=None):
+        """What parse(path, data) makes of `name`'s bytes, held from the first
+        call on; without `parse`, just read and check them for a later call."""
         path = self._declared(name, 0)
-        if name not in self._held:
+        if name not in self._held and name not in self._fetched:
             data = read_bytes(path)
             sha = hashlib.sha256(data).hexdigest()
-            if self._recorded_output(name) not in (None, sha):
+            if self._records(name)[0] not in (None, sha):
                 raise InputError(f"{path} changed after its stage wrote it: its "
                                  f"sha256 is not the one {MANIFEST} records")
-            self._held[name], self._sha[name] = parse(path, data), sha
-        return self._held[name]
+            self._fetched[name], self._sha[name] = data, sha
+        if parse and name not in self._held:
+            self._held[name] = parse(path, self._fetched.pop(name))
+        return self._held.get(name)
 
-    def _recorded_output(self, name: str) -> str | None:
-        """The sha256 the manifest records for `name` among its producer's
-        outputs, if any; the manifest is read at most once."""
+    def _records(self, name: str) -> tuple[str | None, set]:
+        """The sha256 the manifest records for `name` as an output (or None)
+        and those it records for it as an input; it is read at most once."""
         if self._recorded is None:
-            self._recorded = {}
+            self._recorded = ({}, {})
             path = self.root / MANIFEST
             if path.exists():
                 for entry in read_manifest(path, read_bytes(path))["stages"].values():
-                    self._recorded.update(entry["outputs"])
-        return self._recorded.get(name)
+                    self._recorded[0].update(entry["outputs"])
+                    for n, sha in entry["inputs"].items():
+                        self._recorded[1].setdefault(n, set()).add(sha)
+        outputs, inputs = self._recorded
+        return outputs.get(name), inputs.get(name, set())
 
     def _keep(self, name: str, value, data: bytes) -> None:
         self._held[name] = value
         self._sha[name] = hashlib.sha256(data).hexdigest()
 
-    def matrix(self, name: str):
-        """(matrix, row ids, column ids), as read_matrix_tsv; read-only matrix."""
-        m, rows, cols = self._load(name, read_matrix_tsv)
-        m.flags.writeable = False
-        return m, list(rows), list(cols)
+    def matrix(self, name: str, rows=None, cols=None):
+        """(matrix, row ids, column ids), as read_matrix_tsv; a read-only matrix
+        of the rows at positions `rows` and the columns with ids `cols` (each
+        all when None), parsed in part only if the manifest vouches for it."""
+        want = None if rows is None and cols is None else (
+            None if rows is None else tuple(rows), None if cols is None else tuple(cols))
 
-    def spot_matrix(self, name: str) -> np.ndarray:
-        """`name`'s matrix, whose row ids must be st_counts.tsv's spot ids."""
-        m, rows, _ = self.matrix(name)
-        if rows != self.matrix("st_counts.tsv")[1]:
+        def parse(path, data):
+            output, inputs = self._records(name)
+            if want and inputs | {output} == {self._sha[name]}:
+                return (*read_matrix_tsv(path, data, rows=rows, cols=cols), want)
+            return (*read_matrix_tsv(path, data), None)
+
+        if name in self._held and self._held[name][3] not in (None, want):
+            del self._held[name]  # it holds other cells: parse again
+        m, row_ids, col_ids, got = self._load(name, parse)
+        if got != want:  # the whole matrix: take the cells asked for
+            m = m if rows is None else m[np.asarray(rows, dtype=np.intp)]
+            if cols is not None:
+                m = m[:, column_positions(self.root / name, col_ids, cols)]
+        m.flags.writeable = False
+        return m, list(row_ids), list(col_ids)
+
+    def spot_matrix(self, name: str, rows=None) -> np.ndarray:
+        """`name`'s matrix, as matrix(), whose row ids must be st_counts.tsv's."""
+        m, ids, _ = self.matrix(name, rows=rows)
+        if ids != (self._held.get("st_counts.tsv") or self.matrix("st_counts.tsv"))[1]:
             raise InputError(f"{name} row ids disagree with the spot ids of "
                              "st_counts.tsv")
         return m
@@ -239,7 +270,7 @@ class Workspace:
         rows, cols = [str(r) for r in row_ids], [str(c) for c in col_ids]
         data = write_matrix_tsv(self._declared(name, 1), m, rows, cols)
         m.flags.writeable = False
-        self._keep(name, (m, rows, cols), data)
+        self._keep(name, (m, rows, cols, None), data)
 
     def write_ids(self, name: str, ids) -> None:
         ids = [str(i) for i in ids]
@@ -290,21 +321,12 @@ def _stage(inputs: tuple, outputs: tuple):
 # ---------------------------------------------------------------------------
 
 
-def _target_index(genes: list[str], target_genes: list[str]) -> np.ndarray:
-    """Positions in st_counts.tsv's `genes` of the target genes."""
-    gene_pos = {g: i for i, g in enumerate(genes)}
-    try:
-        return np.array([gene_pos[g] for g in target_genes])
-    except KeyError as exc:
-        raise InputError(f"target gene missing from st_counts: {exc}") from None
-
-
 def _targets(ws: Workspace):
     """Spot ids, target gene ids and log1p target expression (spots, targets)."""
-    st, spots, genes = ws.matrix("st_counts.tsv")
+    ws._load("st_counts.tsv")  # read first: its spot ids come before the targets
     target_genes = ws.ids("target_genes.tsv")
-    idx = _target_index(genes, target_genes)
-    return spots, target_genes, log1p_transform(st[:, idx])
+    st, spots, _ = ws.matrix("st_counts.tsv", cols=target_genes)
+    return spots, target_genes, log1p_transform(st)
 
 
 def _split(ws: Workspace, spots: list[str], name: str) -> np.ndarray:
@@ -398,7 +420,8 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     panel_idx = np.array([gene_pos[g] for g in panel])
 
     st, spots, st_genes = ws.matrix("st_counts.tsv")
-    _target_index(st_genes, target_genes)  # every target gene is measured
+    # every target gene is measured
+    column_positions(ws.root / "st_counts.tsv", st_genes, target_genes)
     if st_genes != genes:
         raise InputError("st_counts and sc_counts gene columns disagree")
     post = deconvolve(st[:, panel_idx], signature[panel_idx],
@@ -423,10 +446,9 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
 def stage_align(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("align-stage")
     spots, _, y = _targets(ws)
-    f_img = ws.spot_matrix("features_img.tsv")
     idx = _split(ws, spots, "train")
     data = PairedBatch(
-        img_features=f_img[idx],
+        img_features=ws.spot_matrix("features_img.tsv", rows=idx),
         expressions=y[idx],
         spot_ids=[spots[i] for i in idx],
     )
@@ -469,25 +491,23 @@ def _branch_predictions(cfg: PipelineConfig, ws: Workspace, split: str):
     from the training spots' database, the regression branch's prediction and
     the log1p targets."""
     spots, target_genes, y = _targets(ws)
-    f_img = ws.spot_matrix("features_img.tsv")
-    f_fm = ws.spot_matrix("features_fm.tsv")
-    gating = ws.spot_matrix("gating.tsv")
     subset = _split(ws, spots, split)
+    f_img = ws.spot_matrix("features_img.tsv", rows=subset)
+    f_fm = ws.spot_matrix("features_fm.tsv", rows=subset)
+    gating = ws.spot_matrix("gating.tsv")
 
     idx = _split(ws, spots, "train")
     align_model = _align_model(ws, f_img, y)
     db = rebuild_db(align_model, y[idx], gating[idx], [spots[i] for i in idx])
-    y_ret = retrieve_spots(align_model, db, f_img[subset], gating[subset],
-                           cfg.retrieval)
+    y_ret = retrieve_spots(align_model, db, f_img, gating[subset], cfg.retrieval)
     reg_model = ws.checkpoint("reg.ckpt", load_reg)
     _check_dims(ws, "reg.ckpt",
                 ("input dim", reg_model.feature_dim, "features_fm.tsv",
                  f_fm.shape[1], "columns"),
                 ("output dim", reg_model.gene_dim, "target_genes.tsv", y.shape[1],
                  "genes"))
-    y_reg = reg_model.predict(f_fm[subset])
-    return [spots[i] for i in subset], target_genes, (f_fm[subset], y_ret, y_reg,
-                                                      y[subset])
+    y_reg = reg_model.predict(f_fm)
+    return [spots[i] for i in subset], target_genes, (f_fm, y_ret, y_reg, y[subset])
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +521,22 @@ def _branch_predictions(cfg: PipelineConfig, ws: Workspace, split: str):
 def stage_regress(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("regress-stage")
     spots, _, y = _targets(ws)
-    f_img = ws.spot_matrix("features_img.tsv")
-    f_fm = ws.spot_matrix("features_fm.tsv")
-    gating = ws.spot_matrix("gating.tsv")
     idx = _split(ws, spots, "train")
+    f_img = ws.spot_matrix("features_img.tsv", rows=idx)
+    f_fm = ws.spot_matrix("features_fm.tsv", rows=idx)
     align_model = _align_model(ws, f_img, y)
     sources = RetrievalSources(
         expressions=y[idx],
-        gating=gating[idx],
+        gating=ws.spot_matrix("gating.tsv", rows=idx),
         spot_ids=[spots[i] for i in idx],
-        img_features=f_img[idx],
+        img_features=f_img,
         cfg=cfg.retrieval,
     )
     tc = cfg.train
     model = RegModel.init(f_fm.shape[1], y.shape[1], rng.child("init"),
                           hidden=tc.reg_hidden)
     model = train_regress(
-        f_fm[idx], y[idx], align_model, sources, cfg.anneal, tc.reg_epochs,
+        f_fm, y[idx], align_model, sources, cfg.anneal, tc.reg_epochs,
         SgdState(lr=tc.reg_lr), rng.child("fit"), model, batch_size=tc.reg_batch,
     )
     ws.save("reg.ckpt", save_reg, model)

@@ -40,6 +40,8 @@ class SynthConfig:
 
     def __post_init__(self):
         check_config(self, "synth")
+        if self.n_target_genes > self.n_genes:
+            raise InputError("bad config: need 'synth.n_target_genes' <= 'synth.n_genes'")
 
 
 @dataclass

@@ -23,6 +23,10 @@ non-ASCII digits and empty cells are rejected. Every failure is an
 InputError naming the file. Each reader also takes the file's bytes, for a
 caller that has read them already.
 
+Given row positions or column ids, read_matrix_tsv parses only those cells
+as floats; every other check still covers the whole file. So a caller
+selects only on bytes write_matrix_tsv wrote (pipeline.Workspace does).
+
 Every workspace file is written by write_atomic: the data goes to a new
 `<name>.tmp` beside the target, the old target is unlinked, and the temp file
 is renamed onto the free name. A process interrupted at any point leaves the
@@ -159,8 +163,18 @@ def write_matrix_tsv(path, matrix, row_ids, col_ids) -> bytes:
     return write_atomic(path, buf.getvalue())
 
 
-def read_matrix_tsv(path, data: bytes | None = None):
-    """(matrix, row ids, column ids) of the TSV at `path` (or in `data`)."""
+def column_positions(path, col_ids: list[str], cols) -> list[int]:
+    """Positions of `cols` in the TSV at `path`'s `col_ids`; InputError if one lacks."""
+    pos = {c: j for j, c in enumerate(col_ids)}
+    try:
+        return [pos[c] for c in cols]
+    except KeyError as exc:
+        raise InputError(f"{path} has no column {exc}") from None
+
+
+def read_matrix_tsv(path, data: bytes | None = None, *, rows=None, cols=None):
+    """(matrix, row ids, column ids) of the TSV at `path` (or in `data`); given
+    `rows` (positions) or `cols` (ids), the matrix holds only those, in order."""
     p = Path(path)
     raw, lines = _scan(p, data)
     head = next(lines, None)
@@ -170,20 +184,31 @@ def read_matrix_tsv(path, data: bytes | None = None):
     if header[0] != "id":
         raise InputError(f"malformed TSV header in {p}: first cell must be 'id'")
     n, row_ids = len(header) - 1, []
+    usecols = range(1, n + 1) if cols is None else [
+        1 + j for j in column_positions(p, header[1:], cols)]
+    wanted, spans = set(() if rows is None else rows), {}
     for start, end in lines:
         if raw.count(b"\t", start, end) != n:
             raise InputError(f"ragged TSV row in {p}")
+        if len(row_ids) in wanted:
+            spans[len(row_ids)] = slice(start, end)
         row_ids.append(raw[start:raw.find(b"\t", start, end) if n else end].decode())
-    if not (n and row_ids):
-        return np.zeros((len(row_ids), n)), row_ids, header[1:]
+    if rows is None:
+        text, skip, n_rows = raw, raw.count(b"\n", 0, head[1]) + 1, len(row_ids)
+    elif len(spans) < len(wanted):
+        raise InputError(f"{p} has no row at position {min(wanted - set(spans))}")
+    else:
+        view = memoryview(raw)  # its slices copy nothing before the join
+        text, skip, n_rows = b"\n".join(view[spans[r]] for r in rows), 0, len(rows)
+    if not (n_rows and usecols):
+        return np.zeros((n_rows, len(usecols))), row_ids, header[1:]
     try:
-        matrix = np.loadtxt(io.BytesIO(raw), delimiter="\t", comments=None,
-                            usecols=range(1, n + 1), ndmin=2, encoding="utf-8",
-                            skiprows=raw.count(b"\n", 0, head[1]) + 1)
+        matrix = np.loadtxt(io.BytesIO(text), delimiter="\t", comments=None,
+                            usecols=usecols, ndmin=2, encoding="utf-8", skiprows=skip)
     except ValueError as exc:
         raise InputError(f"non-numeric cell in {p}: {exc}") from None
-    if len(matrix) != len(row_ids):
-        raise InputError(f"{p}: {len(matrix)} rows parsed for {len(row_ids)} row ids")
+    if len(matrix) != n_rows:
+        raise InputError(f"{p}: {len(matrix)} rows parsed for {n_rows} row ids")
     return matrix, row_ids, header[1:]
 
 

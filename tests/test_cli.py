@@ -10,39 +10,15 @@ import numpy as np
 import pytest
 
 import duet
+from duet import pipeline
 from duet.align import AlignModel, load_align, save_align
 from duet.cli import _build_parser, main
 from duet.core import Mlp, Rng
 from duet.fuse import MAGIC_FUSE, FuseAdapter, load_fuse, save_fuse
-from duet.pipeline import STAGES
+from duet.pipeline import STAGE_IO, STAGES
 from duet.regress import RegModel, load_reg, save_reg
-from duet.tsvio import read_matrix_tsv, save_checkpoint, write_matrix_tsv
-from test_pipeline import rehash_outputs
-
-TINY = {
-    "synth": {
-        "n_types": 3,
-        "n_genes": 160,
-        "n_target_genes": 40,
-        "n_cells_per_type": 60,
-        "n_spots": 60,
-        "feature_dim": 24,
-    },
-    "train": {
-        "sig_epochs": 40,
-        "deconv_epochs": 80,
-        "align_epochs": 10,
-        "reg_epochs": 12,
-        "fuse_epochs": 40,
-        "panel_size": 60,
-        "reg_hidden": [32, 32],
-        "embed_dim": 16,
-        "align_hidden": 32,
-        "fuse_hidden": 16,
-    },
-    "anneal": {"lambda0": 1.0, "decay_epochs": 8},
-    "retrieval": {"n_candidates": 30, "top_k": 10},
-}
+from duet.tsvio import read_ids_tsv, read_matrix_tsv, save_checkpoint, write_matrix_tsv
+from test_pipeline import TINY, rehash_outputs
 
 
 @pytest.fixture()
@@ -344,6 +320,72 @@ def test_permuted_spot_rows_exit_1(trained, tmp_path, capsys, name, stage):
     rehash_outputs(ws, name)
     assert main([stage, "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
     assert name in capsys.readouterr().err
+
+
+def _corrupt_a_training_cell(ws: Path, name: str) -> None:
+    """Replace the last cell of the first training spot's row in `name`."""
+    spot = read_ids_tsv(ws / "split_train.tsv")[0].encode()
+    lines = (ws / name).read_bytes().split(b"\n")
+    k = next(k for k, line in enumerate(lines) if line.startswith(spot + b"\t"))
+    lines[k] = lines[k].rsplit(b"\t", 1)[0] + b"\tnot-a-number"
+    (ws / name).write_bytes(b"\n".join(lines))
+
+
+def test_edited_cell_outside_the_parsed_rows_exit_1(trained, tmp_path, capsys):
+    # predict parses only the test rows of features_fm.tsv, but the file's
+    # hash no longer matches the manifest's
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    _corrupt_a_training_cell(ws, "features_fm.tsv")
+    assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    err = capsys.readouterr().err
+    assert str(ws / "features_fm.tsv") in err and "changed after its stage" in err
+
+
+def test_rehashed_edit_is_parsed_whole_exit_1(trained, tmp_path, capsys):
+    # the producer's record now matches, but the stages that read the file
+    # recorded other bytes: the manifest does not vouch for it, so every
+    # cell is parsed
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    _corrupt_a_training_cell(ws, "features_fm.tsv")
+    rehash_outputs(ws, "features_fm.tsv")
+    assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    err = capsys.readouterr().err
+    assert f"non-numeric cell in {ws / 'features_fm.tsv'}" in err
+
+
+def test_predict_parses_only_the_cells_it_uses(trained, tmp_path, monkeypatch):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    outputs = STAGE_IO["predict"][1]
+    before = {name: (ws / name).read_bytes() for name in outputs}
+    spots = read_matrix_tsv(ws / "st_counts.tsv")[1]
+    test = read_ids_tsv(ws / "split_test.tsv")
+    reads, handed = [], {}  # file names read; name -> (row ids, columns) parsed
+    real_read, real_loadtxt = pipeline.read_matrix_tsv, np.loadtxt
+
+    def read(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        return real_read(path, *args, **kwargs)
+
+    def loadtxt(fh, *args, skiprows, usecols, **kwargs):
+        lines = [line for line in fh.getvalue().split(b"\n")[skiprows:] if line]
+        handed[reads[-1]] = ([line.split(b"\t", 1)[0].decode() for line in lines],
+                             len(usecols))
+        return real_loadtxt(fh, *args, skiprows=skiprows, usecols=usecols, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_matrix_tsv", read)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 0
+    assert {name: (ws / name).read_bytes() for name in outputs} == before
+    assert sorted(reads) == sorted(set(reads))  # no file parsed twice
+    dim = TINY["synth"]["feature_dim"]
+    assert handed["features_img.tsv"] == handed["features_fm.tsv"] == (test, dim)
+    assert handed["st_counts.tsv"] == (spots, TINY["synth"]["n_target_genes"])
 
 
 def test_non_finite_checkpoint_exit_1(trained, tmp_path, capsys):

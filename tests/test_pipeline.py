@@ -20,30 +20,8 @@ from duet.pipeline import (
 )
 from duet.tsvio import read_ids_tsv, read_matrix_tsv, write_matrix_tsv
 
-TINY = {
-    "synth": {
-        "n_types": 3,
-        "n_genes": 160,
-        "n_target_genes": 40,
-        "n_cells_per_type": 60,
-        "n_spots": 60,
-        "feature_dim": 24,
-    },
-    "train": {
-        "sig_epochs": 40,
-        "deconv_epochs": 80,
-        "align_epochs": 10,
-        "reg_epochs": 12,
-        "fuse_epochs": 40,
-        "panel_size": 60,
-        "reg_hidden": [32, 32],
-        "embed_dim": 16,
-        "align_hidden": 32,
-        "fuse_hidden": 16,
-    },
-    "anneal": {"lambda0": 1.0, "decay_epochs": 8},
-    "retrieval": {"n_candidates": 30, "top_k": 10},
-}
+# the README's small demo config; the pipeline, CLI and script tests run it
+TINY = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_bytes())
 
 EXPECTED_FILES = [
     "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
@@ -307,7 +285,7 @@ def test_deconv_rejects_unmeasured_target_gene(ws, tmp_path):
     shutil.copytree(ws[0], tmp_path / "w")
     (tmp_path / "w" / "target_genes.tsv").write_text("id\nno_such_gene\n")
     rehash_outputs(tmp_path / "w", "target_genes.tsv")
-    with pytest.raises(InputError, match="target gene missing.*no_such_gene"):
+    with pytest.raises(InputError, match="st_counts.tsv has no column 'no_such_gene'"):
         STAGES["deconv"](tiny_cfg(), 3, tmp_path / "w")
 
 

@@ -20,6 +20,12 @@ class TestConfig:
         with pytest.raises(InputError, match="'train.panel_size'"):
             PipelineConfig.from_dict({"synth": {"n_genes": 150, "n_target_genes": 80}})
 
+    def test_rejects_more_targets_than_genes(self):
+        # a direct SynthConfig has no panel rule to catch this
+        with pytest.raises(InputError, match="'synth.n_target_genes' <= 'synth.n_genes'"):
+            SynthConfig(n_genes=50, n_target_genes=80)
+        SynthConfig(n_genes=50, n_target_genes=50)  # every gene a target is fine
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(InputError):
             SynthConfig(n_types=0)

@@ -405,6 +405,75 @@ class TestReaderMemory:
         assert peak < m.nbytes + 512 * 1024
 
 
+class TestSelectedRead:
+    @settings(max_examples=60, deadline=None)
+    @given(m=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                    elements=st.floats()),
+           crlf=st.booleans(), blanks=st.sets(st.integers(0, 8)), data=st.data())
+    def test_equals_a_full_read_then_indexing(self, m, crlf, blanks, data,
+                                              tmp_path_factory):
+        row_ids = [f"r{i}" for i in range(m.shape[0])]
+        col_ids = [f"c{j}" for j in range(m.shape[1])]
+        rows = data.draw(st.none() | st.lists(st.integers(0, m.shape[0] - 1),
+                                              unique=True), label="rows")
+        cols = data.draw(st.none() | st.lists(st.sampled_from(col_ids), unique=True),
+                         label="cols")
+        path = tmp_path_factory.mktemp("sel") / "m.tsv"
+        lines = write_matrix_tsv(path, m, row_ids, col_ids).split(b"\n")
+        for k in sorted(blanks, reverse=True):
+            lines.insert(k % len(lines), b"")
+        path.write_bytes((b"\r\n" if crlf else b"\n").join(lines))
+        full, full_rows, full_cols = read_matrix_tsv(path)
+        want = full if rows is None else full[np.array(rows, dtype=np.intp)]
+        if cols is not None:
+            want = want[:, [col_ids.index(c) for c in cols]]
+        got, got_rows, got_cols = read_matrix_tsv(path, rows=rows, cols=cols)
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
+        assert (got_rows, got_cols) == (full_rows, full_cols) == (row_ids, col_ids)
+
+    def test_unknown_column_id_names_the_file_and_the_id(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        write_matrix_tsv(path, np.eye(2), ["a", "b"], ["x", "y"])
+        with pytest.raises(InputError, match=r"m\.tsv has no column 'nope'"):
+            read_matrix_tsv(path, cols=["y", "nope"])
+
+    def test_row_position_out_of_range_names_the_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        write_matrix_tsv(path, np.eye(2), ["a", "b"], ["x", "y"])
+        with pytest.raises(InputError, match=r"m\.tsv has no row at position 2"):
+            read_matrix_tsv(path, rows=[1, 2])
+
+    @pytest.mark.parametrize("bad", [b"r1\t1\n", b"r1\t1\t2\t3\n",
+                                     b"r1\t\xff\t2\n", b"r\xe9\t1\t2\n"])
+    def test_whole_file_checks_cover_unselected_rows(self, bad, tmp_path):
+        # a ragged row or bytes that are not UTF-8 outside the selection
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"id\tx\ty\nr0\t1\t2\n" + bad + b"r2\t5\t6\n")
+        with pytest.raises(InputError, match="m.tsv"):
+            read_matrix_tsv(path, rows=[2, 0], cols=["x"])
+
+    def test_only_selected_cells_are_converted(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"id\tx\ty\nr0\t1\tbad\nr1\tbad\t4\n")
+        back, rows, cols = read_matrix_tsv(path, rows=[1], cols=["y"])
+        assert back.tolist() == [[4.0]] and rows == ["r0", "r1"] and cols == ["x", "y"]
+        with pytest.raises(InputError, match="non-numeric cell in .*m.tsv"):
+            read_matrix_tsv(path, rows=[0])
+
+    def test_selected_read_peaks_below_a_full_read(self, tmp_path):
+        m = np.random.default_rng(4).normal(size=(2000, 64))
+        path = tmp_path / "m.tsv"
+        data = write_matrix_tsv(path, m, [f"s{i:05d}" for i in range(2000)],
+                                [f"f{j}" for j in range(64)])
+        rows = range(0, 2000, 5)
+        full = traced_peak(lambda: read_matrix_tsv(path, data))
+        part = []
+        peak = traced_peak(lambda: part.append(read_matrix_tsv(path, data, rows=rows)))
+        assert np.array_equal(bits(part[0][0]), bits(m[rows]))
+        assert peak < full
+
+
 @st.composite
 def mlps(draw, out_dim=None):
     """Nets with arbitrary finite parameters."""
