@@ -71,7 +71,7 @@ MANIFEST = "manifest.json"
 @dataclass
 class TrainConfig:
     sig_epochs: int = bound(120, ge=1)
-    deconv_epochs: int = bound(300, ge=1)
+    deconv_epochs: int = bound(100, ge=1)
     align_epochs: int = bound(30, ge=0)
     reg_epochs: int = bound(45, ge=1)
     fuse_epochs: int = bound(150, ge=0)
@@ -494,12 +494,12 @@ def _branch_predictions(cfg: PipelineConfig, ws: Workspace, split: str):
     subset = _split(ws, spots, split)
     f_img = ws.spot_matrix("features_img.tsv", rows=subset)
     f_fm = ws.spot_matrix("features_fm.tsv", rows=subset)
-    gating = ws.spot_matrix("gating.tsv")
-
     idx = _split(ws, spots, "train")
+    gating = ws.spot_matrix("gating.tsv", rows=np.concatenate((idx, subset)))
+
     align_model = _align_model(ws, f_img, y)
-    db = rebuild_db(align_model, y[idx], gating[idx], [spots[i] for i in idx])
-    y_ret = retrieve_spots(align_model, db, f_img, gating[subset], cfg.retrieval)
+    db = rebuild_db(align_model, y[idx], gating[:len(idx)], [spots[i] for i in idx])
+    y_ret = retrieve_spots(align_model, db, f_img, gating[len(idx):], cfg.retrieval)
     reg_model = ws.checkpoint("reg.ckpt", load_reg)
     _check_dims(ws, "reg.ckpt",
                 ("input dim", reg_model.feature_dim, "features_fm.tsv",

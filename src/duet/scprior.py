@@ -204,13 +204,10 @@ class NbSignatureModel:
 
 @dataclass
 class DeconvPosterior:
-    """Mean-field log-normal posterior over abundances and detection efficiency."""
+    """The abundance posterior of a deconvolution: its means, its 5% quantiles
+    and the fit's loss per step."""
 
     w_mean: np.ndarray  # (S, T) posterior means E[w]
-    w_logstd: np.ndarray  # (S, T) log of posterior std of log-abundance
-    detect_mean: np.ndarray  # (S,) posterior means E[d]
-    detect_logstd: np.ndarray  # (S,)
-    dispersion: np.ndarray  # (G,) fitted per-gene alpha
     w_q05: np.ndarray  # (S, T) 5% quantiles, strictly positive
     fit_trace: list = field(default_factory=list)
 
@@ -412,6 +409,15 @@ def _nb_terms(table: _CountTable, mu: np.ndarray, disp: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _scaled_step(opt: SgdState, params: list, grads: list, scales, lr: float,
+                 step: int, steps: int) -> None:
+    """SGD step `step` of `steps` at `lr` annealed linearly to a tenth, each
+    gradient times its scale: k for a group that sums over 1/k of the table
+    the loss averages, so its step does not shrink as the table grows."""
+    opt.lr = lr * (1.0 - 0.9 * step / max(1, steps - 1))
+    opt.step(params, [g * k for g, k in zip(grads, scales)])
+
+
 def _row_groups(labels: np.ndarray, n: int):
     """Rows sorted by label, ascending within each label, and where label k's
     rows start (entry n is the row count)."""
@@ -528,14 +534,13 @@ def fit_signatures(data: ScDataset, epochs: int, rng: Rng | None = None, *,
     model = _init_signature_model(data)
     opt = SgdState(lr=lr, weight_decay=0.0)
     params = model.param_arrays()
+    scales = (1, 1, data.n_cells, data.n_genes)  # shared, shared, per cell, per gene
     for epoch in range(epochs):
-        # anneal the step size so late epochs settle monotonically
-        opt.lr = lr * (1.0 - 0.9 * epoch / max(1, epochs - 1))
         loss, grads = signature_loss(model, data, table)
         if not np.isfinite(loss):
             raise NumericError(f"signature fit diverged at epoch {epoch}")
         model.fit_trace.append(loss)
-        opt.step(params, grads)
+        _scaled_step(opt, params, grads, scales, lr, epoch, epochs)
         _repin_cell_scales(model)
     return model
 
@@ -623,32 +628,27 @@ def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
         "d_logstd": np.full(s_n, -2.0),
         "raw_alpha": np.full(g_n, float(positive_inv(1.0))),
     }
-    names = list(params)
+    # every group but the shared dispersion belongs to one spot: 1/S of the table
+    scales = [1 if k == "raw_alpha" else s_n for k in params]
     opt = SgdState(lr=lr, weight_decay=0.0)
     noise = rng.child("deconv-noise")
     trace = []
     for step in range(epochs):
-        opt.lr = lr * (1.0 - 0.9 * step / max(1, epochs - 1))
         eps_w = noise.child("w", step).standard_normal((s_n, t_n))
         eps_d = noise.child("d", step).standard_normal(s_n)
         loss, grads = deconv_loss(params, y, m_panel, eps_w, eps_d, table)
         if not np.isfinite(loss):
             raise NumericError(f"deconvolution diverged at step {step}")
         trace.append(loss)
-        opt.step([params[k] for k in names], [grads[k] for k in names])
+        _scaled_step(opt, list(params.values()), [grads[k] for k in params],
+                     scales, lr, step, epochs)
 
     sd_w = np.exp(params["w_logstd"])
-    sd_d = np.exp(params["d_logstd"])
-    post = DeconvPosterior(
+    return DeconvPosterior(
         w_mean=np.exp(params["w_loc"] + 0.5 * sd_w**2),
-        w_logstd=params["w_logstd"].copy(),
-        detect_mean=np.exp(params["d_loc"] + 0.5 * sd_d**2),
-        detect_logstd=params["d_logstd"].copy(),
-        dispersion=positive(params["raw_alpha"]),
         w_q05=np.exp(params["w_loc"] + sd_w * PRIOR_Z05),
         fit_trace=trace,
     )
-    return post
 
 
 # ---------------------------------------------------------------------------

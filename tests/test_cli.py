@@ -365,6 +365,7 @@ def test_predict_parses_only_the_cells_it_uses(trained, tmp_path, monkeypatch):
     before = {name: (ws / name).read_bytes() for name in outputs}
     spots = read_matrix_tsv(ws / "st_counts.tsv")[1]
     test = read_ids_tsv(ws / "split_test.tsv")
+    train = read_ids_tsv(ws / "split_train.tsv")
     reads, handed = [], {}  # file names read; name -> (row ids, columns) parsed
     real_read, real_loadtxt = pipeline.read_matrix_tsv, np.loadtxt
 
@@ -386,6 +387,7 @@ def test_predict_parses_only_the_cells_it_uses(trained, tmp_path, monkeypatch):
     dim = TINY["synth"]["feature_dim"]
     assert handed["features_img.tsv"] == handed["features_fm.tsv"] == (test, dim)
     assert handed["st_counts.tsv"] == (spots, TINY["synth"]["n_target_genes"])
+    assert handed["gating.tsv"] == (train + test, TINY["synth"]["n_types"])
 
 
 def test_non_finite_checkpoint_exit_1(trained, tmp_path, capsys):

@@ -363,6 +363,35 @@ def test_manifest_read_once_and_hand_offs_unchecked(ws, tmp_path, monkeypatch):
     assert "gating.tsv" not in reads
 
 
+def _proportion_mae(d: Path, seed: int, **train) -> float:
+    """Mean absolute error of proportions.tsv against the row-normalized
+    truth_w.tsv after synth and deconv on the default config, with `train`'s
+    overrides, in a fresh workspace at `d`."""
+    cfg = PipelineConfig.from_dict({"train": train})
+    w = Workspace(d)
+    for name in ("synth", "deconv"):
+        STAGES[name](cfg, seed, w)
+    props, spots, types = read_matrix_tsv(d / "proportions.tsv")
+    truth, truth_spots, truth_types = read_matrix_tsv(d / "truth_w.tsv")
+    assert (spots, types) == (truth_spots, truth_types)
+    return float(np.mean(np.abs(props - truth / truth.sum(axis=1, keepdims=True))))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_deconv_recovers_true_proportions(tmp_path, seed):
+    # tests may read truth_*; no stage after synth does
+    assert _proportion_mae(tmp_path, seed) < 0.10
+
+
+def test_default_deconv_epochs_converge(tmp_path):
+    # a 3x longer fit recovers the proportions no better than by 0.02, so the
+    # default epochs do not trade recovery for speed
+    epochs = TrainConfig().deconv_epochs
+    short = _proportion_mae(tmp_path / "short", 0)
+    long = _proportion_mae(tmp_path / "long", 0, deconv_epochs=3 * epochs)
+    assert short - long < 0.02
+
+
 def test_no_stage_after_deconv_reads_ground_truth():
     later = PIPELINE_ORDER[PIPELINE_ORDER.index("deconv") + 1:]
     assert [f for s in later for f in STAGE_IO[s][0] if "truth" in f] == []

@@ -729,8 +729,7 @@ class TestDeconvolve:
         y, m_panel, _, _, _ = small_deconv_problem(34, s_n=328, t_n=4, g_n=100)
         a, b = (deconvolve(np.asarray(y, order=o), m_panel, epochs=20, rng=Rng(3), lr=0.1)
                 for o in "CF")
-        for k in ("w_mean", "w_logstd", "detect_mean", "detect_logstd",
-                  "dispersion", "w_q05"):
+        for k in ("w_mean", "w_q05"):
             assert np.array_equal(getattr(a, k), getattr(b, k)), k
         assert a.fit_trace == b.fit_trace
 
@@ -740,8 +739,7 @@ class TestDeconvolve:
         y, m_panel, _, _, _ = small_deconv_problem(35, s_n=40)
         a, b = (deconvolve(c, m_panel, epochs=20, rng=Rng(3), lr=0.1)
                 for c in (y, y.astype(np.float64)))
-        for k in ("w_mean", "w_logstd", "detect_mean", "detect_logstd",
-                  "dispersion", "w_q05"):
+        for k in ("w_mean", "w_q05"):
             assert np.array_equal(getattr(a, k), getattr(b, k)), k
         assert a.fit_trace == b.fit_trace
 
@@ -760,6 +758,111 @@ class TestDeconvolve:
         b = deconvolve(y, m_panel, epochs=60, rng=Rng(4), lr=0.1)
         assert np.array_equal(a.w_mean, b.w_mean)
         assert np.array_equal(a.w_q05, b.w_q05)
+
+
+DECONV_GROUPS = ("w_loc", "w_logstd", "d_loc", "d_logstd", "raw_alpha")
+
+
+def first_deconv_step(y, m_panel, eps_w, eps_d) -> dict:
+    """How far the first deconvolve step moves each parameter group, with the
+    step's noise replaced by eps_w and eps_d."""
+    moves = {}
+    real_loss, real_step = scprior.deconv_loss, scprior._scaled_step
+
+    def loss(params, y, m_panel, _eps_w, _eps_d, table):
+        return real_loss(params, y, m_panel, eps_w, eps_d, table)
+
+    def step(opt, params, grads, *args):
+        before = [p.copy() for p in params]
+        real_step(opt, params, grads, *args)
+        moves.update({k: p - b for k, p, b in zip(DECONV_GROUPS, params, before)})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scprior, "deconv_loss", loss)
+        mp.setattr(scprior, "_scaled_step", step)
+        deconvolve(y, m_panel, epochs=1, rng=Rng(0), lr=0.1)
+    return moves
+
+
+def duplicated_cells(data: ScDataset) -> ScDataset:
+    return ScDataset(counts=np.vstack([data.counts] * 2),
+                     cell_type=np.tile(data.cell_type, 2),
+                     batch=np.tile(data.batch, 2))
+
+
+class TestScaledStep:
+    """Both fits scale each parameter group's step by the share of the count
+    table it sums over, so a spot's or a cell's step does not depend on how
+    many others share the table; the losses stay means over the table."""
+
+    def test_deconvolve_spot_steps_do_not_depend_on_spot_count(self):
+        y, m_panel, _, _, _ = small_deconv_problem(41, s_n=12)
+        rng = Rng(42)
+        eps_w = rng.child("w").standard_normal((12, 3))
+        eps_d = rng.child("d").standard_normal(12)
+        one = first_deconv_step(y, m_panel, eps_w, eps_d)
+        two = first_deconv_step(np.vstack([y, y]), m_panel,
+                                np.vstack([eps_w, eps_w]), np.concatenate([eps_d, eps_d]))
+        for k in DECONV_GROUPS[:4]:
+            assert np.any(one[k] != 0.0), k
+            for half in (two[k][:12], two[k][12:]):
+                assert np.allclose(half, one[k], rtol=0.0, atol=1e-12), k
+        assert np.allclose(two["raw_alpha"], one["raw_alpha"], rtol=0.0, atol=1e-12)
+
+    def test_fit_signatures_cell_steps_do_not_depend_on_cell_count(self):
+        data = tiny_dataset()
+        c = data.n_cells
+        one = fit_signatures(data, 1, lr=0.2)
+        two = fit_signatures(duplicated_cells(data), 1, lr=0.2)
+        init = float(positive_inv(1.0))
+        assert np.all(one.raw_cell_scale != init)
+        for half in (two.raw_cell_scale[:c], two.raw_cell_scale[c:]):
+            assert np.allclose(half, one.raw_cell_scale, rtol=0.0, atol=1e-12)
+        for k in ("raw_mu", "batch_effect", "raw_dispersion"):
+            assert np.allclose(getattr(two, k), getattr(one, k), rtol=0.0, atol=1e-12), k
+
+    def test_deconv_loss_stays_a_mean_over_spots(self):
+        # stacking the table on itself leaves the loss and the shared
+        # gradient as they are and halves each spot's gradient
+        y, m_panel, _, _, _ = small_deconv_problem(43, s_n=10)
+        rng = np.random.default_rng(44)
+        params = {"w_loc": rng.normal(0.0, 0.5, (10, 3)),
+                  "w_logstd": rng.normal(-1.5, 0.3, (10, 3)),
+                  "d_loc": rng.normal(-1.0, 0.3, 10),
+                  "d_logstd": rng.normal(-1.5, 0.3, 10),
+                  "raw_alpha": rng.normal(0.5, 1.0, 30)}
+        eps_w, eps_d = rng.standard_normal((10, 3)), rng.standard_normal(10)
+        loss, grads = deconv_loss(params, y.astype(float), m_panel, eps_w, eps_d)
+        stacked = {k: v if k == "raw_alpha" else np.concatenate([v, v])
+                   for k, v in params.items()}
+        loss2, grads2 = deconv_loss(stacked, np.vstack([y, y]).astype(float), m_panel,
+                                    np.vstack([eps_w, eps_w]), np.concatenate([eps_d, eps_d]))
+        assert loss2 == pytest.approx(loss, rel=1e-12)
+        for k in DECONV_GROUPS[:4]:
+            for half in (grads2[k][:10], grads2[k][10:]):
+                assert np.allclose(2.0 * half, grads[k], rtol=1e-12, atol=0.0), k
+        assert np.allclose(grads2["raw_alpha"], grads["raw_alpha"], rtol=1e-12, atol=0.0)
+
+    def test_signature_loss_stays_a_mean_over_cells(self):
+        # batch effects at zero, so the penalty, which is not summed over
+        # cells, adds nothing; duplicated cells then leave the loss and the
+        # shared gradients as they are and halve each cell's
+        data = tiny_dataset(c=12, g=4)
+        rng = Rng(45)
+        model = NbSignatureModel(
+            raw_mu=rng.child("a").standard_normal((2, 4)) * 0.3 + 0.4,
+            batch_effect=np.zeros((2, 4)),
+            raw_cell_scale=rng.child("c").standard_normal(12) * 0.1 + 0.5,
+            raw_dispersion=rng.child("d").standard_normal(4) * 0.2 + 0.8,
+        )
+        loss, (g_mu, g_m, g_l, g_disp) = signature_loss(model, data)
+        twice = NbSignatureModel(model.raw_mu, model.batch_effect,
+                                 np.tile(model.raw_cell_scale, 2), model.raw_dispersion)
+        loss2, (g_mu2, g_m2, g_l2, g_disp2) = signature_loss(twice, duplicated_cells(data))
+        assert loss2 == pytest.approx(loss, rel=1e-12)
+        for got, want in ((g_mu2, g_mu), (g_m2, g_m), (g_disp2, g_disp),
+                          (2.0 * g_l2[:12], g_l), (2.0 * g_l2[12:], g_l)):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestSelectPanel:
@@ -794,10 +897,6 @@ class TestBuildGating:
         q05 = Rng(6).child("q").uniform(0.1, 2.0, size=(s_n, t_n))
         return DeconvPosterior(
             w_mean=q05 * 2.0,
-            w_logstd=np.full((s_n, t_n), -1.0),
-            detect_mean=np.ones(s_n),
-            detect_logstd=np.full(s_n, -1.0),
-            dispersion=np.ones(5),
             w_q05=q05,
         )
 
