@@ -8,6 +8,7 @@ environment variable, then the config's "seed" key, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+@functools.cache  # parse_args fills a new Namespace on every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="duet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

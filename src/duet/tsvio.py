@@ -2,13 +2,28 @@
 
 TSV matrices are UTF-8, tab-delimited, newline-terminated; the header's first
 cell is the literal `id` followed by column ids, and each data row starts
-with its row id. Floats serialize with 17 significant digits (`%.17g`) so a
-write/read round trip is lossless for float64. write_matrix_tsv encodes each
-row straight into one buffer, so the text of a written file exists once, as
-the one `bytes` object it returns. An id-list file is a header line and then
-one id per line. So that every id reads back as written, the writers reject
-(InputError, naming it) any id holding a tab, `\n` or `\r`, and an empty
-id in an id list; the readers reject a file that is not UTF-8.
+with its row id; a zero-column matrix is the header `id` and one bare row id
+per line. A float is written as `'%.17g' % v` writes it, so a write/read
+round trip is lossless for float64. write_matrix_tsv formats blocks of about
+1,024 cells straight into one buffer, so the text of a written file exists
+once, as the one `bytes` object it returns. An id-list file is a header line
+and then one id per line. So that every id reads back as written, the
+writers reject (InputError, naming it) any id holding a tab, `\n` or `\r`,
+and an empty id in an id list or of a zero-column matrix's row; the readers
+reject a file that is not UTF-8.
+
+numpy formats a block unless its cells in 1e-4 <= |v| < 1e16 are all
+integral (`%` is as fast on those). It is exact on every such cell and +-0:
+with k = floor(log10|v|), 10**p for p = 16 - k <= 22 is a float64, and
+Dekker's product (Veltkamp split by 2**27 + 1) gives |v| * 10**p = hi + lo
+exactly. log10 may be one off near a power of ten, so a pass that finds
+hi + lo outside [1e16, 1e17) moves k by one. Inside, hi > 2**53 is an even
+integer, so hi + rint(lo), rint rounding half to even, is dtoa's 17-digit
+rounding; integer division and a table of 4-digit strings give its digits,
+laid out by the `%g` rules for -4 <= k <= 15 with a NUL for each byte `%g`
+leaves out, and the NULs go before any row id joins the text. Every other
+cell (nan, +-inf, subnormal, |v| < 1e-4 or >= 1e16), and one that three
+passes did not pin down, goes through `'%.17g' % v`.
 
 The readers scan the file's bytes in place. They check that the bytes are
 UTF-8 without keeping the text, take `\r\n` and a lone `\r` as line ends
@@ -62,6 +77,7 @@ import json
 import os
 import struct
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -147,19 +163,124 @@ def _line_spans(raw: bytes):
         start = end + 1
 
 
+def _split(x):
+    """Veltkamp's split: x == hi + lo, each half 26 bits wide."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_BLOCK = 1024  # cells per numpy pass: its temporaries stay in the low 100s of KiB
+_P10 = np.array([float(10**p) for p in range(23)])  # exact up to 10**22
+_P10_HI, _P10_LO = _split(_P10)
+# the 4 ASCII digits of 0..9999 as one little-endian u32 each
+_DIGITS4 = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+            + 48).astype(np.uint8).view("<u4").ravel()
+_ROW = np.arange(17, dtype=np.int8)[:, None]
+_LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
+
+
+def _scaled(y, p):
+    """(hi, lo) with hi + lo == y * 10**p exactly (Dekker's product); for y
+    in [1e-4, 1e16] and p <= 22 no partial product overflows or underflows."""
+    yh, yl = _split(y)
+    ph, pl = _P10_HI.take(p), _P10_LO.take(p)
+    hi = y * _P10.take(p)
+    return hi, ((yh * ph - hi) + yh * pl + yl * ph) + yl * pl
+
+
+def _decimal(y):
+    """(k, q, exact) of each y in [1e-4, 1e16): '%.17g' rounds y to
+    q * 10**(k - 16) with q in [10**16, 10**17); `exact` is False where
+    three passes did not pin k down."""
+    k = np.floor(np.log10(y)).astype(np.int64)  # may be one off near 10**k
+    for _ in range(3):
+        hi, lo = _scaled(y, 16 - k)
+        if not ((hi <= 1e16) | (hi >= 1e17)).any():
+            exact = True
+            break
+        # (hi - c) + lo has the sign of hi + lo - c (hi - c is exact near c)
+        step = (hi - 1e17 + lo >= 0).view(np.int8) - (hi - 1e16 + lo < 0).view(np.int8)
+        exact = step == 0
+        if exact.all():
+            break
+        k += step
+    # hi >= 1e16 > 2**53 is an even integer, so rint (half to even) on lo
+    # rounds hi + lo as dtoa does; q == 10**17 (a carry into the next
+    # decade) needs a float within 5e-18 (relative) below a power of ten,
+    # and none lies in range
+    q = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    return k.astype(np.int8), q, exact & (q < 10**17)
+
+
+def _digits(q):
+    """The 17 ASCII digits of each q in [10**16, 10**17), one row per digit."""
+    groups = np.empty((5, q.size), np.int64)
+    np.floor_divide(q, 10**8, out=groups[2])
+    np.subtract(q, groups[2] * 10**8, out=groups[4])
+    np.floor_divide(groups[2::2], 10**4, out=groups[1:4:2])
+    groups[2::2] -= groups[1:4:2] * 10**4
+    np.floor_divide(groups[1], 10**4, out=groups[0])
+    groups[1] -= groups[0] * 10**4
+    chars = _DIGITS4.take(groups).view(np.uint8).reshape(5, q.size, 4)
+    return chars.transpose(0, 2, 1).reshape(20, q.size)[3:]
+
+
+def _row_texts(x, width: int, end: bytes) -> list[bytes]:
+    """The '%.17g' text of each row of the flat cells x (rows of `width`
+    cells): a tab after each cell but the last, which `end` follows."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    y = np.where(fast, a, 2.0)  # 2 * 10**16 is no edge case for _decimal
+    if (np.rint(y) == y).all():  # no fraction to print: '%' is as fast
+        line = "\t".join(["%.17g"] * width) + end.decode()
+        return [(line % tuple(r)).encode() for r in x.reshape(-1, width).tolist()]
+    zero = x == 0
+    k, q, exact = _decimal(y)
+    k[zero] = 0  # and q == 2 * 10**16: its lead digit becomes the '0'
+    d = _digits(q)
+    d[0, zero] = 48
+    last = ((d != 48) * _ROW).max(axis=0)  # each cell's last nonzero digit
+    d *= _ROW <= np.maximum(last, k)  # NUL out the fraction's trailing zeros
+    # one column of 25 bytes per cell, NUL where %g writes nothing: the sign,
+    # '0.000' (the part that k < 0 takes), 18 rows of digits with the point
+    # after digit k (k >= 0), the separator
+    out = np.empty((25, x.size), np.uint8)
+    out[0] = np.signbit(x) * np.uint8(45)
+    out[1:6] = (_ROW[:5] < (k < 0) * (1 - k)) * _LEAD
+    out[6] = d[0] * (k >= 0)
+    j = _ROW[1:]
+    point = (last > k) * np.uint8(46)
+    out[7:23] = d[1:] * (j <= k) + point * (j == k + 1) + d[:-1] * (j > k + 1)
+    out[23] = d[16]
+    out[24] = 9
+    out[24, width - 1::width] = end[0]
+    for i in np.flatnonzero(~(fast & exact | zero)).tolist():
+        out[:24, i] = np.frombuffer((b"%.17g" % x[i]).ljust(24, b"\0"), np.uint8)
+    return out.T.tobytes().translate(None, b"\0").splitlines(True)
+
+
 def write_matrix_tsv(path, matrix, row_ids, col_ids) -> bytes:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise InputError("write_matrix_tsv needs a 2-D matrix")
     if matrix.shape[0] != len(row_ids) or matrix.shape[1] != len(col_ids):
         raise InputError("ids do not match matrix shape")
-    row_ids = _writable_ids(row_ids, "row id", path)
-    col_ids = _writable_ids(col_ids, "column id", path)
-    row_fmt = "\t".join(["%.17g"] * matrix.shape[1]) + "\n"
-    buf = io.BytesIO()
-    buf.write(("id\t" + "\t".join(col_ids) + "\n").encode("utf-8"))
-    for rid, row in zip(row_ids, matrix):
-        buf.write((rid + "\t" + row_fmt % tuple(row.tolist())).encode("utf-8"))
+    n, m = matrix.shape
+    # a zero-column row is its id alone, and the reader skips empty lines
+    heads = [(rid + ("\t" if m else "\n")).encode("utf-8")
+             for rid in _writable_ids(row_ids, "row id", path, allow_empty=m > 0)]
+    buf = io.BytesIO()  # no name holds the header: a wide matrix's is megabytes
+    buf.write(("\t".join(["id", *_writable_ids(col_ids, "column id", path)]) + "\n").encode())
+    if not m:
+        buf.writelines(heads)
+    rows = max(1, _BLOCK // max(m, 1))  # whole rows, or one row in pieces
+    for r in range(0, n, rows):
+        for c in range(0, m, _BLOCK):
+            block = matrix[r:r + rows, c:c + _BLOCK]
+            lines = _row_texts(block.ravel(), block.shape[1],
+                               b"\n" if c + _BLOCK >= m else b"\t")
+            buf.writelines(chain.from_iterable(zip(heads[r:r + rows], lines)) if c == 0 else lines)
     return write_atomic(path, buf.getvalue())
 
 

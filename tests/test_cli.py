@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import duet
-from duet import pipeline
+from duet import cli, pipeline
 from duet.align import AlignModel, load_align, save_align
 from duet.cli import _build_parser, main
 from duet.core import Mlp, Rng
+from duet.errors import InputError
 from duet.fuse import MAGIC_FUSE, FuseAdapter, load_fuse, save_fuse
 from duet.pipeline import STAGE_IO, STAGES
 from duet.regress import RegModel, load_reg, save_reg
@@ -201,6 +202,24 @@ def test_subcommands_are_the_registered_stages(capsys):
     assert commands == [n for n in STAGES if n != "eval"] + ["pipeline", "eval"]
     assert main(["eval"]) == 1
     assert "--pred" in capsys.readouterr().err
+
+
+def test_each_main_call_parses_into_a_fresh_namespace(tmp_path, monkeypatch, no_env_seed):
+    # the parser is built once per process; its parse fills a new Namespace
+    seen = []
+
+    def stop(args, cfg):
+        seen.append(args)
+        raise InputError("stop before the stage")
+
+    monkeypatch.setattr(cli, "_resolve_seed", stop)
+    assert main(["synth", "--seed", "3", "--out", str(tmp_path / "a")]) == 1
+    assert main(["predict", "--out", str(tmp_path / "b")]) == 1
+    first, second = seen
+    assert first is not second
+    assert (first.command, first.seed, first.out) == ("synth", 3, tmp_path / "a")
+    assert (second.command, second.seed, second.out) == ("predict", None, tmp_path / "b")
+    assert _build_parser() is _build_parser()
 
 
 @pytest.mark.parametrize("doc,key", [

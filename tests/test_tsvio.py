@@ -3,6 +3,8 @@ import hashlib
 import json
 import struct
 from datetime import datetime, timezone
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -319,10 +321,11 @@ def _fmt(v: float) -> str:
 
 
 def per_value_matrix_text(matrix, row_ids, col_ids) -> str:
-    """Oracle: the one-value-at-a-time formatting write_matrix_tsv replaced."""
-    lines = ["id\t" + "\t".join(str(c) for c in col_ids)]
+    """Oracle: the one-value-at-a-time formatting write_matrix_tsv replaced;
+    a zero-column matrix is the header `id` and one bare row id per line."""
+    lines = ["\t".join(["id", *map(str, col_ids)])]
     for rid, row in zip(row_ids, matrix):
-        lines.append(str(rid) + "\t" + "\t".join(_fmt(v) for v in row))
+        lines.append("\t".join([str(rid), *map(_fmt, row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -332,8 +335,10 @@ def bits(a) -> np.ndarray:
 
 class TestExactRoundTrips:
     @settings(max_examples=60, deadline=None)
-    @given(m=arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 6)),
+    @given(m=arrays(np.float64, st.tuples(st.integers(0, 7), st.integers(0, 6)),
                     elements=FINITE))
+    @example(m=np.zeros((2, 0)))
+    @example(m=np.zeros((0, 3)))
     @example(m=np.array([EDGE_ROW]))
     @example(m=np.array(EDGE_ROW)[:, None])
     @example(m=np.array([[0.0]]))
@@ -349,7 +354,7 @@ class TestExactRoundTrips:
         assert (rids, cids) == (rows, cols)
 
     @settings(max_examples=60, deadline=None)
-    @given(m=arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 6)),
+    @given(m=arrays(np.float64, st.tuples(st.integers(0, 7), st.integers(0, 6)),
                     elements=INTEGRAL))
     @example(m=np.array([[2.0**53 - 1, -(2.0**53 - 1)]]))
     @example(m=np.array([[3.0, 2.0**53], [-7.0, 0.0]]))
@@ -377,18 +382,186 @@ class TestExactRoundTrips:
         assert path.read_bytes() == ("\n".join(["id", *ids]) + "\n").encode()
         assert read_ids_tsv(path) == ids
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 4)),
+                    elements=FINITE),
+           ids=st.lists(ID_TEXT, min_size=9, max_size=9))
+    @example(m=np.array([[0.5, -0.0], [1e300, 3.0]]),
+             ids=["\x00", "a\x00b", "\x01\x1f", "", "", "\x00\x00", "é\u2028", "", ""])
+    def test_matrix_ids_bits_and_bytes(self, m, ids, tmp_path_factory):
+        # ids hold NUL, C0 controls and non-ASCII: the cell text drops its
+        # NUL padding, which must leave the id bytes alone
+        rows, cols = ids[:m.shape[0]], ids[5:5 + m.shape[1]]
+        path = tmp_path_factory.mktemp("mx") / "m.tsv"
+        write_matrix_tsv(path, m, rows, cols)
+        assert path.read_bytes() == per_value_matrix_text(m, rows, cols).encode()
+        back, rids, cids = read_matrix_tsv(path)
+        assert back.shape == m.shape
+        assert np.array_equal(bits(back), bits(m))
+        assert (rids, cids) == (rows, cols)
+
+    def test_zero_column_matrix_round_trips(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        assert write_matrix_tsv(path, np.zeros((2, 0)), ["a", "b"], []) == b"id\na\nb\n"
+        back, rows, cols = read_matrix_tsv(path)
+        assert (back.shape, rows, cols) == ((2, 0), ["a", "b"], [])
+        # its rows are bare ids, and the reader skips an empty line
+        with pytest.raises(InputError, match="row id ''"):
+            write_matrix_tsv(tmp_path / "e.tsv", np.zeros((2, 0)), ["a", ""], [])
+
+
+def e_format(v: float) -> tuple[int, int]:
+    """Oracle for tsvio._decimal: the exponent k and the 17 digits q of '%.16e'."""
+    mantissa, exponent = ("%.16e" % v).split("e")
+    return int(exponent), int(mantissa.lstrip("-").replace(".", ""))
+
+
+def around(v: float, n: int) -> list[float]:
+    """v and its n float64 neighbours on each side."""
+    out = [v]
+    for direction in (np.inf, -np.inf):
+        w = v
+        for _ in range(n):
+            w = float(np.nextafter(w, direction))
+            out.append(w)
+    return out
+
+
+DECADES = [float(f"1e{k}") for k in range(-6, 18)]
+# 1e15 + 0.25 is 1000000000000000.25 exactly: 18 digits ending in 5, a tie
+# at 17 that dtoa rounds to even (…0.2), as for the others (…0.8, …5.12, …5.38)
+TIES = [1e15 + 0.25, 1e15 + 0.75, 123456789012345.125, 123456789012345.375]
+NINES = [float(f"{lead}.{'9' * n}{tail}e{k}") for k in range(-5, 17)
+         for lead, n, tail in ((9, 16, 5), (9, 15, 4), (1, 15, 9), (4, 10, 6))]
+
+
+class TestNumpyFormatter:
+    """Each step of the numpy '%.17g' path against an exact oracle."""
+
+    def test_decimal_exponent_and_rounding(self):
+        # log10 lands on k + 1 for the float just below 10**(k+1) (1e3, 1e-2,
+        # ...), so _decimal must move k; ties must round half to even
+        rng = np.random.default_rng(11)
+        edge = [v for d in DECADES for v in around(d, 3)] + TIES + NINES
+        y = np.abs(np.array(edge + list(10 ** rng.uniform(-4, 16, 5000))))
+        y = y[(y >= 1e-4) & (y < 1e16)]
+        assert any(int(np.floor(np.log10(v))) != e_format(v)[0] for v in y)
+        assert all(str(Decimal(v)).replace(".", "").endswith("5") for v in TIES)
+        k, q, exact = tsvio._decimal(y)
+        assert np.all(exact)
+        assert list(zip(k.tolist(), q.tolist())) == [e_format(v) for v in y]
+
+    @pytest.mark.parametrize("nudge", [1e-12, -1e-12])
+    def test_decimal_moves_an_estimate_one_off(self, nudge, monkeypatch):
+        # a log10 a little high (low) puts k one too high just below (at and
+        # just above) each power of ten, where hi + lo straddles 1e16 (1e17)
+        y = np.array([v for d in DECADES for v in around(d, 3) if 1e-4 <= v < 1e16])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda v: log10(v) + nudge)
+        for v in y:  # alone: no other cell of the pass sends it to the exact check
+            k, q, exact = tsvio._decimal(np.array([v]))
+            assert np.all(exact) and (int(k[0]), int(q[0])) == e_format(v)
+
+    @pytest.mark.parametrize("off", [3.0, -3.0])
+    def test_cells_not_pinned_down_go_through_percent_g(self, off, monkeypatch, tmp_path):
+        m = 10 ** np.random.default_rng(14).uniform(-1, 12, (4, 6))
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda v: log10(v) + off)
+        assert not np.any(tsvio._decimal(m.ravel())[2])
+        rows, cols = [f"r{i}" for i in range(4)], [f"c{j}" for j in range(6)]
+        got = write_matrix_tsv(tmp_path / "m.tsv", m, rows, cols)
+        assert got == per_value_matrix_text(m, rows, cols).encode()
+
+    def test_scaled_is_exact(self):
+        rng = np.random.default_rng(12)
+        y = np.concatenate([[1e-4, 1e16, np.nextafter(1e16, 0)],
+                            10 ** rng.uniform(-4, 16, 3000)])
+        p = rng.integers(0, 23, y.size)
+        hi, lo = tsvio._scaled(y, p)
+        assert all(Fraction(h) + Fraction(l) == Fraction(v) * 10**e
+                   for h, l, v, e in zip(hi.tolist(), lo.tolist(), y.tolist(), p.tolist()))
+
+    def test_digits(self):
+        q = np.concatenate([[10**16, 10**17 - 1, 2**53 * 2, 12345678901234567],
+                            np.random.default_rng(13).integers(10**16, 10**17, 5000)])
+        assert [bytes(c).decode() for c in tsvio._digits(q).T] == [str(v) for v in q.tolist()]
+
+    @pytest.mark.parametrize("cells", [
+        # each decade of fixed notation, with and without fraction digits
+        [[float(f"1.5e{k}"), float(f"-1e{k}"), float(f"1.25e{k}")] for k in range(-4, 16)],
+        [[-0.0, 0.0, 0.5], [100.0, -3.0, 2.0**53], [1e15 + 0.5, -1e-4, 9999999999999998.0]],
+        [TIES, [0.1, 0.2, 0.30000000000000004, 1 / 3]],
+    ])
+    def test_layout(self, cells, tmp_path):
+        m = np.array(cells).reshape(len(cells), -1)
+        rows, cols = [f"r{i}" for i in range(len(m))], [f"c{j}" for j in range(m.shape[1])]
+        got = write_matrix_tsv(tmp_path / "m.tsv", m, rows, cols)
+        assert got == per_value_matrix_text(m, rows, cols).encode()
+
+
+def fuzz_cells(rng) -> tuple[np.ndarray, np.ndarray]:
+    """(fractional, integral) cells for the exactness fuzz."""
+    n = 40_000
+    in_range = (rng.integers(1009, 1077, n, dtype=np.uint64) << np.uint64(52)
+                | rng.integers(0, 2**52, n, dtype=np.uint64)
+                | rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+    edges = ([v for d in DECADES for v in around(d, 3)] + around(1e-4, 4) + around(1e16, 4)
+             + TIES + NINES + [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                               2.2250738585072014e-308, 2.225073858507201e-308])
+    fractional = np.concatenate([
+        rng.integers(0, 2**64, 2 * n, dtype=np.uint64).view(np.float64),  # any bits
+        in_range.view(np.float64),  # any bits with 2**-14 <= |v| < 2**53
+        np.round(rng.normal(size=n) * 10.0 ** rng.integers(-4, 12, n), 6),
+        np.array(edges + [-v for v in edges]),
+    ])
+    return fractional, rng.integers(-2**53, 2**53, n, endpoint=True).astype(np.float64)
+
+
+class TestExactnessFuzz:
+    def test_matches_the_per_value_oracle(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        fractional, integral = fuzz_cells(rng)
+        cells = np.concatenate([fractional, integral])
+        width = 97  # 10 rows (970 cells) per block, and no multiple of it
+        m = cells[:cells.size // width * width].reshape(-1, width)
+        # swap half the integral rows in among the fractional ones, so some
+        # blocks mix both and the rest are whole integral blocks
+        integral_rows = np.arange(-(-fractional.size // width), len(m))
+        moved = integral_rows[: len(integral_rows) // 2]
+        order = np.arange(len(m))
+        swap = rng.choice(moved[0], moved.size, replace=False)
+        order[swap], order[moved] = moved, swap
+        tall = m[order]
+        whole = np.isin(order, integral_rows)[: len(m) // 10 * 10].reshape(-1, 10).sum(axis=1)
+        assert (whole == 10).any() and ((whole > 0) & (whole < 10)).any()
+        wide = cells[rng.permutation(cells.size)[:5000]][None, :]  # blocks cut one row
+        assert m.size + wide.size >= 200_000
+        for name, mat in (("tall", tall), ("wide", wide)):
+            rows = [f"r{i}" for i in range(mat.shape[0])]
+            cols = [f"c{j}" for j in range(mat.shape[1])]
+            got = write_matrix_tsv(tmp_path / f"{name}.tsv", mat, rows, cols)
+            assert got == per_value_matrix_text(mat, rows, cols).encode(), name
+
 
 class TestWriterMemory:
-    def test_write_matrix_holds_one_copy_of_the_text(self, tmp_path):
-        # the file's bytes, one float64 copy of the matrix and slack: a list
-        # of row strings, its join and the encoded text held 3x the bytes
-        m = np.random.default_rng(3).normal(size=(2000, 64))
-        rows = [f"s{i:05d}" for i in range(2000)]
-        cols = [f"f{j}" for j in range(64)]
+    @staticmethod
+    def assert_one_copy(m, tmp_path):
+        rows = [f"s{i:05d}" for i in range(m.shape[0])]
+        cols = [f"f{j}" for j in range(m.shape[1])]
         written = []
         peak = traced_peak(lambda: written.append(
             write_matrix_tsv(tmp_path / "m.tsv", m, rows, cols)))
         assert peak < len(written[0]) + m.nbytes + 256 * 1024
+
+    def test_write_matrix_holds_one_copy_of_the_text(self, tmp_path):
+        # the file's bytes, one float64 copy of the matrix and slack: a list
+        # of row strings, its join and the encoded text held 3x the bytes
+        self.assert_one_copy(np.random.default_rng(3).normal(size=(2000, 64)), tmp_path)
+
+    @pytest.mark.parametrize("shape,integral", [((2000, 220), True), ((1, 200_000), False)])
+    def test_blocks_count_cells_not_rows(self, shape, integral, tmp_path):
+        m = np.random.default_rng(3).normal(size=shape)
+        self.assert_one_copy(np.round(m * 1000) if integral else m, tmp_path)
 
 
 class TestReaderMemory:
