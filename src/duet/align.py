@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mlp, Rng, SgdState, as_matrix
+from .core import Mlp, Rng, SgdState, as_matrix, descend, minibatches
 from .errors import InputError, NumericError
 from .tsvio import load_checkpoint, save_checkpoint
 
@@ -160,41 +160,25 @@ class AlignTrainConfig:
     hidden: int
 
 
-def _epoch_batches(n: int, batch_size: int, perm: np.ndarray):
-    # keep N constant inside the softmax: drop the final partial batch unless
-    # the dataset itself is smaller than one batch
-    if n < batch_size:
-        yield perm
-        return
-    for start in range(0, n - batch_size + 1, batch_size):
-        yield perm[start : start + batch_size]
-
-
 def train_align(data: PairedBatch, epochs: int, opt: SgdState, rng: Rng,
                 cfg: AlignTrainConfig) -> AlignModel:
     """Train both projection heads on paired data; deterministic given rng."""
-    if epochs < 0 or cfg.epochs != epochs:
-        raise InputError(f"epochs {epochs} must be >= 0 and equal cfg.epochs {cfg.epochs}")
+    if cfg.epochs != epochs:
+        raise InputError(f"epochs {epochs} must equal cfg.epochs {cfg.epochs}")
     model = AlignModel.init(data.img_features.shape[1], data.expressions.shape[1],
                             rng.child("init"), embed_dim=cfg.embed_dim, hidden=cfg.hidden)
 
-    params = model.img_head.param_arrays() + model.gene_head.param_arrays()
-    n = len(data)
-    for epoch in range(epochs):
-        perm = rng.child("shuffle", epoch).permutation(n)
-        for batch_idx in _epoch_batches(n, cfg.batch_size, perm):
-            xb = data.img_features[batch_idx]
-            yb = data.expressions[batch_idx]
-            v, nv, tape_v = embed_with_tapes(model.img_head, xb)
-            h, nh, tape_h = embed_with_tapes(model.gene_head, yb)
+    def batches(epoch):
+        for idx in minibatches(rng, epoch, len(data), cfg.batch_size):
+            v, nv, tape_v = embed_with_tapes(model.img_head, data.img_features[idx])
+            h, nh, tape_h = embed_with_tapes(model.gene_head, data.expressions[idx])
             loss, dv, dh = infonce_loss(v, h, model.temperature)
-            if not np.isfinite(loss):
-                raise NumericError(f"contrastive loss diverged at epoch {epoch}")
             g_img = head_backward(model.img_head, tape_v, v, nv, dv)
             g_gene = head_backward(model.gene_head, tape_h, h, nh, dh)
-            grads = [a for dw_db in g_img.layers for a in dw_db]
-            grads += [a for dw_db in g_gene.layers for a in dw_db]
-            opt.step(params, grads)
+            yield loss, [a for g in (g_img, g_gene) for dw_db in g.layers for a in dw_db]
             model.img_head.touch()
             model.gene_head.touch()
+
+    descend(opt, model.img_head.param_arrays() + model.gene_head.param_arrays(),
+            epochs, batches, "alignment training")
     return model

@@ -1,5 +1,6 @@
 """Numerical kernel: dense matrices, a small MLP with hand-written backprop,
-SGD with momentum, a counter-based RNG, and a finite-difference gradient checker.
+SGD with momentum and the one training loop and minibatch schedule every fit
+runs on, a counter-based RNG, and a finite-difference gradient checker.
 
 Mlp owns the activation policy of every net duet builds or loads: ReLU on
 each hidden layer and identity on the last, so a Layer is only its weight
@@ -268,7 +269,7 @@ class Mlp:
 
 
 # ---------------------------------------------------------------------------
-# Optimizer
+# Optimizer and the training loop
 # ---------------------------------------------------------------------------
 
 
@@ -297,6 +298,37 @@ class SgdState:
                 v += self.weight_decay * p
             p -= self.lr * v
             _ensure_finite(p, "sgd parameter update")
+
+
+def minibatches(rng: Rng, epoch: int, n: int, batch_size: int) -> list[np.ndarray]:
+    """Epoch `epoch`'s shuffled batches of n rows: whole batches only, so a
+    batch loss keeps its size, or all n rows at once when n < batch_size."""
+    perm = rng.child("shuffle", epoch).permutation(n)
+    if n < batch_size:
+        return [perm]
+    return [perm[lo:lo + batch_size] for lo in range(0, n - batch_size + 1, batch_size)]
+
+
+def descend(opt: SgdState, params: list[np.ndarray], epochs: int, batches,
+            what: str) -> list[float]:
+    """The training loop of every fit: batches(e) yields each step of epoch e
+    as (loss, grads) and resumes once opt has stepped params. Returns every
+    step's loss. A NumericError, and no RuntimeWarning for the float overflow
+    on the way to it, reports as '<what> diverged at epoch <e>: <cause>'."""
+    if epochs < 0:
+        raise InputError(f"{what} needs epochs >= 0, got {epochs}")
+    trace = []
+    for epoch in range(epochs):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for loss, grads in batches(epoch):
+                    if not math.isfinite(loss):
+                        raise NumericError(f"non-finite loss {loss}")
+                    trace.append(loss)
+                    opt.step(params, grads)
+        except NumericError as exc:
+            raise NumericError(f"{what} diverged at epoch {epoch}: {exc}") from exc
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mlp, Rng, SgdState, as_matrix
-from .errors import InputError, NumericError
+from .core import Mlp, Rng, SgdState, as_matrix, descend
+from .errors import InputError
 from .tsvio import load_checkpoint, save_checkpoint
 
 Z_CLIP = 18.0  # tanh(18) is still strictly below 1 in float64
@@ -118,13 +118,10 @@ def train_fuse(adapter: FuseAdapter, heldout, epochs: int, opt: SgdState,
                rng: Rng) -> FuseAdapter:
     """Full-batch SGD on the adapter; both branch predictions stay frozen."""
     _check_heldout(heldout)
-    if epochs < 0:
-        raise InputError("epochs must be >= 0")
-    params = adapter.mlp.param_arrays()
-    for epoch in range(epochs):
-        loss, grads = fuse_loss(adapter, heldout)
-        if not np.isfinite(loss):
-            raise NumericError(f"fusion training diverged at epoch {epoch}")
-        opt.step(params, grads)
+
+    def batches(epoch):
+        yield fuse_loss(adapter, heldout)
         adapter.mlp.touch()
+
+    descend(opt, adapter.mlp.param_arrays(), epochs, batches, "fusion training")
     return adapter

@@ -5,10 +5,10 @@ the first E_d epochs its loss carries an extra consistency term pulling the
 prediction toward the memory branch's retrieved expression, with a cosine
 weight decaying from lambda0 to zero. The alignment model and the database
 are frozen for the whole stage, so the retrieved targets are computed once, in
-one batched pass on the first epoch with a positive weight, and reused as a
-constant: no gradient flows into the contrastive heads. When the weight is
-zero the retrieval machinery is skipped entirely, so a lambda0=0 schedule is
-bitwise identical to training that never touches the database.
+one batched pass before the loop when lambda0 > 0, and reused as a constant:
+no gradient flows into the contrastive heads. When the weight is zero the
+retrieval machinery is skipped entirely, so a lambda0=0 schedule is bitwise
+identical to training that never touches the database.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import AlignModel
-from .core import Mlp, Rng, SgdState, as_matrix, bound, check_config
-from .errors import InputError, NumericError
+from .core import Mlp, Rng, SgdState, as_matrix, bound, check_config, descend, minibatches
+from .errors import InputError
 from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .tsvio import load_checkpoint, save_checkpoint
 
@@ -127,41 +127,34 @@ def train_regress(features, targets, align_model: AlignModel | None,
     """Minibatch SGD on the annealed objective; retrieval runs at most once."""
     x = as_matrix(features)
     y = as_matrix(targets)
-    if x.shape[0] != y.shape[0]:
-        raise InputError("features and targets must have the same rows")
-    if epochs < 1:
-        raise InputError("train_regress needs epochs >= 1")
+    if x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise InputError("features and targets must have the same, non-zero rows")
     n, g = y.shape
     if model.feature_dim != x.shape[1] or model.gene_dim != g:
         raise InputError("model dims disagree with the training data")
     if db_sources is not None and x.shape[0] != db_sources.expressions.shape[0]:
         raise InputError("db_sources must cover exactly the training spots")
 
-    params = model.head.param_arrays()
-    p_ret = None  # retrieved targets, computed on the first epoch that needs them
-    for e in range(epochs):
-        lam = lambda_at(sched, e)
-        if lam > 0.0 and p_ret is None:
-            if align_model is None or db_sources is None:
-                raise InputError(
-                    "consistency weight is positive but no retrieval sources given"
-                )
-            db = rebuild_db(align_model, db_sources.expressions,
-                            db_sources.gating, db_sources.spot_ids)
-            p_ret = retrieve_spots(align_model, db, db_sources.img_features,
-                                   db_sources.gating, db_sources.cfg)
+    p_ret = None  # retrieved targets; lambda_at(sched, 0) is sched.lambda0
+    if sched.lambda0 > 0.0:
+        if align_model is None or db_sources is None:
+            raise InputError(
+                "consistency weight is positive but no retrieval sources given"
+            )
+        db = rebuild_db(align_model, db_sources.expressions,
+                        db_sources.gating, db_sources.spot_ids)
+        p_ret = retrieve_spots(align_model, db, db_sources.img_features,
+                               db_sources.gating, db_sources.cfg)
 
-        perm = rng.child("shuffle", e).permutation(n)
-        stop = max(n // batch_size, 1) * batch_size if n >= batch_size else n
-        for lo in range(0, stop, batch_size):
-            idx = perm[lo:lo + batch_size]
+    def batches(e):
+        lam = lambda_at(sched, e)
+        for idx in minibatches(rng, e, n, batch_size):
             out, tape = model.head.forward(x[idx])
             retrieved = None if lam == 0.0 else p_ret[idx]  # skipped, not zero-weighted
-            with np.errstate(over="ignore", invalid="ignore"):
-                batch_loss, d_out = reg_loss(out, y[idx], retrieved, lam)
-            if not np.isfinite(batch_loss):
-                raise NumericError(f"regression training diverged at epoch {e}")
+            loss, d_out = reg_loss(out, y[idx], retrieved, lam)
             grads = model.head.backward(tape, d_out)
-            opt.step(params, [a for pair in grads.layers for a in pair])
+            yield loss, [a for pair in grads.layers for a in pair]
             model.head.touch()
+
+    descend(opt, model.head.param_arrays(), epochs, batches, "regression training")
     return model

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng, SgdState, as_matrix
+from .core import Rng, SgdState, as_matrix, descend
 from .errors import InputError, NumericError
 
 POSITIVE_FLOOR = 1e-6
@@ -409,13 +409,13 @@ def _nb_terms(table: _CountTable, mu: np.ndarray, disp: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_step(opt: SgdState, params: list, grads: list, scales, lr: float,
-                 step: int, steps: int) -> None:
-    """SGD step `step` of `steps` at `lr` annealed linearly to a tenth, each
-    gradient times its scale: k for a group that sums over 1/k of the table
-    the loss averages, so its step does not shrink as the table grows."""
+def _scaled_step(opt: SgdState, grads: list, scales, lr: float, step: int,
+                 steps: int) -> list:
+    """Set opt.lr for step `step` of `steps`, `lr` annealed linearly to a
+    tenth, and return each gradient times its scale: k for a group summing
+    over 1/k of the averaged table, lest its step shrink as the table grows."""
     opt.lr = lr * (1.0 - 0.9 * step / max(1, steps - 1))
-    opt.step(params, [g * k for g, k in zip(grads, scales)])
+    return [g * k for g, k in zip(grads, scales)]
 
 
 def _row_groups(labels: np.ndarray, n: int):
@@ -528,20 +528,17 @@ def fit_signatures(data: ScDataset, epochs: int, rng: Rng | None = None, *,
     The fit is deterministic and reads no ``rng``; the parameter is unused and
     stays only so that positional calls ``(data, epochs, rng, lr=...)`` work.
     """
-    if epochs < 1:
-        raise InputError("fit_signatures needs epochs >= 1")
     table = _signature_table(data)
     model = _init_signature_model(data)
     opt = SgdState(lr=lr, weight_decay=0.0)
-    params = model.param_arrays()
     scales = (1, 1, data.n_cells, data.n_genes)  # shared, shared, per cell, per gene
-    for epoch in range(epochs):
+
+    def batches(epoch):
         loss, grads = signature_loss(model, data, table)
-        if not np.isfinite(loss):
-            raise NumericError(f"signature fit diverged at epoch {epoch}")
-        model.fit_trace.append(loss)
-        _scaled_step(opt, params, grads, scales, lr, epoch, epochs)
+        yield loss, _scaled_step(opt, grads, scales, lr, epoch, epochs)
         _repin_cell_scales(model)
+
+    model.fit_trace = descend(opt, model.param_arrays(), epochs, batches, "signature fit")
     return model
 
 
@@ -613,8 +610,6 @@ def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
         )
     if np.any(m_panel <= 0):
         raise InputError("signature panel must be strictly positive")
-    if epochs < 1:
-        raise InputError("deconvolve needs epochs >= 1")
     s_n, g_n = y.shape
     t_n = m_panel.shape[1]
 
@@ -632,17 +627,14 @@ def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
     scales = [1 if k == "raw_alpha" else s_n for k in params]
     opt = SgdState(lr=lr, weight_decay=0.0)
     noise = rng.child("deconv-noise")
-    trace = []
-    for step in range(epochs):
+
+    def batches(step):
         eps_w = noise.child("w", step).standard_normal((s_n, t_n))
         eps_d = noise.child("d", step).standard_normal(s_n)
         loss, grads = deconv_loss(params, y, m_panel, eps_w, eps_d, table)
-        if not np.isfinite(loss):
-            raise NumericError(f"deconvolution diverged at step {step}")
-        trace.append(loss)
-        _scaled_step(opt, list(params.values()), [grads[k] for k in params],
-                     scales, lr, step, epochs)
+        yield loss, _scaled_step(opt, [grads[k] for k in params], scales, lr, step, epochs)
 
+    trace = descend(opt, list(params.values()), epochs, batches, "deconvolution")
     sd_w = np.exp(params["w_logstd"])
     return DeconvPosterior(
         w_mean=np.exp(params["w_loc"] + 0.5 * sd_w**2),

@@ -274,6 +274,14 @@ class TestTrainRegress:
                           epochs=1, opt=SgdState(lr=0.01), rng=Rng(15),
                           model=wide_model(x, y, Rng(15)))
 
+    def test_rejects_empty_training_set(self):
+        # with no rows there is no batch to train on
+        x, y = linear_problem(63, n=40, d=8, g=6)
+        with pytest.raises(InputError, match="non-zero rows"):
+            train_regress(x[:0], y[:0], None, None, AnnealSchedule(lambda0=0.0),
+                          epochs=1, opt=SgdState(lr=0.01), rng=Rng(18),
+                          model=wide_model(x, y, Rng(18)))
+
     def test_rejects_model_dim_mismatch(self):
         x, y = linear_problem(62, n=40, d=8, g=6)
         with pytest.raises(InputError):

@@ -7,7 +7,7 @@ from scipy import stats
 from scipy.special import digamma, expit, gammaln
 
 from duet import scprior
-from duet.core import Rng, fd_check
+from duet.core import Rng, SgdState, fd_check
 from duet.errors import InputError, NumericError
 from duet.scprior import (
     DeconvPosterior,
@@ -767,19 +767,19 @@ def first_deconv_step(y, m_panel, eps_w, eps_d) -> dict:
     """How far the first deconvolve step moves each parameter group, with the
     step's noise replaced by eps_w and eps_d."""
     moves = {}
-    real_loss, real_step = scprior.deconv_loss, scprior._scaled_step
+    real_loss, real_step = scprior.deconv_loss, SgdState.step
 
     def loss(params, y, m_panel, _eps_w, _eps_d, table):
         return real_loss(params, y, m_panel, eps_w, eps_d, table)
 
-    def step(opt, params, grads, *args):
+    def step(opt, params, grads):
         before = [p.copy() for p in params]
-        real_step(opt, params, grads, *args)
+        real_step(opt, params, grads)
         moves.update({k: p - b for k, p, b in zip(DECONV_GROUPS, params, before)})
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scprior, "deconv_loss", loss)
-        mp.setattr(scprior, "_scaled_step", step)
+        mp.setattr(SgdState, "step", step)
         deconvolve(y, m_panel, epochs=1, rng=Rng(0), lr=0.1)
     return moves
 
