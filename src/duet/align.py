@@ -108,16 +108,17 @@ def infonce_loss(v: np.ndarray, h: np.ndarray, tau: float):
     # row direction: v_i against all h_j
     row_shift = scores - scores.max(axis=1, keepdims=True)
     row_exp = np.exp(row_shift)
-    row_soft = row_exp / row_exp.sum(axis=1, keepdims=True)
-    row_logp = row_shift - np.log(row_exp.sum(axis=1, keepdims=True))
+    row_sum = row_exp.sum(axis=1, keepdims=True)
+    row_soft = row_exp / row_sum
     # column direction: h_i against all v_j, same score matrix read down columns
     col_shift = scores - scores.max(axis=0, keepdims=True)
     col_exp = np.exp(col_shift)
-    col_soft = col_exp / col_exp.sum(axis=0, keepdims=True)
-    col_logp = col_shift - np.log(col_exp.sum(axis=0, keepdims=True))
+    col_sum = col_exp.sum(axis=0, keepdims=True)
+    col_soft = col_exp / col_sum
 
     diag = np.arange(n)
-    loss = -0.5 / n * (row_logp[diag, diag].sum() + col_logp[diag, diag].sum())
+    loss = -0.5 / n * ((row_shift[diag, diag] - np.log(row_sum[:, 0])).sum()
+                       + (col_shift[diag, diag] - np.log(col_sum[0])).sum())
 
     d_scores = (row_soft + col_soft) / (2.0 * n)
     d_scores[diag, diag] -= 1.0 / n

@@ -8,14 +8,15 @@ softmax weights to produce the retrieved expression prediction.
 
 retrieve_batch is the one implementation. It works through the queries in
 chunks of _CHUNK rows: one score block per chunk against the distinct
-database rows, an exact top-n shortlist per query, then gate, blend, top-k and
+database rows, an exact top-n shortlist per query by partial selection, kept
+in database index order, then gate, blend, top-k (one stable sort) and
 softmax vectorized over the (queries x candidates) block. retrieve is its
 one-row view, and retrieve_spots embeds image features and retrieves for a
 whole spot set, once per stage.
 
-All selection is exact (partial selection and sorts, no approximate index)
-with ties broken by ascending database index, and duplicated database rows
-share one score, so results are reproducible bit for bit.
+All selection is exact (no approximate index) with ties broken by ascending
+database index, and duplicated database rows share one score, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -128,27 +129,24 @@ def _unique_rows(h: np.ndarray):
 def _shortlist(uniq, inv, v: np.ndarray, n: int):
     """Per query row, the n database rows scoring highest, and their scores.
 
-    Rows are ordered by (-score, database index). uniq and inv come from
-    _unique_rows: each distinct row is scored once and the scores are spread
-    back over the (queries x database) block.
+    Each row lists them in ascending database index: nothing is sorted here.
+    uniq and inv come from _unique_rows: each distinct row is scored once and
+    the scores are spread back over the (queries x database) block.
     """
     phi = (v @ uniq.T)[:, inv]
     rows, size = phi.shape
-    if n < size:
-        # the n-th largest score is the cut; entries tied with it are admitted
-        # in ascending index order until the row holds n
-        cut = np.partition(phi, size - n, axis=1)[:, [size - n]]
-        above = phi > cut
-        tied = phi == cut
-        room = n - above.sum(axis=1, keepdims=True)
-        keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
-        cols = np.nonzero(keep)[1].reshape(rows, n)
-    else:
-        cols = np.broadcast_to(np.arange(size), (rows, size))
-    vals = np.take_along_axis(phi, cols, axis=1)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    return (np.take_along_axis(cols, order, axis=1),
-            np.take_along_axis(vals, order, axis=1))
+    if n >= size:
+        return np.broadcast_to(np.arange(size), (rows, size)), phi
+    # the n-th largest score is the cut; where more entries tie with it than
+    # there is room for, they are admitted in ascending index order
+    cut = np.partition(phi, size - n, axis=1)[:, [size - n]]
+    keep = phi > cut
+    tied = phi == cut
+    room = n - keep.sum(axis=1, keepdims=True)
+    over = tied.sum(axis=1) > room[:, 0]
+    tied[over] &= np.cumsum(tied[over], axis=1) <= room[over]
+    cols = np.nonzero(keep | tied)[1].reshape(rows, n)
+    return cols, np.take_along_axis(phi, cols, axis=1)
 
 
 def blended_scores(phi, sim, beta: float) -> np.ndarray:
@@ -187,11 +185,13 @@ def _retrieve_chunk(db: EmbeddingDB, uniq, inv, v, g, cfg: RetrievalConfig):
     n_passed = passed.sum(axis=1)
 
     # where nothing survives the gate, fall back to the ungated nearest
-    # entries so downstream consumers never see an empty prediction
+    # entries so downstream consumers never see an empty prediction; cand
+    # ascends along each row, so each stable sort breaks ties by index
     k = min(cfg.top_k, n_cand)
-    pool = np.where(n_passed[:, None] > 0, passed, np.arange(n_cand) < k)
+    pool, fall = passed, np.flatnonzero(n_passed == 0)[:, None]
+    pool[fall, np.argsort(-phi[fall[:, 0]], axis=1, kind="stable")[:, :k]] = True
     r = blended_scores(phi, sim, cfg.beta)
-    rank = np.lexsort((cand, np.where(pool, -r, np.inf)), axis=1)[:, :k]
+    rank = np.argsort(np.where(pool, -r, np.inf), axis=1, kind="stable")[:, :k]
     kept = np.take_along_axis(cand, rank, axis=1)
     valid = np.take_along_axis(pool, rank, axis=1)
     scores = np.take_along_axis(r, rank, axis=1)

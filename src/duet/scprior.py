@@ -463,11 +463,10 @@ def signature_loss(model: NbSignatureModel, data: ScDataset,
     l_c = model.cell_scale
     theta = model.dispersion
     # rate = l_c * exp(m_cg) * mu_type, built in scratch 0 and 1, kept in 2
-    m_cg = np.take(model.batch_effect, data.batch, axis=0,
+    m_cg = np.take(np.exp(model.batch_effect), data.batch, axis=0,
                    out=table.scratch[0], mode="clip")
     mu_type = np.take(mu_tg, data.cell_type, axis=0,
                       out=table.scratch[1], mode="clip")
-    np.exp(m_cg, out=m_cg)
     np.multiply(l_c[:, None], m_cg, out=m_cg)
     rate = np.multiply(m_cg, mu_type, out=table.scratch[2])
     # NaN fails both comparisons, so this rejects what rate <= 0 or

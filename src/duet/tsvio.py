@@ -5,8 +5,9 @@ cell is the literal `id` followed by column ids, and each data row starts
 with its row id; a zero-column matrix is the header `id` and one bare row id
 per line. A float is written as `'%.17g' % v` writes it, so a write/read
 round trip is lossless for float64. write_matrix_tsv formats blocks of about
-1,024 cells straight into one buffer, so the text of a written file exists
-once, as the one `bytes` object it returns. An id-list file is a header line
+8,192 cells (so a block's ~40 numpy calls cost less than its cells) straight
+into one buffer, so the text of a written file exists once, as the one
+`bytes` object it returns. An id-list file is a header line
 and then one id per line. So that every id reads back as written, the
 writers reject (InputError, naming it) any id holding a tab, `\n` or `\r`,
 and an empty id in an id list or of a zero-column matrix's row; the readers
@@ -27,16 +28,17 @@ passes did not pin down, goes through `'%.17g' % v`.
 
 The readers scan the file's bytes in place. They check that the bytes are
 UTF-8 without keeping the text, take `\r\n` and a lone `\r` as line ends
-(rewriting them only when a `\r` occurs) and skip empty lines.
+(rewriting them only if a `\r` occurs or the final `\n` is missing) and
+skip empty lines. numpy finds the line ends and counts each line's tabs,
+256 KiB at a time; Python code runs per line only to decode its row id.
 read_matrix_tsv requires as many tabs in every body row as in the header,
-decodes each row id alone, and parses the numeric block from the same bytes
-in one np.loadtxt call (numpy's C reader), which must give one row per row
-id. A cell is a decimal or exponent float literal, `inf`,
-`infinity` or `nan` in any case, with an optional sign and surrounding
-whitespace (here also U+001C to U+001F); `0x10`, `1,5`, `1_000`,
-non-ASCII digits and empty cells are rejected. Every failure is an
-InputError naming the file. Each reader also takes the file's bytes, for a
-caller that has read them already.
+and parses the numeric block from the same bytes in one np.loadtxt call
+(numpy's C reader), which must give one row per row id. A cell is a decimal
+or exponent float literal, `inf`, `infinity` or `nan` in any case, with an
+optional sign and surrounding whitespace (here also U+001C to U+001F);
+`0x10`, `1,5`, `1_000`, non-ASCII digits and empty cells are rejected. Every
+failure is an InputError naming the file. Each reader also takes the file's
+bytes, for a caller that has read them already.
 
 Given row positions or column ids, read_matrix_tsv parses only those cells
 as floats; every other check still covers the whole file. So a caller
@@ -141,7 +143,8 @@ def _writable_ids(ids, what: str, path, allow_empty: bool = True) -> list[str]:
 
 def _scan(p: Path, data: bytes | None):
     """The bytes of `data` (or of the file at `p`) with every line end a
-    newline, and an iterator over the (start, end) of each non-empty line."""
+    newline, a newline last, and the (start, end) of the first non-empty
+    line, or None."""
     raw = read_bytes(p) if data is None else data
     if not raw.isascii():
         try:
@@ -150,17 +153,36 @@ def _scan(p: Path, data: bytes | None):
             raise InputError(f"{p} is not UTF-8 text: {exc}") from None
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return raw, _line_spans(raw)
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    start = len(raw) - len(raw.lstrip(b"\n"))  # a copy only if blank lines lead
+    return raw, (start, raw.find(b"\n", start)) if start < len(raw) else None
 
 
-def _line_spans(raw: bytes):
-    start = 0
-    while start < len(raw):
-        end = raw.find(b"\n", start)
-        end = len(raw) if end < 0 else end
-        if end > start:
-            yield start, end
-        start = end + 1
+def _lines(raw: bytes, start: int):
+    """The non-empty lines of raw[start:], which ends in a newline, a batch
+    per _SLAB bytes: arrays of their starts, ends and tab counts."""
+    tabbed = 0  # tabs of the open line in earlier slabs
+    for off in range(start, len(raw), _SLAB):
+        b = np.frombuffer(raw, np.uint8, min(_SLAB, len(raw) - off), off)
+        # a bit per byte, set on a tab, in 64-bit words: the tabs before a
+        # line end are those up to its word's end less those from it on
+        words = np.zeros(b.size // 64 + 1, "<u8")
+        words.view(np.uint8)[:-(-b.size // 8)] = np.packbits(b == 9, bitorder="little")
+        upto = np.cumsum(np.bitwise_count(words), dtype=np.int64)
+        ends = np.flatnonzero(b == 10)
+        if not ends.size:
+            tabbed += upto[-1]
+            continue
+        word = words[ends >> 6] >> (ends & 63).astype(np.uint64)
+        tabs = upto[ends >> 6] - np.bitwise_count(word)
+        counts = np.diff(tabs, prepend=-tabbed)
+        tabbed = upto[-1] - tabs[-1]
+        ends += off
+        starts = np.concatenate(([start], ends[:-1] + 1))
+        start = ends[-1] + 1
+        keep = ends > starts
+        yield starts[keep], ends[keep], counts[keep]
 
 
 def _split(x):
@@ -170,7 +192,8 @@ def _split(x):
     return hi, x - hi
 
 
-_BLOCK = 1024  # cells per numpy pass: its temporaries stay in the low 100s of KiB
+_BLOCK = 8192  # cells per numpy pass: its temporaries stay within a few hundred KiB
+_SLAB = 1 << 18  # bytes per numpy pass of _lines
 _P10 = np.array([float(10**p) for p in range(23)])  # exact up to 10**22
 _P10_HI, _P10_LO = _split(_P10)
 # the 4 ASCII digits of 0..9999 as one little-endian u32 each
@@ -297,8 +320,7 @@ def read_matrix_tsv(path, data: bytes | None = None, *, rows=None, cols=None):
     """(matrix, row ids, column ids) of the TSV at `path` (or in `data`); given
     `rows` (positions) or `cols` (ids), the matrix holds only those, in order."""
     p = Path(path)
-    raw, lines = _scan(p, data)
-    head = next(lines, None)
+    raw, head = _scan(p, data)
     if head is None:
         raise InputError(f"empty TSV: {p}")
     header = raw[head[0]:head[1]].decode().split("\t")
@@ -307,17 +329,19 @@ def read_matrix_tsv(path, data: bytes | None = None, *, rows=None, cols=None):
     n, row_ids = len(header) - 1, []
     usecols = range(1, n + 1) if cols is None else [
         1 + j for j in column_positions(p, header[1:], cols)]
-    wanted, spans = set(() if rows is None else rows), {}
-    for start, end in lines:
-        if raw.count(b"\t", start, end) != n:
+    wanted, spans = np.array(sorted(set(() if rows is None else rows)), np.int64), {}
+    for starts, ends, tabs in _lines(raw, head[1]):
+        if (tabs != n).any():
             raise InputError(f"ragged TSV row in {p}")
-        if len(row_ids) in wanted:
-            spans[len(row_ids)] = slice(start, end)
-        row_ids.append(raw[start:raw.find(b"\t", start, end) if n else end].decode())
+        lo, hi = np.searchsorted(wanted, [len(row_ids), len(row_ids) + len(starts)])
+        for r in wanted[lo:hi].tolist():
+            spans[r] = slice(starts[r - len(row_ids)], ends[r - len(row_ids)])
+        row_ids += [raw[a:raw.find(b"\t", a, e) if n else e].decode()
+                    for a, e in zip(starts.tolist(), ends.tolist())]
     if rows is None:
         text, skip, n_rows = raw, raw.count(b"\n", 0, head[1]) + 1, len(row_ids)
     elif len(spans) < len(wanted):
-        raise InputError(f"{p} has no row at position {min(wanted - set(spans))}")
+        raise InputError(f"{p} has no row at position {min(set(wanted.tolist()) - spans.keys())}")
     else:
         view = memoryview(raw)  # its slices copy nothing before the join
         text, skip, n_rows = b"\n".join(view[spans[r]] for r in rows), 0, len(rows)
@@ -340,10 +364,11 @@ def write_ids_tsv(path, ids):
 
 def read_ids_tsv(path, data: bytes | None = None) -> list[str]:
     p = Path(path)
-    raw, lines = _scan(p, data)
-    if next(lines, None) is None:
+    raw, head = _scan(p, data)
+    if head is None:
         raise InputError(f"empty id list: {p}")
-    return [raw[start:end].decode() for start, end in lines]
+    return [raw[a:b].decode() for starts, ends, _ in _lines(raw, head[1])
+            for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 # ---------------------------------------------------------------------------

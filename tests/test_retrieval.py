@@ -73,7 +73,8 @@ def candidates(db, v_s, n):
     v = _check_queries(db, _one_row(v_s))
     if not 0 < n <= db.size:
         raise InputError(f"need 0 < n <= {db.size}, got {n}")
-    return _shortlist(*_unique_rows(db.h), v, n)[0][0]
+    cols, phi = _shortlist(*_unique_rows(db.h), v, n)
+    return cols[0][np.lexsort((cols[0], -phi[0]))]
 
 
 def brute_force_retrieve(db, v, g_s, cfg):
@@ -398,6 +399,26 @@ class TestRetrieveBatch:
         _, stats = assert_batch_matches_oracle(db, v, g, open_cos)
         assert np.all(stats[::3, 1] == 0)
         assert np.all(stats[1::3, 1] == 10)
+
+    def test_fallback_ties_at_top_k_beside_passing_rows(self):
+        # 40 distinct embeddings 5 times each: a fallback row's ungated top 12
+        # cuts through its third tie group, which must be taken in ascending
+        # index order, in one chunk with rows that pass the gate
+        rng = Rng(51)
+        base = unit_rows(rng.child("b").standard_normal((40, 8)))
+        h = base[rng.child("p").permutation(np.repeat(np.arange(40), 5))]
+        expr = rng.child("e").uniform(0.0, 4.0, size=(200, 12))
+        gating = rng.child("g").uniform(0.0, 10.0, size=(200, 4))
+        db = EmbeddingDB(h=h, expressions=expr, gating=gating,
+                         spot_ids=[f"s{i:04d}" for i in range(200)])
+        v, g = batch_queries(52, _CHUNK)
+        g[::2] = 1e6  # count deviation ~1 for every entry
+        cfg = RetrievalConfig(n_candidates=60, top_k=12, tau_c=0.5, tau_p=0.15)
+        _, stats = assert_batch_matches_oracle(db, v, g, cfg)
+        assert np.all(stats[::2, 1] == 0) and np.all(stats[1::2, 1] > 0)
+        for q in range(0, _CHUNK, 2):
+            phi = sorted((float(np.dot(row, v[q])) for row in db.h), reverse=True)
+            assert phi[11] == phi[12]
 
     @pytest.mark.parametrize("n_queries", [1, _CHUNK, 2 * _CHUNK + 5])
     def test_chunk_boundaries(self, n_queries):

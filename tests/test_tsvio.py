@@ -522,19 +522,24 @@ class TestExactnessFuzz:
         rng = np.random.default_rng(2024)
         fractional, integral = fuzz_cells(rng)
         cells = np.concatenate([fractional, integral])
-        width = 97  # 10 rows (970 cells) per block, and no multiple of it
+        width = 97  # no divisor of the block: a block is its whole rows
+        per_block = tsvio._BLOCK // width
         m = cells[:cells.size // width * width].reshape(-1, width)
-        # swap half the integral rows in among the fractional ones, so some
-        # blocks mix both and the rest are whole integral blocks
+        # swap a quarter of the integral rows in among the fractional ones, so
+        # some blocks mix both and the last ones are whole integral blocks
         integral_rows = np.arange(-(-fractional.size // width), len(m))
-        moved = integral_rows[: len(integral_rows) // 2]
+        moved = integral_rows[: len(integral_rows) // 4]
         order = np.arange(len(m))
         swap = rng.choice(moved[0], moved.size, replace=False)
         order[swap], order[moved] = moved, swap
         tall = m[order]
-        whole = np.isin(order, integral_rows)[: len(m) // 10 * 10].reshape(-1, 10).sum(axis=1)
-        assert (whole == 10).any() and ((whole > 0) & (whole < 10)).any()
-        wide = cells[rng.permutation(cells.size)[:5000]][None, :]  # blocks cut one row
+        whole = np.isin(order, integral_rows)[: len(m) // per_block * per_block]
+        whole = whole.reshape(-1, per_block).sum(axis=1)
+        assert (whole == per_block).sum() >= 2
+        assert ((whole > 0) & (whole < per_block)).sum() >= 2
+        # one row that the writer formats in 3 pieces
+        wide = cells[rng.permutation(cells.size)[:5 * tsvio._BLOCK // 2]][None, :]
+        assert -(-wide.size // tsvio._BLOCK) >= 3
         assert m.size + wide.size >= 200_000
         for name, mat in (("tall", tall), ("wide", wide)):
             rows = [f"r{i}" for i in range(mat.shape[0])]
@@ -915,6 +920,23 @@ def outcome(read, path, data):
         return InputError
 
 
+def reads_like_oracle(path, blob: bytes):
+    """Read from the file and from its bytes, read_matrix_tsv gives the
+    oracle's matrix bits, ids and columns, or both raise an InputError naming
+    the file; returns the oracle's outcome."""
+    want = outcome(oracle_matrix, path, blob)
+    for got in (outcome(read_matrix_tsv, path, None),
+                outcome(read_matrix_tsv, path, blob)):
+        if want is InputError:
+            assert got is InputError
+            continue
+        assert got is not InputError
+        assert got[0].shape == want[0].shape
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        assert got[1:] == want[1:]
+    return want
+
+
 # token blobs, some behind a header so that more of them parse
 HEADED_BYTES = st.tuples(st.sampled_from([b"", b"id\t", b"\nid\ta\n"]),
                          TSV_BYTES).map(b"".join)
@@ -951,16 +973,7 @@ class TestReaderAgainstOracle:
     def test_matrix(self, blob, tmp_path_factory):
         path = tmp_path_factory.mktemp("or") / "f.tsv"
         path.write_bytes(blob)
-        want = outcome(oracle_matrix, path, blob)
-        for got in (outcome(read_matrix_tsv, path, None),
-                    outcome(read_matrix_tsv, path, blob)):
-            if want is InputError:
-                assert got is InputError
-                continue
-            assert got is not InputError
-            assert got[0].shape == want[0].shape
-            assert np.array_equal(bits(got[0]), bits(want[0]))
-            assert got[1:] == want[1:]
+        reads_like_oracle(path, blob)
 
     @settings(max_examples=200, deadline=None)
     @given(blob=HEADED_BYTES)
@@ -977,6 +990,79 @@ class TestReaderAgainstOracle:
         # above compares matrices on them, not two errors
         for blob in ORACLE_EXAMPLES:
             assert outcome(read_matrix_tsv, tmp_path / "f.tsv", blob) is not InputError
+
+
+def slab_rows(size: int) -> bytes:
+    """Whole rows 'r<i>\\t<i>\\t-<i>\\n' of `size` bytes in all (size >= 40), the
+    last row's id padded with 'x' to fit."""
+    lines, left, i = [], size, 0
+    while left >= 40:
+        lines.append(f"r{i}\t{i}\t-{i}\n")
+        left, i = left - len(lines[-1]), i + 1
+    tail = f"\t{i}\t-{i}\n"
+    lines.append("r".ljust(left - len(tail), "x") + tail)
+    return "".join(lines).encode()
+
+
+def slab_blobs() -> dict:
+    """Files whose bytes put a slab edge of the readers' scan where a line
+    can be cut. The scan starts at the header's newline, so with header
+    HEAD the k-th edge is at len(HEAD) - 1 + k * tsvio._SLAB."""
+    size, head = tsvio._SLAB, b"id\ta\tb\n"
+    wide = 1 + size // 2  # cells per row: each row is longer than a slab
+    wide_head = "\t".join(["id"] + [f"c{j}" for j in range(wide)]).encode() + b"\n"
+    wide_rows = [f"r{i}".encode() + b"\t1" * wide + b"\n" for i in range(3)]
+    return {
+        # the byte before the edge is a newline: the next slab starts a line
+        "edge_after_newline": head + slab_rows(size - 1) + slab_rows(400),
+        # the edge cuts a row id two bytes in
+        "edge_in_row_id": head + slab_rows(size - 3) + b"r_long_id\t1\t2\n" + slab_rows(400),
+        "id_longer_than_slab": head + slab_rows(200) + b"r" * (size + 7) + b"\t1\t2\n"
+        + slab_rows(200),
+        # tabs of one row in two or three slabs
+        "row_longer_than_slab": wide_head + b"".join(wide_rows),
+        "ragged_row_longer_than_slab": wide_head + wide_rows[0]
+        + wide_rows[1].replace(b"\t1", b"", 1) + wide_rows[2],
+        "last_line_longer_than_slab_no_newline": head + slab_rows(300) + b"r" * (size + 5)
+        + b"\t1\t2",
+    }
+
+
+@pytest.fixture(scope="module")
+def slab_files(tmp_path_factory):
+    blobs = slab_blobs()
+    blobs.update({f"{k}_crlf": v.replace(b"\n", b"\r\n") for k, v in list(blobs.items())})
+    root = tmp_path_factory.mktemp("slab")
+    for name, blob in blobs.items():
+        (root / f"{name}.tsv").write_bytes(blob)
+    return root, blobs
+
+
+class TestReaderSlabEdges:
+    # each file read from its path and from its bytes gives the oracle's
+    # result, and a row subset across slabs gives the oracle's rows
+
+    @pytest.mark.parametrize("name", [k + crlf for k in slab_blobs() for crlf in ("", "_crlf")])
+    def test_matches_the_oracle(self, name, slab_files):
+        root, blobs = slab_files
+        path, blob = root / f"{name}.tsv", blobs[name]
+        want = reads_like_oracle(path, blob)
+        assert (want is InputError) == name.startswith("ragged")
+        ids = outcome(oracle_ids, path, blob)
+        assert outcome(read_ids_tsv, path, None) == outcome(read_ids_tsv, path, blob) == ids
+        if want is InputError:
+            return
+        rows = [len(want[1]) - 1, 0, len(want[1]) // 2, 1]
+        for data in (None, blob):
+            got = read_matrix_tsv(path, data, rows=rows)
+            assert np.array_equal(bits(got[0]), bits(want[0][rows]))
+            assert got[1:] == want[1:]
+
+    def test_edges_fall_where_named(self, slab_files):
+        _, blobs = slab_files
+        edge = len(b"id\ta\tb\n") - 1 + tsvio._SLAB
+        assert blobs["edge_after_newline"][edge - 1:edge + 1] == b"\nr"
+        assert blobs["edge_in_row_id"][edge - 2:edge + 1] == b"r_l"
 
 
 class TestReaderFuzz:
