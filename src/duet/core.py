@@ -28,15 +28,11 @@ def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, validating shape if given."""
+def as_matrix(data) -> np.ndarray:
+    """Coerce to a C-contiguous float64 2-D array."""
     m = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     if m.ndim != 2:
         raise InputError(f"matrix must be 2-D, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise InputError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise InputError(f"expected {cols} cols, got {m.shape[1]}")
     return m
 
 

@@ -345,8 +345,8 @@ def _split(ws: Workspace, spots: list[str], name: str) -> np.ndarray:
 
 @_stage((), (
     "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
-    "features_fm.tsv", "cell_counts.tsv", "truth_w.tsv", "truth_n.tsv",
-    "truth_d.tsv", "truth_mu.tsv", "target_genes.tsv",
+    "features_fm.tsv", "cell_counts.tsv", "truth_w.tsv", "truth_d.tsv",
+    "truth_mu.tsv", "target_genes.tsv",
     "split_train.tsv", "split_fuse.tsv", "split_test.tsv"))
 def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     try:
@@ -374,7 +374,6 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     # observed counts, which deconv reads; truth_* files are for scoring only
     ws.write_matrix("cell_counts.tsv", truth.n_true[:, None], spots, ["n"])
     ws.write_matrix("truth_w.tsv", truth.w_true, spots, types)
-    ws.write_matrix("truth_n.tsv", truth.n_true[:, None], spots, ["n"])
     ws.write_matrix("truth_d.tsv", truth.d_true[:, None], spots, ["d"])
     ws.write_matrix("truth_mu.tsv", truth.mu_true, types, genes)
     ws.write_ids("target_genes.tsv", truth.target_genes)
@@ -394,8 +393,7 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
 
 @_stage(("sc_counts.tsv", "sc_labels.tsv", "target_genes.tsv", "st_counts.tsv",
          "cell_counts.tsv"),
-        ("signature.tsv", "panel_genes.tsv", "deconv_w_mean.tsv",
-         "deconv_w_q05.tsv", "proportions.tsv", "gating.tsv"))
+        ("signature.tsv", "panel_genes.tsv", "proportions.tsv", "gating.tsv"))
 def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("deconv-stage")
     sc_counts, cells, genes = ws.matrix("sc_counts.tsv")
@@ -427,8 +425,6 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     post = deconvolve(st[:, panel_idx], signature[panel_idx],
                       cfg.train.deconv_epochs, rng.child("vi"),
                       lr=cfg.train.deconv_lr)
-    ws.write_matrix("deconv_w_mean.tsv", post.w_mean, spots, types)
-    ws.write_matrix("deconv_w_q05.tsv", post.w_q05, spots, types)
     ws.write_matrix("proportions.tsv", post.proportions(), spots, types)
 
     sig = build_gating(post, ws.spot_matrix("cell_counts.tsv")[:, 0])

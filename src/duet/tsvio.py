@@ -13,9 +13,8 @@ writers reject (InputError, naming it) any id holding a tab, `\n` or `\r`,
 and an empty id in an id list or of a zero-column matrix's row; the readers
 reject a file that is not UTF-8.
 
-numpy formats a block unless its cells in 1e-4 <= |v| < 1e16 are all
-integral (`%` is as fast on those). It is exact on every such cell and +-0:
-with k = floor(log10|v|), 10**p for p = 16 - k <= 22 is a float64, and
+numpy formats every block, exact on each cell in 1e-4 <= |v| < 1e16 and on
++-0: with k = floor(log10|v|), 10**p for p = 16 - k <= 22 is a float64, and
 Dekker's product (Veltkamp split by 2**27 + 1) gives |v| * 10**p = hi + lo
 exactly. log10 may be one off near a power of ten, so a pass that finds
 hi + lo outside [1e16, 1e17) moves k by one. Inside, hi > 2**53 is an even
@@ -255,9 +254,6 @@ def _row_texts(x, width: int, end: bytes) -> list[bytes]:
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
     y = np.where(fast, a, 2.0)  # 2 * 10**16 is no edge case for _decimal
-    if (np.rint(y) == y).all():  # no fraction to print: '%' is as fast
-        line = "\t".join(["%.17g"] * width) + end.decode()
-        return [(line % tuple(r)).encode() for r in x.reshape(-1, width).tolist()]
     zero = x == 0
     k, q, exact = _decimal(y)
     k[zero] = 0  # and q == 2 * 10**16: its lead digit becomes the '0'

@@ -1,6 +1,10 @@
+import fnmatch
 import hashlib
 import json
+import re
 import shutil
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -18,24 +22,31 @@ from duet.pipeline import (
     run_pipeline,
     stage_predict,
 )
+from duet.synth import gen_sc, gen_spots
 from duet.tsvio import read_ids_tsv, read_matrix_tsv, write_matrix_tsv
 
+ROOT = Path(__file__).parents[1]
 # the README's small demo config; the pipeline, CLI and script tests run it
-TINY = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_bytes())
+TINY = json.loads((ROOT / "configs" / "demo.json").read_bytes())
 
 EXPECTED_FILES = [
     "sc_counts.tsv", "sc_labels.tsv", "st_counts.tsv", "features_img.tsv",
-    "features_fm.tsv", "cell_counts.tsv", "truth_w.tsv", "truth_n.tsv",
-    "truth_d.tsv", "truth_mu.tsv", "target_genes.tsv",
+    "features_fm.tsv", "cell_counts.tsv", "truth_w.tsv", "truth_d.tsv",
+    "truth_mu.tsv", "target_genes.tsv",
     "split_train.tsv", "split_fuse.tsv", "split_test.tsv",
-    "signature.tsv", "panel_genes.tsv", "deconv_w_mean.tsv",
-    "deconv_w_q05.tsv", "proportions.tsv", "gating.tsv",
+    "signature.tsv", "panel_genes.tsv", "proportions.tsv", "gating.tsv",
     "align.ckpt", "reg.ckpt", "fuse.ckpt",
     "pred_duet.tsv", "pred_ret.tsv", "pred_reg.tsv", "alphas.tsv",
     "y_test.tsv", "metrics.json", "variance_curve_duet.tsv",
     "variance_curve_ret.tsv", "variance_curve_reg.tsv", "manifest.json",
 ]
 
+
+# what a run is for: outputs no later stage reads, but a reader of the
+# workspace does (scoring truth, the fitted prior, predictions, reports)
+DELIVERABLES = {"truth_*", "signature.tsv", "panel_genes.tsv", "proportions.tsv",
+                "pred_*", "alphas.tsv", "y_test.tsv", "variance_curve_*",
+                "metrics.json"}
 
 ID_LISTS = ["target_genes.tsv", "split_train.tsv", "split_fuse.tsv",
             "split_test.tsv", "panel_genes.tsv"]
@@ -90,9 +101,51 @@ def test_no_stage_but_synth_reads_generator_truth():
 
 
 def test_cell_counts_are_the_true_counts(ws):
-    # observed without counting noise: the same bytes as the ground truth
+    # observed without counting noise: the generator's own counts, bit for bit
     d, _ = ws
-    assert (d / "cell_counts.tsv").read_bytes() == (d / "truth_n.tsv").read_bytes()
+    synth_cfg = replace(tiny_cfg().synth, seed=3)
+    _, truth = gen_sc(synth_cfg)
+    gen_spots(synth_cfg, truth)
+    counts, _, cols = read_matrix_tsv(d / "cell_counts.tsv")
+    assert cols == ["n"]
+    assert np.array_equal(counts[:, 0].view(np.uint64), truth.n_true.view(np.uint64))
+
+
+def test_no_two_workspace_files_share_bytes(ws):
+    d, _ = ws
+    seen = {}
+    for p in sorted(d.iterdir()):
+        digest = hashlib.sha256(p.read_bytes()).hexdigest()
+        assert digest not in seen, (seen.get(digest), p.name)
+        seen[digest] = p.name
+
+
+def test_every_output_is_read_later_or_delivered():
+    read, unread = set(), []
+    for stage in reversed(PIPELINE_ORDER):
+        inputs, outputs = STAGE_IO[stage]
+        unread += [f for f in outputs if f not in read
+                   and not any(fnmatch.fnmatch(f, pat) for pat in DELIVERABLES)]
+        read.update(inputs)
+    assert unread == []
+
+
+def test_readme_workspace_layout_names_every_file():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Workspace layout\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- (.*?`):", section, re.MULTILINE | re.DOTALL)
+    files = {f for _, outputs in STAGE_IO.values() for f in outputs} | {"manifest.json"}
+    named = set()
+    for head in items:
+        for name in re.findall(r"`([^`]+)`", head):
+            parts = re.split(r"\{([^}]*)\}", name)  # a{b,c}d -> [a, "b,c", d]
+            for choice in product(*[p.split(",") if i % 2 else [p]
+                                    for i, p in enumerate(parts)]):
+                pattern = "".join(choice)
+                hits = fnmatch.filter(files, pattern)
+                assert hits, f"README names {pattern}, which no stage writes"
+                named.update(hits)
+    assert named == files
 
 
 def test_splits_partition_spots(ws):
@@ -429,7 +482,7 @@ def test_workspace_refuses_undeclared_names(ws, tmp_path):
     d, _ = ws
     w = Workspace(d)
     w.stage = "align"
-    for name in ("gating.tsv", "truth_n.tsv", "pred_duet.tsv"):
+    for name in ("gating.tsv", "truth_w.tsv", "pred_duet.tsv"):
         with pytest.raises(InputError, match=name):
             w.matrix(name)
     with pytest.raises(InputError, match="split_test.tsv"):

@@ -526,7 +526,7 @@ class TestExactnessFuzz:
         per_block = tsvio._BLOCK // width
         m = cells[:cells.size // width * width].reshape(-1, width)
         # swap a quarter of the integral rows in among the fractional ones, so
-        # some blocks mix both and the last ones are whole integral blocks
+        # the numpy formatter sees mixed blocks and, last, wholly integral ones
         integral_rows = np.arange(-(-fractional.size // width), len(m))
         moved = integral_rows[: len(integral_rows) // 4]
         order = np.arange(len(m))
