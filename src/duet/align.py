@@ -25,7 +25,6 @@ class PairedBatch:
 
     img_features: np.ndarray  # (N, D_img)
     expressions: np.ndarray  # (N, G)
-    spot_ids: list[str]
 
     def __post_init__(self):
         self.img_features = as_matrix(self.img_features)
@@ -33,8 +32,8 @@ class PairedBatch:
         n = self.img_features.shape[0]
         if n < 2:
             raise InputError("a contrastive batch needs at least 2 pairs")
-        if self.expressions.shape[0] != n or len(self.spot_ids) != n:
-            raise InputError("img_features, expressions and spot_ids must align")
+        if self.expressions.shape[0] != n:
+            raise InputError("img_features and expressions must align")
 
     def __len__(self) -> int:
         return self.img_features.shape[0]
@@ -155,7 +154,6 @@ def embed_images(model: AlignModel, img_features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AlignTrainConfig:
-    epochs: int
     batch_size: int
     embed_dim: int
     hidden: int
@@ -164,8 +162,6 @@ class AlignTrainConfig:
 def train_align(data: PairedBatch, epochs: int, opt: SgdState, rng: Rng,
                 cfg: AlignTrainConfig) -> AlignModel:
     """Train both projection heads on paired data; deterministic given rng."""
-    if cfg.epochs != epochs:
-        raise InputError(f"epochs {epochs} must equal cfg.epochs {cfg.epochs}")
     model = AlignModel.init(data.img_features.shape[1], data.expressions.shape[1],
                             rng.child("init"), embed_dim=cfg.embed_dim, hidden=cfg.hidden)
 

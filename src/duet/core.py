@@ -1,6 +1,8 @@
-"""Numerical kernel: dense matrices, a small MLP with hand-written backprop,
-SGD with momentum and the one training loop and minibatch schedule every fit
-runs on, a counter-based RNG, and a finite-difference gradient checker.
+"""Numerical kernel: dense matrices, a small MLP with hand-written backprop to
+its parameters (no fit reads a gradient w.r.t. the input, so backward makes
+none), SGD with momentum and the one training loop and minibatch schedule
+every fit runs on, a counter-based RNG, and a finite-difference gradient
+checker.
 
 Mlp owns the activation policy of every net duet builds or loads: ReLU on
 each hidden layer and identity on the last, so a Layer is only its weight
@@ -160,7 +162,6 @@ class Tape:
 @dataclass
 class MlpGradients:
     layers: list  # [(dW, db)] matching net.layers
-    d_input: np.ndarray
 
 
 class Mlp:
@@ -243,7 +244,7 @@ class Mlp:
         return y, Tape(id(self), self._version, acts, single)
 
     def backward(self, tape: Tape, d_y: np.ndarray) -> MlpGradients:
-        """Exact gradients of <d_y, y> w.r.t. parameters and input."""
+        """Exact gradients of <d_y, y> w.r.t. the parameters."""
         if tape.net_id != id(self) or tape.version != self._version:
             raise InputError("stale tape: parameters changed since the forward pass")
         d_y = np.asarray(d_y, dtype=np.float64)
@@ -258,10 +259,9 @@ class Mlp:
             # relu's derivative is recoverable from its output alone
             dz = da if k == last else da * (tape.activations[k + 1] > 0.0)
             grads[k] = (dz.T @ tape.activations[k], dz.sum(axis=0))
-            da = dz @ self.layers[k].weight
-        d_input = da[0] if tape.single else da
-        _ensure_finite(d_input, "mlp backward input gradient")
-        return MlpGradients(grads, d_input)
+            if k:
+                da = dz @ self.layers[k].weight
+        return MlpGradients(grads)
 
 
 # ---------------------------------------------------------------------------

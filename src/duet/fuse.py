@@ -114,9 +114,10 @@ def fuse_loss(adapter: FuseAdapter, heldout):
     return loss, [g for pair in grads.layers for g in pair]
 
 
-def train_fuse(adapter: FuseAdapter, heldout, epochs: int, opt: SgdState,
-               rng: Rng) -> FuseAdapter:
-    """Full-batch SGD on the adapter; both branch predictions stay frozen."""
+def train_fuse(adapter: FuseAdapter, heldout, epochs: int,
+               opt: SgdState) -> FuseAdapter:
+    """Full-batch SGD on the adapter; both branch predictions stay frozen, and
+    the fit draws no noise, so it needs no rng."""
     _check_heldout(heldout)
 
     def batches(epoch):

@@ -355,7 +355,7 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
         raise InputError(f"cannot make workspace {ws.root}: {exc.strerror}") from None
     synth_cfg = replace(cfg.synth, seed=seed)
     sc, truth = gen_sc(synth_cfg)
-    st_counts, f_img, f_fm, _ = gen_spots(synth_cfg, truth)
+    st_counts, f_img, f_fm = gen_spots(synth_cfg, truth)
     truth.mu_spot = None  # no file holds it; free its (S, G) array first
 
     genes = truth.gene_names
@@ -427,8 +427,8 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
                       lr=cfg.train.deconv_lr)
     ws.write_matrix("proportions.tsv", post.proportions(), spots, types)
 
-    sig = build_gating(post, ws.spot_matrix("cell_counts.tsv")[:, 0])
-    ws.write_matrix("gating.tsv", sig.g, spots, types)
+    gating = build_gating(post, ws.spot_matrix("cell_counts.tsv")[:, 0])
+    ws.write_matrix("gating.tsv", gating, spots, types)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +446,12 @@ def stage_align(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     data = PairedBatch(
         img_features=ws.spot_matrix("features_img.tsv", rows=idx),
         expressions=y[idx],
-        spot_ids=[spots[i] for i in idx],
     )
     tc = cfg.train
     model = train_align(
         data, tc.align_epochs, SgdState(lr=tc.align_lr), rng,
-        AlignTrainConfig(epochs=tc.align_epochs, batch_size=tc.align_batch,
-                         embed_dim=tc.embed_dim, hidden=tc.align_hidden),
+        AlignTrainConfig(batch_size=tc.align_batch, embed_dim=tc.embed_dim,
+                         hidden=tc.align_hidden),
     )
     ws.save("align.ckpt", save_align, model)
 
@@ -553,8 +552,7 @@ def stage_fuse(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     adapter = FuseAdapter.init(data[0].shape[1], rng.child("init"),
                                hidden=cfg.train.fuse_hidden,
                                reg_coef=cfg.train.reg_coef)
-    train_fuse(adapter, data, cfg.train.fuse_epochs,
-               SgdState(lr=cfg.train.fuse_lr), rng.child("fit"))
+    train_fuse(adapter, data, cfg.train.fuse_epochs, SgdState(lr=cfg.train.fuse_lr))
     ws.save("fuse.ckpt", save_fuse, adapter)
 
 

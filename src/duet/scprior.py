@@ -3,7 +3,8 @@
 Learns per-cell-type signature rates from multi-batch single-cell counts with a
 negative binomial regression model, deconvolves spot counts into cell-type
 abundances with a mean-field log-normal variational posterior, and turns the
-conservative 5% abundance quantiles into the per-spot cellular gating signal.
+conservative 5% abundance quantiles into the per-spot cellular gating signal,
+an (S, T) array whose rows sum to the spots' cell counts.
 
 Parameterization notes
 ----------------------
@@ -22,9 +23,10 @@ Kernel
 ------
 Both fits spend their time in one NB kernel, ``_nb_terms``, which returns
 the log-likelihood sum, dll/dmu and the column sums of dll/ddisp per step.
-Each fit first builds a count table (``_count_table``) once: one C-ordered
-float64 copy of the counts, their distinct (count, gene) pairs with how
-often each occurs, and lnΓ(x+1) per pair. A step does (S, G) work only
+Each fit first builds a count table (``_count_table``) once, which rejects
+any count that is not a non-negative integer: one C-ordered float64 copy of
+the counts, their distinct (count, gene) pairs with how often each occurs,
+and lnΓ(x+1) per pair. A step does (S, G) work only
 for dll/dmu, the textbook expression entry for entry, and for what it
 shares with the rest, which comes from reductions: the lnΓ and ψ terms per
 distinct pair, weighted by its count; column sums of log(mu+disp) and
@@ -154,22 +156,6 @@ class ScDataset:
     @property
     def n_genes(self) -> int:
         return self.counts.shape[1]
-
-
-@dataclass
-class GatingSignal:
-    """Per-spot estimated cell counts by type: g_st = n_s * normalized q05 row."""
-
-    g: np.ndarray  # (S, T) non-negative
-    cell_count: np.ndarray  # (S,)
-
-    def __post_init__(self):
-        self.g = as_matrix(self.g)
-        self.cell_count = np.asarray(self.cell_count, dtype=np.float64)
-        if self.g.shape[0] != self.cell_count.shape[0]:
-            raise InputError("gating rows must match cell_count length")
-        if np.any(self.g < 0) or np.any(self.cell_count < 0):
-            raise InputError("gating signal must be non-negative")
 
 
 @dataclass
@@ -336,12 +322,7 @@ class _CountTable:
 
 def _count_table(counts, what: str = "counts", groups: tuple = ()) -> _CountTable:
     """Validate a count matrix once and tabulate its distinct (count, gene) pairs."""
-    x = np.asarray(counts, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError(f"{what} must be a 2-D matrix")
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise InputError(f"{what} must be finite and non-negative")
-    x = np.ascontiguousarray(x)
+    x = np.ascontiguousarray(validate_counts(counts, what, np.float64))
     # each gene's counts in ascending order; a pair starts where they change
     by_gene = x.T.copy()
     by_gene.sort(axis=1)
@@ -520,13 +501,9 @@ def _repin_cell_scales(model: NbSignatureModel):
     model.raw_mu[...] = positive_inv(np.maximum(model.mu * s, 2 * POSITIVE_FLOOR))
 
 
-def fit_signatures(data: ScDataset, epochs: int, rng: Rng | None = None, *,
-                   lr: float) -> NbSignatureModel:
-    """Fit the signature model by full-batch MAP gradient descent.
-
-    The fit is deterministic and reads no ``rng``; the parameter is unused and
-    stays only so that positional calls ``(data, epochs, rng, lr=...)`` work.
-    """
+def fit_signatures(data: ScDataset, epochs: int, *, lr: float) -> NbSignatureModel:
+    """Fit the signature model by full-batch MAP gradient descent; the fit
+    draws no noise, so it needs no rng."""
     table = _signature_table(data)
     model = _init_signature_model(data)
     opt = SgdState(lr=lr, weight_decay=0.0)
@@ -601,7 +578,8 @@ def deconv_loss(params: dict, y: np.ndarray, m_panel: np.ndarray,
 def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
                lr: float) -> DeconvPosterior:
     """Fit per-spot abundance posteriors against a fixed signature panel."""
-    y = np.ascontiguousarray(validate_counts(st_counts, "spot counts", np.float64))
+    table = _count_table(st_counts, "spot counts")
+    y = table.x
     m_panel = as_matrix(m_panel)
     if y.shape[1] != m_panel.shape[0]:
         raise InputError(
@@ -612,7 +590,6 @@ def deconvolve(st_counts, m_panel: np.ndarray, epochs: int, rng: Rng,
     s_n, g_n = y.shape
     t_n = m_panel.shape[1]
 
-    table = _count_table(y, "spot counts")
     totals = np.maximum(y.sum(axis=1), 1.0)
     d0 = totals / float(m_panel.sum())
     params = {
@@ -665,8 +642,9 @@ def select_panel(all_genes: list[str], target_genes: list[str], k: int,
     return sorted(chosen)
 
 
-def build_gating(post: DeconvPosterior, cell_counts) -> GatingSignal:
-    """g_st = n_s * normalized 5% quantile row; rows sum to n_s."""
+def build_gating(post: DeconvPosterior, cell_counts) -> np.ndarray:
+    """The (S, T) gating signal, per-spot estimated cell counts by type:
+    g_st = n_s * normalized 5% quantile row; rows sum to n_s."""
     n = np.asarray(cell_counts, dtype=np.float64)
     if n.ndim != 1 or n.shape[0] != post.w_q05.shape[0]:
         raise InputError("cell_counts must have one entry per spot")
@@ -674,11 +652,4 @@ def build_gating(post: DeconvPosterior, cell_counts) -> GatingSignal:
         raise InputError("cell counts must be non-negative")
     if np.any(~np.isfinite(n)):
         raise NumericError("cell counts must be finite")
-    g = n[:, None] * post.q05_normalized()
-    return GatingSignal(g=g, cell_count=n)
-
-
-def gating_from_rows(rows: np.ndarray) -> GatingSignal:
-    """Wrap precomputed non-negative gating rows (e.g. generator ground truth)."""
-    rows = as_matrix(rows)
-    return GatingSignal(g=rows, cell_count=rows.sum(axis=1))
+    return n[:, None] * post.q05_normalized()

@@ -2,7 +2,8 @@
 
 Produces single-cell reference data and spot mixtures from the same negative
 binomial generative process the models assume, with every latent quantity
-recorded so statistical tests can score recovery against known truth. Image
+recorded so statistical tests can score recovery against known truth; the
+ground-truth gating signal is the abundances, truth.w_true. Image
 and foundation features are random linear maps of the noise-free expected
 log-expression plus Gaussian noise; feature_noise_std is the knob that makes
 spots look alike while differing molecularly.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import Rng, bound, check_config
 from .errors import InputError
-from .scprior import ScDataset, gating_from_rows
+from .scprior import ScDataset
 
 
 @dataclass
@@ -105,7 +106,8 @@ def gen_sc(cfg: SynthConfig) -> tuple[ScDataset, SynthTruth]:
 
 
 def gen_spots(cfg: SynthConfig, truth: SynthTruth):
-    """Sample spot mixtures, features, and the ground-truth gating signal."""
+    """Sample spot mixtures and features: returns (counts, image features,
+    foundation features) and fills the spot-side fields of `truth`."""
     rng = Rng(cfg.seed).child("spots")
     s_n, t_n, g_n = cfg.n_spots, cfg.n_types, cfg.n_genes
     if truth.mu_true.shape != (t_n, g_n):
@@ -155,6 +157,4 @@ def gen_spots(cfg: SynthConfig, truth: SynthTruth):
     truth.mu_spot = mu_spot
     truth.target_idx = target_idx
     truth.target_genes = [truth.gene_names[i] for i in target_idx]
-
-    gating_truth = gating_from_rows(w_true)
-    return st_counts, features_img, features_fm, gating_truth
+    return st_counts, features_img, features_fm

@@ -69,9 +69,9 @@ def _flat_mlp_grads(grads) -> np.ndarray:
 def _spot_data(seed, **kw):
     cfg = SynthConfig(seed=seed, **kw)
     sc, truth = gen_sc(cfg)
-    st, f_img, f_fm, gate = gen_spots(cfg, truth)
+    st, f_img, f_fm = gen_spots(cfg, truth)
     y = log1p_transform(st[:, truth.target_idx])
-    return sc, truth, st, f_img, f_fm, gate.g, y
+    return sc, truth, st, f_img, f_fm, truth.w_true, y
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def test_criterion_4_deconvolution_recovery(report):
         n_spots=50, n_batches=2, reads_per_spot=5000)
     props_true = truth.w_true / truth.w_true.sum(axis=1, keepdims=True)
     rng = Rng(7)
-    signature = fit_signatures(sc, 150, rng.child("sig"), lr=0.2).signature()
+    signature = fit_signatures(sc, 150, lr=0.2).signature()
     panel = select_panel(truth.gene_names, truth.target_genes, k=100,
                          rng=rng.child("panel"))
     pos = {g: i for i, g in enumerate(truth.gene_names)}
@@ -357,9 +357,9 @@ def test_criterion_5_fusion_gain(report):
 
     rng = Rng(0)
     align = train_align(
-        PairedBatch(f_img[tr], y[tr], [f"s{i}" for i in tr]),
+        PairedBatch(f_img[tr], y[tr]),
         60, SgdState(lr=0.05), rng.child("align"),
-        cfg=AlignTrainConfig(epochs=60, batch_size=128, embed_dim=16, hidden=32))
+        cfg=AlignTrainConfig(batch_size=128, embed_dim=16, hidden=32))
 
     cover = tr[:40]  # sparse coverage keeps plain retrieval mediocre
     extra = np.concatenate([fu[in_a[fu]], te[in_a[te]]])
@@ -384,8 +384,7 @@ def test_criterion_5_fusion_gain(report):
     yr_te, yg_te = branches(te)
 
     adapter = FuseAdapter.init(48, rng.child("fuse"), hidden=16, reg_coef=0.1)
-    train_fuse(adapter, (f_fm[fu], yr_fu, yg_fu, y[fu]), 3000,
-               SgdState(lr=0.02), rng.child("fuse-fit"))
+    train_fuse(adapter, (f_fm[fu], yr_fu, yg_fu, y[fu]), 3000, SgdState(lr=0.02))
     yd_te, _ = fuse_predict_batch(adapter, f_fm[te], yr_te, yg_te)
 
     m_ret = metrics(yr_te, y[te]).mse
@@ -424,9 +423,9 @@ def _gating_ablation(seed):
     te = np.arange(100, 160)
     rng = Rng(seed)
     align = train_align(
-        PairedBatch(f_img[tr], y[tr], [f"s{i}" for i in tr]),
+        PairedBatch(f_img[tr], y[tr]),
         20, SgdState(lr=0.05), rng.child("align"),
-        cfg=AlignTrainConfig(epochs=20, batch_size=128, embed_dim=16, hidden=32))
+        cfg=AlignTrainConfig(batch_size=128, embed_dim=16, hidden=32))
     q = embed_images(align, f_img[te])
     h_tr = embed_expressions(align, y[tr])
 
@@ -461,9 +460,9 @@ def _consistency_ablation(seed):
     f_fm = f_fm + 0.4 * rng.child("fm-extra").standard_normal(f_fm.shape)
 
     align = train_align(
-        PairedBatch(f_img[tr], y[tr], [f"s{i}" for i in tr]),
+        PairedBatch(f_img[tr], y[tr]),
         30, SgdState(lr=0.05), rng.child("align"),
-        cfg=AlignTrainConfig(epochs=30, batch_size=128, embed_dim=16, hidden=32))
+        cfg=AlignTrainConfig(batch_size=128, embed_dim=16, hidden=32))
     sources = RetrievalSources(
         expressions=y[tr], gating=g[tr], spot_ids=[f"s{i}" for i in tr],
         img_features=f_img[tr],

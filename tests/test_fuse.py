@@ -188,21 +188,20 @@ class TestTrainFuse:
     def test_zero_epochs_leaves_adapter_at_half(self):
         ad = fresh_adapter(30)
         before = ad.mlp.get_flat().copy()
-        train_fuse(ad, synthetic_heldout(31), epochs=0,
-                   opt=SgdState(lr=0.1), rng=Rng(32))
+        train_fuse(ad, synthetic_heldout(31), epochs=0, opt=SgdState(lr=0.1))
         assert np.array_equal(ad.mlp.get_flat(), before)
         assert alpha(ad, np.ones(6)) == 0.5
 
     def test_retrieval_strictly_better_pushes_alpha_up(self):
         heldout = synthetic_heldout(33, ret_noise=0.0, reg_noise=2.0)
         ad = fresh_adapter(34)
-        train_fuse(ad, heldout, epochs=300, opt=SgdState(lr=0.5), rng=Rng(35))
+        train_fuse(ad, heldout, epochs=300, opt=SgdState(lr=0.5))
         assert alpha_batch(ad, heldout[0]).mean() > 0.8
 
     def test_symmetric_branches_stay_near_half(self):
         heldout = synthetic_heldout(36, ret_noise=0.8, reg_noise=0.8)
         ad = fresh_adapter(37)
-        train_fuse(ad, heldout, epochs=300, opt=SgdState(lr=0.5), rng=Rng(38))
+        train_fuse(ad, heldout, epochs=300, opt=SgdState(lr=0.5))
         mean_alpha = alpha_batch(ad, heldout[0]).mean()
         assert 0.4 <= mean_alpha <= 0.6
 
@@ -211,7 +210,7 @@ class TestTrainFuse:
         # must shrink accordingly or momentum oscillates into saturation
         heldout = synthetic_heldout(39, ret_noise=0.0, reg_noise=2.0)
         ad = fresh_adapter(40, reg_coef=1e6)
-        train_fuse(ad, heldout, epochs=200, opt=SgdState(lr=1e-6), rng=Rng(41))
+        train_fuse(ad, heldout, epochs=200, opt=SgdState(lr=1e-6))
         vals = alpha_batch(ad, heldout[0])
         assert np.max(np.abs(vals - 0.5)) < 1e-2
 
@@ -219,7 +218,7 @@ class TestTrainFuse:
         heldout = synthetic_heldout(42, ret_noise=0.1, reg_noise=1.5)
         ad = fresh_adapter(43)
         loss0, _ = fuse_loss(ad, heldout)
-        train_fuse(ad, heldout, epochs=200, opt=SgdState(lr=0.5), rng=Rng(44))
+        train_fuse(ad, heldout, epochs=200, opt=SgdState(lr=0.5))
         loss1, _ = fuse_loss(ad, heldout)
         assert loss1 < loss0
 
@@ -228,11 +227,10 @@ class TestTrainFuse:
         empty = (np.zeros((0, 6)), np.zeros((0, 3)), np.zeros((0, 3)),
                  np.zeros((0, 3)))
         with pytest.raises(InputError):
-            train_fuse(ad, empty, epochs=1, opt=SgdState(lr=0.1), rng=Rng(46))
+            train_fuse(ad, empty, epochs=1, opt=SgdState(lr=0.1))
 
     def test_misaligned_heldout_rejected(self):
         ad = fresh_adapter(47)
         f, y_ret, y_reg, y = synthetic_heldout(48, s_n=10)
         with pytest.raises(InputError):
-            train_fuse(ad, (f, y_ret[:-1], y_reg, y), epochs=1,
-                       opt=SgdState(lr=0.1), rng=Rng(49))
+            train_fuse(ad, (f, y_ret[:-1], y_reg, y), epochs=1, opt=SgdState(lr=0.1))

@@ -137,8 +137,8 @@ def run_deconvolve(epochs, lr=0.1):
 
 def run_align(epochs, lr=0.05):
     x, y = paired_rows(6)
-    data = PairedBatch(x, np.log1p(np.abs(y)), [f"s{i}" for i in range(len(x))])
-    cfg = AlignTrainConfig(epochs=epochs, batch_size=8, embed_dim=4, hidden=8)
+    data = PairedBatch(x, np.log1p(np.abs(y)))
+    cfg = AlignTrainConfig(batch_size=8, embed_dim=4, hidden=8)
     model = train_align(data, epochs, SgdState(lr=lr), Rng(7), cfg)
     fresh = AlignModel.init(5, 4, Rng(7).child("init"), embed_dim=4, hidden=8)
     return ([fresh.img_head.get_flat(), fresh.gene_head.get_flat()],
@@ -162,7 +162,7 @@ def run_fuse(epochs, lr=0.1, nan=False):
         y[3, 1] = np.nan
     adapter = FuseAdapter.init(5, rng.child("init"), hidden=4, reg_coef=1.0)
     before = adapter.mlp.get_flat().copy()
-    train_fuse(adapter, (f, y_ret, y_reg, y), epochs, SgdState(lr=lr), Rng(12))
+    train_fuse(adapter, (f, y_ret, y_reg, y), epochs, SgdState(lr=lr))
     return [before], [adapter.mlp.get_flat()], None
 
 

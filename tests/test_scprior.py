@@ -19,7 +19,6 @@ from duet.scprior import (
     deconv_loss,
     deconvolve,
     fit_signatures,
-    gating_from_rows,
     positive,
     positive_inv,
     select_panel,
@@ -283,7 +282,9 @@ class TestNbKernel:
         assert np.all(np.abs(table.lgamma_x1 - gammaln(table.count + 1.0))
                       <= diff_bound(gammaln, table.count, 1.0))
 
-    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    # 3.5: a count table, also the one deconv_loss builds without one, takes
+    # whole counts only, as deconvolve does
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, 3.5])
     def test_bad_counts_rejected(self, bad):
         x, mu, disp = kernel_case(5, 4, "C", "mixed")
         x[2, 3] = bad
@@ -903,8 +904,9 @@ class TestBuildGating:
     def test_rows_sum_to_cell_count(self):
         post = self.make_post()
         n = np.array([5.0, 12.0, 0.0, 33.0])
-        sig = build_gating(post, n)
-        assert np.max(np.abs(sig.g.sum(axis=1) - n)) < 1e-9
+        gating = build_gating(post, n)
+        assert gating.shape == (4, 3)
+        assert np.max(np.abs(gating.sum(axis=1) - n)) < 1e-9
 
     def test_rejects_length_mismatch(self):
         post = self.make_post()
@@ -915,8 +917,3 @@ class TestBuildGating:
         post = self.make_post()
         with pytest.raises(InputError):
             build_gating(post, np.array([1.0, -2.0, 3.0, 4.0]))
-
-    def test_gating_from_rows_matches(self):
-        rows = np.array([[1.0, 3.0], [0.0, 2.0]])
-        sig = gating_from_rows(rows)
-        assert np.array_equal(sig.cell_count, np.array([4.0, 2.0]))

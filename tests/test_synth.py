@@ -73,7 +73,7 @@ class TestGenSpots:
         cfg = SynthConfig(seed=7, feature_noise_std=0.0, n_spots=120,
                           n_cells_per_type=5)
         _, truth = gen_sc(cfg)
-        _, f_img, f_fm, _ = gen_spots(cfg, truth)
+        _, f_img, f_fm = gen_spots(cfg, truth)
         logexpr = np.log1p(truth.mu_spot)
         for feats in (f_img, f_fm):
             coef, *_ = np.linalg.lstsq(logexpr, feats, rcond=None)
@@ -128,16 +128,16 @@ class TestGenSpots:
     def test_gating_truth_rows_sum_to_cell_count(self):
         cfg = SynthConfig(seed=17, n_cells_per_type=5)
         _, truth = gen_sc(cfg)
-        _, _, _, gating = gen_spots(cfg, truth)
-        assert np.max(np.abs(gating.g.sum(axis=1) - truth.n_true)) < 1e-9
+        gen_spots(cfg, truth)
+        assert np.max(np.abs(truth.w_true.sum(axis=1) - truth.n_true)) < 1e-9
         assert np.all(truth.n_true >= 5) and np.all(truth.n_true <= 50)
 
     def test_determinism_and_target_selection(self):
         cfg = SynthConfig(seed=19, n_cells_per_type=5)
         _, truth_a = gen_sc(cfg)
-        counts_a, fa, _, _ = gen_spots(cfg, truth_a)
+        counts_a, fa, _ = gen_spots(cfg, truth_a)
         _, truth_b = gen_sc(cfg)
-        counts_b, fb, _, _ = gen_spots(cfg, truth_b)
+        counts_b, fb, _ = gen_spots(cfg, truth_b)
         assert np.array_equal(counts_a, counts_b)
         assert np.array_equal(fa, fb)
         assert np.array_equal(truth_a.target_idx, truth_b.target_idx)
