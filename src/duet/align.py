@@ -20,26 +20,6 @@ MAGIC_ALIGN = b"DUET-ALN1"
 
 
 @dataclass
-class PairedBatch:
-    """Aligned image features and log1p expression rows for the same spots."""
-
-    img_features: np.ndarray  # (N, D_img)
-    expressions: np.ndarray  # (N, G)
-
-    def __post_init__(self):
-        self.img_features = as_matrix(self.img_features)
-        self.expressions = as_matrix(self.expressions)
-        n = self.img_features.shape[0]
-        if n < 2:
-            raise InputError("a contrastive batch needs at least 2 pairs")
-        if self.expressions.shape[0] != n:
-            raise InputError("img_features and expressions must align")
-
-    def __len__(self) -> int:
-        return self.img_features.shape[0]
-
-
-@dataclass
 class AlignModel:
     img_head: Mlp
     gene_head: Mlp
@@ -152,23 +132,24 @@ def embed_images(model: AlignModel, img_features: np.ndarray) -> np.ndarray:
     return unit
 
 
-@dataclass
-class AlignTrainConfig:
-    batch_size: int
-    embed_dim: int
-    hidden: int
-
-
-def train_align(data: PairedBatch, epochs: int, opt: SgdState, rng: Rng,
-                cfg: AlignTrainConfig) -> AlignModel:
-    """Train both projection heads on paired data; deterministic given rng."""
-    model = AlignModel.init(data.img_features.shape[1], data.expressions.shape[1],
-                            rng.child("init"), embed_dim=cfg.embed_dim, hidden=cfg.hidden)
+def train_align(img_features, expressions, epochs: int, opt: SgdState, rng: Rng, *,
+                batch_size: int, embed_dim: int, hidden: int) -> AlignModel:
+    """Train both projection heads on aligned rows of image features and log1p
+    expression for the same spots; deterministic given rng."""
+    x = as_matrix(img_features)
+    y = as_matrix(expressions)
+    n = x.shape[0]
+    if n < 2:
+        raise InputError("a contrastive batch needs at least 2 pairs")
+    if y.shape[0] != n:
+        raise InputError("img_features and expressions must align")
+    model = AlignModel.init(x.shape[1], y.shape[1], rng.child("init"),
+                            embed_dim=embed_dim, hidden=hidden)
 
     def batches(epoch):
-        for idx in minibatches(rng, epoch, len(data), cfg.batch_size):
-            v, nv, tape_v = embed_with_tapes(model.img_head, data.img_features[idx])
-            h, nh, tape_h = embed_with_tapes(model.gene_head, data.expressions[idx])
+        for idx in minibatches(rng, epoch, n, batch_size):
+            v, nv, tape_v = embed_with_tapes(model.img_head, x[idx])
+            h, nh, tape_h = embed_with_tapes(model.gene_head, y[idx])
             loss, dv, dh = infonce_loss(v, h, model.temperature)
             g_img = head_backward(model.img_head, tape_v, v, nv, dv)
             g_gene = head_backward(model.gene_head, tape_h, h, nh, dh)

@@ -42,13 +42,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import AlignTrainConfig, PairedBatch, load_align, save_align, train_align
+from .align import load_align, save_align, train_align
 from .core import Rng, SgdState, bound, check_config
 from .errors import InputError
 from .fuse import FuseAdapter, fuse_predict_batch, load_fuse, save_fuse, train_fuse
 from .metrics import log1p_transform, metrics, variance_curve
-from .regress import (BATCH_SIZE as REG_BATCH, AnnealSchedule, RegModel,
-                      RetrievalSources, load_reg, save_reg, train_regress)
+from .regress import (BATCH_SIZE as REG_BATCH, AnnealSchedule, RegModel, load_reg,
+                      save_reg, train_regress)
 from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .scprior import build_gating, deconvolve, fit_signatures, select_panel
 from .scprior import ScDataset
@@ -329,13 +329,25 @@ def _targets(ws: Workspace):
     return spots, target_genes, log1p_transform(st)
 
 
-def _split(ws: Workspace, spots: list[str], name: str) -> np.ndarray:
-    """Positions in `spots` of the ids in split_<name>.tsv."""
+def _splits(ws: Workspace, spots: list[str], *names: str) -> list[np.ndarray]:
+    """Positions in `spots` of the ids in split_<name>.tsv, for each of
+    `names`; no id may be listed twice across those files."""
     pos = {s: i for i, s in enumerate(spots)}
-    try:
-        return np.array([pos[s] for s in ws.ids(f"split_{name}.tsv")])
-    except KeyError as exc:
-        raise InputError(f"split id missing from st_counts: {exc}") from None
+    listed = {}  # id -> the split file that lists it
+    out = []
+    for name in names:
+        file = f"split_{name}.tsv"
+        ids = ws.ids(file)
+        try:
+            out.append(np.array([pos[s] for s in ids]))
+        except KeyError as exc:
+            raise InputError(f"split id missing from st_counts: {exc}") from None
+        for s in ids:
+            if s in listed:
+                where = "listed twice" if listed[s] == file else f"also listed in {listed[s]}"
+                raise InputError(f"{ws.root / file}: spot {s!r} is {where}")
+            listed[s] = file
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +439,11 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
                       lr=cfg.train.deconv_lr)
     ws.write_matrix("proportions.tsv", post.proportions(), spots, types)
 
-    gating = build_gating(post, ws.spot_matrix("cell_counts.tsv")[:, 0])
+    counts = ws.spot_matrix("cell_counts.tsv")[:, 0]
+    try:
+        gating = build_gating(post, counts)
+    except InputError as exc:
+        raise InputError(f"{ws.root / 'cell_counts.tsv'}: {exc}") from None
     ws.write_matrix("gating.tsv", gating, spots, types)
 
 
@@ -442,17 +458,12 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
 def stage_align(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("align-stage")
     spots, _, y = _targets(ws)
-    idx = _split(ws, spots, "train")
-    data = PairedBatch(
-        img_features=ws.spot_matrix("features_img.tsv", rows=idx),
-        expressions=y[idx],
-    )
+    [idx] = _splits(ws, spots, "train")
     tc = cfg.train
-    model = train_align(
-        data, tc.align_epochs, SgdState(lr=tc.align_lr), rng,
-        AlignTrainConfig(batch_size=tc.align_batch, embed_dim=tc.embed_dim,
-                         hidden=tc.align_hidden),
-    )
+    model = train_align(ws.spot_matrix("features_img.tsv", rows=idx), y[idx],
+                        tc.align_epochs, SgdState(lr=tc.align_lr), rng,
+                        batch_size=tc.align_batch, embed_dim=tc.embed_dim,
+                        hidden=tc.align_hidden)
     ws.save("align.ckpt", save_align, model)
 
 
@@ -480,21 +491,29 @@ def _align_model(ws: Workspace, f_img, y):
     return model
 
 
+def _retrieved(cfg: PipelineConfig, ws: Workspace, spots, y, train, query):
+    """The retrieval branch's prediction for the spots at positions `query`
+    (which may be `train` itself), from the database of the training spots at
+    positions `train`: their log1p targets `y` and gating rows under the saved
+    alignment model."""
+    rows = train if query is train else np.concatenate((train, query))
+    f_img = ws.spot_matrix("features_img.tsv", rows=query)
+    gating = ws.spot_matrix("gating.tsv", rows=rows)
+    model = _align_model(ws, f_img, y)
+    db = rebuild_db(model, y[train], gating[:len(train)], [spots[i] for i in train])
+    return retrieve_spots(model, db, f_img, gating[len(rows) - len(query):],
+                          cfg.retrieval)
+
+
 def _branch_predictions(cfg: PipelineConfig, ws: Workspace, split: str):
     """(spot ids, target genes, (f_fm, y_ret, y_reg, y)) on split_<split>.tsv's
     spots: their foundation-model features, the retrieval branch's prediction
     from the training spots' database, the regression branch's prediction and
     the log1p targets."""
     spots, target_genes, y = _targets(ws)
-    subset = _split(ws, spots, split)
-    f_img = ws.spot_matrix("features_img.tsv", rows=subset)
+    idx, subset = _splits(ws, spots, "train", split)
     f_fm = ws.spot_matrix("features_fm.tsv", rows=subset)
-    idx = _split(ws, spots, "train")
-    gating = ws.spot_matrix("gating.tsv", rows=np.concatenate((idx, subset)))
-
-    align_model = _align_model(ws, f_img, y)
-    db = rebuild_db(align_model, y[idx], gating[:len(idx)], [spots[i] for i in idx])
-    y_ret = retrieve_spots(align_model, db, f_img, gating[len(idx):], cfg.retrieval)
+    y_ret = _retrieved(cfg, ws, spots, y, idx, subset)
     reg_model = ws.checkpoint("reg.ckpt", load_reg)
     _check_dims(ws, "reg.ckpt",
                 ("input dim", reg_model.feature_dim, "features_fm.tsv",
@@ -516,22 +535,19 @@ def _branch_predictions(cfg: PipelineConfig, ws: Workspace, split: str):
 def stage_regress(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("regress-stage")
     spots, _, y = _targets(ws)
-    idx = _split(ws, spots, "train")
-    f_img = ws.spot_matrix("features_img.tsv", rows=idx)
+    [idx] = _splits(ws, spots, "train")
     f_fm = ws.spot_matrix("features_fm.tsv", rows=idx)
-    align_model = _align_model(ws, f_img, y)
-    sources = RetrievalSources(
-        expressions=y[idx],
-        gating=ws.spot_matrix("gating.tsv", rows=idx),
-        spot_ids=[spots[i] for i in idx],
-        img_features=f_img,
-        cfg=cfg.retrieval,
-    )
+    # the consistency targets are retrieved once, as the alignment model and
+    # the database are frozen for the stage; at lambda0 = 0 the retrieval
+    # inputs are only read, since the manifest hashes every input
+    p_ret = _retrieved(cfg, ws, spots, y, idx, idx) if cfg.anneal.lambda0 > 0 else None
+    for name in ("features_img.tsv", "gating.tsv", "align.ckpt"):
+        ws._load(name)
     tc = cfg.train
     model = RegModel.init(f_fm.shape[1], y.shape[1], rng.child("init"),
                           hidden=tc.reg_hidden)
     model = train_regress(
-        f_fm, y[idx], align_model, sources, cfg.anneal, tc.reg_epochs,
+        f_fm, y[idx], p_ret, cfg.anneal, tc.reg_epochs,
         SgdState(lr=tc.reg_lr), rng.child("fit"), model, batch_size=tc.reg_batch,
     )
     ws.save("reg.ckpt", save_reg, model)

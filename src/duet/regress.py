@@ -3,12 +3,10 @@
 A plain MLP head maps precomputed per-spot features to log1p expression. For
 the first E_d epochs its loss carries an extra consistency term pulling the
 prediction toward the memory branch's retrieved expression, with a cosine
-weight decaying from lambda0 to zero. The alignment model and the database
-are frozen for the whole stage, so the retrieved targets are computed once, in
-one batched pass before the loop when lambda0 > 0, and reused as a constant:
-no gradient flows into the contrastive heads. When the weight is zero the
-retrieval machinery is skipped entirely, so a lambda0=0 schedule is bitwise
-identical to training that never touches the database.
+weight decaying from lambda0 to zero. The caller passes those retrieved rows
+in as a constant array: no gradient flows into the contrastive heads. When the
+weight is zero the array is never read, so a lambda0=0 schedule is bitwise
+identical to training without any retrieved targets.
 """
 
 from __future__ import annotations
@@ -17,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import AlignModel
 from .core import Mlp, Rng, SgdState, as_matrix, bound, check_config, descend, minibatches
 from .errors import InputError
-from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .tsvio import load_checkpoint, save_checkpoint
 
 BATCH_SIZE = 128  # train_regress's minibatch, and the default of train.reg_batch
@@ -100,31 +96,12 @@ def reg_loss(p_reg, y, p_ret, lam: float):
     return float(e @ e + lam * (d @ d)) / err.size, (2.0 / err.size) * (err + lam * gap)
 
 
-@dataclass
-class RetrievalSources:
-    """Everything the consistency term needs to rebuild and query the DB."""
-
-    expressions: np.ndarray  # (S, G) log1p expressions, the DB payload
-    gating: np.ndarray  # (S, T)
-    spot_ids: list
-    img_features: np.ndarray  # (S, D_img) query-side inputs per training spot
-    cfg: RetrievalConfig
-
-    def __post_init__(self):
-        self.expressions = as_matrix(self.expressions)
-        self.gating = as_matrix(self.gating)
-        self.img_features = as_matrix(self.img_features)
-        n = self.expressions.shape[0]
-        if self.gating.shape[0] != n or self.img_features.shape[0] != n \
-                or len(self.spot_ids) != n:
-            raise InputError("retrieval source arrays must share the same length")
-
-
-def train_regress(features, targets, align_model: AlignModel | None,
-                  db_sources: RetrievalSources | None, sched: AnnealSchedule,
-                  epochs: int, opt: SgdState, rng: Rng, model: RegModel,
+def train_regress(features, targets, p_ret, sched: AnnealSchedule, epochs: int,
+                  opt: SgdState, rng: Rng, model: RegModel,
                   batch_size: int = BATCH_SIZE) -> RegModel:
-    """Minibatch SGD on the annealed objective; retrieval runs at most once."""
+    """Minibatch SGD on the annealed objective. p_ret is the (n, g) retrieved
+    expression, one row per training row; it is read only while the
+    consistency weight is positive, and may be None when lambda0 is 0."""
     x = as_matrix(features)
     y = as_matrix(targets)
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
@@ -132,19 +109,11 @@ def train_regress(features, targets, align_model: AlignModel | None,
     n, g = y.shape
     if model.feature_dim != x.shape[1] or model.gene_dim != g:
         raise InputError("model dims disagree with the training data")
-    if db_sources is not None and x.shape[0] != db_sources.expressions.shape[0]:
-        raise InputError("db_sources must cover exactly the training spots")
-
-    p_ret = None  # retrieved targets; lambda_at(sched, 0) is sched.lambda0
-    if sched.lambda0 > 0.0:
-        if align_model is None or db_sources is None:
-            raise InputError(
-                "consistency weight is positive but no retrieval sources given"
-            )
-        db = rebuild_db(align_model, db_sources.expressions,
-                        db_sources.gating, db_sources.spot_ids)
-        p_ret = retrieve_spots(align_model, db, db_sources.img_features,
-                               db_sources.gating, db_sources.cfg)
+    if sched.lambda0 > 0.0:  # lambda_at(sched, 0) is sched.lambda0
+        if np.shape(p_ret) != y.shape:  # np.shape(None) is ()
+            raise InputError(f"consistency weight is positive: the retrieved targets "
+                             f"must be {y.shape}, one row per training row, not {np.shape(p_ret)}")
+        p_ret = as_matrix(p_ret)
 
     def batches(e):
         lam = lambda_at(sched, e)

@@ -651,5 +651,5 @@ def build_gating(post: DeconvPosterior, cell_counts) -> np.ndarray:
     if np.any(n < 0):
         raise InputError("cell counts must be non-negative")
     if np.any(~np.isfinite(n)):
-        raise NumericError("cell counts must be finite")
+        raise InputError("cell counts must be finite")
     return n[:, None] * post.q05_normalized()

@@ -13,8 +13,6 @@ import pytest
 
 from duet.align import (
     AlignModel,
-    AlignTrainConfig,
-    PairedBatch,
     embed_expressions,
     embed_images,
     embed_with_tapes,
@@ -30,12 +28,11 @@ from duet.pipeline import PipelineConfig, run_pipeline
 from duet.regress import (
     AnnealSchedule,
     RegModel,
-    RetrievalSources,
     lambda_at,
     reg_loss,
     train_regress,
 )
-from duet.retrieval import EmbeddingDB, RetrievalConfig, rebuild_db, retrieve
+from duet.retrieval import EmbeddingDB, RetrievalConfig, rebuild_db, retrieve, retrieve_spots
 from duet.scprior import (
     NbSignatureModel,
     ScDataset,
@@ -357,9 +354,9 @@ def test_criterion_5_fusion_gain(report):
 
     rng = Rng(0)
     align = train_align(
-        PairedBatch(f_img[tr], y[tr]),
+        f_img[tr], y[tr],
         60, SgdState(lr=0.05), rng.child("align"),
-        cfg=AlignTrainConfig(batch_size=128, embed_dim=16, hidden=32))
+        batch_size=128, embed_dim=16, hidden=32)
 
     cover = tr[:40]  # sparse coverage keeps plain retrieval mediocre
     extra = np.concatenate([fu[in_a[fu]], te[in_a[te]]])
@@ -367,7 +364,7 @@ def test_criterion_5_fusion_gain(report):
     db = rebuild_db(align, y[db_idx], g[db_idx], [f"s{i}" for i in db_idx])
 
     reg = train_regress(
-        f_fm[tr], y[tr], None, None, AnnealSchedule(lambda0=0.0, decay_epochs=1),
+        f_fm[tr], y[tr], None, AnnealSchedule(lambda0=0.0, decay_epochs=1),
         300, SgdState(lr=0.03), rng.child("reg"),
         model=RegModel.init(48, 40, rng.child("reg-init"), hidden=(128, 128)))
 
@@ -423,9 +420,9 @@ def _gating_ablation(seed):
     te = np.arange(100, 160)
     rng = Rng(seed)
     align = train_align(
-        PairedBatch(f_img[tr], y[tr]),
+        f_img[tr], y[tr],
         20, SgdState(lr=0.05), rng.child("align"),
-        cfg=AlignTrainConfig(batch_size=128, embed_dim=16, hidden=32))
+        batch_size=128, embed_dim=16, hidden=32)
     q = embed_images(align, f_img[te])
     h_tr = embed_expressions(align, y[tr])
 
@@ -460,20 +457,19 @@ def _consistency_ablation(seed):
     f_fm = f_fm + 0.4 * rng.child("fm-extra").standard_normal(f_fm.shape)
 
     align = train_align(
-        PairedBatch(f_img[tr], y[tr]),
+        f_img[tr], y[tr],
         30, SgdState(lr=0.05), rng.child("align"),
-        cfg=AlignTrainConfig(batch_size=128, embed_dim=16, hidden=32))
-    sources = RetrievalSources(
-        expressions=y[tr], gating=g[tr], spot_ids=[f"s{i}" for i in tr],
-        img_features=f_img[tr],
-        cfg=RetrievalConfig(n_candidates=150, top_k=5, tau_c=0.5, tau_p=0.3,
-                            beta=0.3, softmax_temp=0.1))
+        batch_size=128, embed_dim=16, hidden=32)
+    p_ret = retrieve_spots(
+        align, rebuild_db(align, y[tr], g[tr], [f"s{i}" for i in tr]), f_img[tr], g[tr],
+        RetrievalConfig(n_candidates=150, top_k=5, tau_c=0.5, tau_p=0.3,
+                        beta=0.3, softmax_temp=0.1))
 
     def fit(lambda0):
         model = RegModel.init(32, 40, Rng(seed).child("reg-init"),
                               hidden=(64, 64))
         return train_regress(
-            f_fm[tr], y[tr], align, sources,
+            f_fm[tr], y[tr], p_ret,
             AnnealSchedule(lambda0=lambda0, decay_epochs=40),
             60, SgdState(lr=0.03), Rng(seed).child("reg"), model=model)
 

@@ -3,8 +3,6 @@ import pytest
 
 from duet.align import (
     AlignModel,
-    AlignTrainConfig,
-    PairedBatch,
     embed_expressions,
     embed_images,
     embed_with_tapes,
@@ -23,12 +21,13 @@ def unit_rows(rng, n, d):
 
 
 def make_linear_pairs(seed, n, d_img=24, g=30, noise=0.05):
-    """expression = linear map of image features + noise"""
+    """(image features, expression): expression = linear map of image features
+    + noise"""
     rng = Rng(seed)
     feats = rng.child("feats").standard_normal((n, d_img))
     a = rng.child("map").standard_normal((d_img, g)) / np.sqrt(d_img)
     expr = feats @ a + noise * rng.child("noise").standard_normal((n, g))
-    return PairedBatch(feats, expr)
+    return feats, expr
 
 
 def init_model(img_dim, gene_dim, rng):
@@ -36,10 +35,10 @@ def init_model(img_dim, gene_dim, rng):
 
 
 def train(data, epochs, rng):
-    """train_align at lr 0.05 with a batch of 128, 64 embedding dims and 128
-    hidden units."""
-    cfg = AlignTrainConfig(batch_size=128, embed_dim=64, hidden=128)
-    return train_align(data, epochs, SgdState(lr=0.05), rng, cfg)
+    """train_align on (image features, expression) at lr 0.05 with a batch of
+    128, 64 embedding dims and 128 hidden units."""
+    return train_align(*data, epochs, SgdState(lr=0.05), rng, batch_size=128,
+                       embed_dim=64, hidden=128)
 
 
 class TestInfoNce:
@@ -110,9 +109,9 @@ class TestNormalization:
 
 class TestEmbedding:
     def test_row_norms_are_one(self):
-        data = make_linear_pairs(0, 32)
+        _, expr = make_linear_pairs(0, 32)
         model = init_model(24, 30, Rng(2))
-        emb = embed_expressions(model, data.expressions)
+        emb = embed_expressions(model, expr)
         assert np.max(np.abs(np.linalg.norm(emb, axis=1) - 1.0)) < 1e-9
 
     def test_duplicate_rows_identical(self):
@@ -144,11 +143,11 @@ class TestTraining:
 
     def test_probe_loss_decreases(self):
         data = make_linear_pairs(3, 256)
-        probe = PairedBatch(data.img_features[:64], data.expressions[:64])
+        feats, expr = data[0][:64], data[1][:64]
 
         def probe_loss(model):
-            v = embed_images(model, probe.img_features)
-            h = embed_expressions(model, probe.expressions)
+            v = embed_images(model, feats)
+            h = embed_expressions(model, expr)
             loss, _, _ = infonce_loss(v, h, model.temperature)
             return loss
 
@@ -157,20 +156,21 @@ class TestTraining:
         assert probe_loss(trained) < probe_loss(init)
 
     def test_heldout_top1_beats_chance_by_10x(self):
-        full = make_linear_pairs(21, 1280, noise=0.05)
-        train_set = PairedBatch(full.img_features[:1024], full.expressions[:1024])
-        model = train(train_set, 30, Rng(23))
-        v = embed_images(model, full.img_features[1024:])
-        h = embed_expressions(model, full.expressions[1024:])
+        feats, expr = make_linear_pairs(21, 1280, noise=0.05)
+        model = train((feats[:1024], expr[:1024]), 30, Rng(23))
+        v = embed_images(model, feats[1024:])
+        h = embed_expressions(model, expr[1024:])
         hits = int(np.sum(np.argmax(v @ h.T, axis=1) == np.arange(256)))
         assert hits > 10  # chance is 1/256
 
 
 class TestPairedBatch:
+    """train_align's checks on its paired rows."""
+
     def test_requires_two_pairs(self):
-        with pytest.raises(InputError):
-            PairedBatch(np.ones((1, 3)), np.ones((1, 4)))
+        with pytest.raises(InputError, match="at least 2 pairs"):
+            train(make_linear_pairs(1, 1), 1, Rng(0))
 
     def test_requires_aligned_rows(self):
         with pytest.raises(InputError, match="must align"):
-            PairedBatch(np.ones((3, 2)), np.ones((2, 2)))
+            train((np.ones((3, 2)), np.ones((2, 2))), 1, Rng(0))

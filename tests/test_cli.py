@@ -341,6 +341,19 @@ def test_permuted_spot_rows_exit_1(trained, tmp_path, capsys, name, stage):
     assert name in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-3"])
+def test_bad_cell_count_exit_1_naming_the_file(trained, tmp_path, capsys, value):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    m, rows, cols = read_matrix_tsv(ws / "cell_counts.tsv")
+    m[4, 0] = float(value)
+    write_matrix_tsv(ws / "cell_counts.tsv", m, rows, cols)
+    rehash_outputs(ws, "cell_counts.tsv")
+    assert main(["deconv", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    assert f"{ws / 'cell_counts.tsv'}: cell counts must be" in capsys.readouterr().err
+
 def _corrupt_a_training_cell(ws: Path, name: str) -> None:
     """Replace the last cell of the first training spot's row in `name`."""
     spot = read_ids_tsv(ws / "split_train.tsv")[0].encode()

@@ -7,7 +7,7 @@ leave the initial state, and a numeric failure reads
 import numpy as np
 import pytest
 
-from duet.align import AlignModel, AlignTrainConfig, PairedBatch, train_align
+from duet.align import AlignModel, train_align
 from duet.core import Rng, SgdState, descend, minibatches
 from duet.errors import InputError, NumericError
 from duet.fuse import FuseAdapter, train_fuse
@@ -137,9 +137,8 @@ def run_deconvolve(epochs, lr=0.1):
 
 def run_align(epochs, lr=0.05):
     x, y = paired_rows(6)
-    data = PairedBatch(x, np.log1p(np.abs(y)))
-    cfg = AlignTrainConfig(batch_size=8, embed_dim=4, hidden=8)
-    model = train_align(data, epochs, SgdState(lr=lr), Rng(7), cfg)
+    model = train_align(x, np.log1p(np.abs(y)), epochs, SgdState(lr=lr), Rng(7),
+                        batch_size=8, embed_dim=4, hidden=8)
     fresh = AlignModel.init(5, 4, Rng(7).child("init"), embed_dim=4, hidden=8)
     return ([fresh.img_head.get_flat(), fresh.gene_head.get_flat()],
             [model.img_head.get_flat(), model.gene_head.get_flat()], None)
@@ -149,7 +148,7 @@ def run_regress(epochs, lr=0.01):
     x, y = paired_rows(8)
     model = RegModel.init(5, 4, Rng(9), hidden=(8,))
     before = model.head.get_flat().copy()
-    train_regress(x, y, None, None, AnnealSchedule(lambda0=0.0), epochs,
+    train_regress(x, y, None, AnnealSchedule(lambda0=0.0), epochs,
                   SgdState(lr=lr), Rng(10), model, batch_size=8)
     return [before], [model.head.get_flat()], None
 

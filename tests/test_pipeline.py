@@ -355,6 +355,54 @@ def test_deconv_rejects_fractional_counts(ws, tmp_path, name, what):
         STAGES["deconv"](tiny_cfg(), 3, d)
 
 
+
+@pytest.mark.parametrize("lambda0, calls", [(1.0, 1), (0.0, 0)])
+def test_regress_stage_retrieves_once(ws, tmp_path, monkeypatch, lambda0, calls):
+    # the align model and the database are frozen for the whole stage, so
+    # every annealed epoch reuses one retrieval pass; at lambda0 0 there is
+    # none, but the retrieval inputs are still hashed into the manifest
+    d = tmp_path / "w"
+    shutil.copytree(ws[0], d)
+    counts = {"rebuild_db": 0, "retrieve_spots": 0}
+    for name in counts:
+        real = getattr(pipeline, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    cfg = tiny_cfg()
+    cfg = replace(cfg, anneal=replace(cfg.anneal, lambda0=lambda0))
+    STAGES["regress"](cfg, 3, d)
+    assert counts == {"rebuild_db": calls, "retrieve_spots": calls}
+    assert_manifest_hashes_files(d, ["regress"])
+    assert set(read_manifest(d / "manifest.json")["stages"]["regress"]["inputs"]) \
+        == set(STAGE_IO["regress"][0])
+    if lambda0 == 1.0:  # the run's own config: the same checkpoint
+        assert (d / "reg.ckpt").read_bytes() == (ws[0] / "reg.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("stage, name, dup_of", [
+    ("align", "split_train.tsv", "split_train.tsv"),
+    ("fuse", "split_fuse.tsv", "split_train.tsv"),
+    ("predict", "split_test.tsv", "split_test.tsv"),
+    ("predict", "split_test.tsv", "split_train.tsv"),
+])
+def test_split_id_listed_twice_rejected_naming_the_file(ws, tmp_path, stage, name,
+                                                       dup_of):
+    # a repeated id would be trained or predicted twice, and a training spot
+    # in a held-out split would find its own row in the retrieval database
+    d = tmp_path / "w"
+    shutil.copytree(ws[0], d)
+    spot = read_ids_tsv(d / dup_of)[0]
+    with open(d / name, "a", encoding="utf-8") as f:
+        f.write(f"{spot}\n")
+    rehash_outputs(d, name)
+    with pytest.raises(InputError, match=f"spot '{spot}' is") as exc:
+        STAGES[stage](tiny_cfg(), 3, d)
+    assert str(d / name) in str(exc.value) and dup_of in str(exc.value)
+
 def test_stale_input_rejected_naming_it(ws, tmp_path):
     d = tmp_path / "w"
     shutil.copytree(ws[0], d)

@@ -4,18 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duet.regress as regress_module
-from duet.align import AlignModel
 from duet.core import Rng, SgdState, fd_check
 from duet.errors import InputError, NumericError
 from duet.regress import (
     AnnealSchedule,
     RegModel,
-    RetrievalSources,
     lambda_at,
     reg_loss,
     train_regress,
 )
-from duet.retrieval import RetrievalConfig
 
 
 class TestAnneal:
@@ -157,8 +154,7 @@ class TestRegLossBatches:
 
         monkeypatch.setattr(regress_module, "reg_loss", spy)
         x, y = linear_problem(46, n=64, d=8, g=6)
-        train_regress(x, y, make_align(8, 6, 47), make_sources(x, y, 48),
-                      AnnealSchedule(lambda0=1.0, decay_epochs=2), epochs=3,
+        train_regress(x, y, retrieved(y, 48), AnnealSchedule(lambda0=1.0, decay_epochs=2), epochs=3,
                       opt=SgdState(lr=0.01), rng=Rng(49), model=wide_model(x, y, Rng(49)),
                       batch_size=32)
         assert calls == [(1.0, False)] * 2 + [(0.5, False)] * 2 + [(0.0, True)] * 2
@@ -172,17 +168,9 @@ def linear_problem(seed, n=400, d=16, g=20, noise=0.05):
     return x, y
 
 
-def make_sources(x, y, seed, t=3):
-    rng = Rng(seed)
-    gating = rng.child("gate").uniform(1.0, 3.0, size=(x.shape[0], t))
-    cfg = RetrievalConfig(n_candidates=50, top_k=20)
-    return RetrievalSources(
-        expressions=y,
-        gating=gating,
-        spot_ids=[f"s{i}" for i in range(x.shape[0])],
-        img_features=x,
-        cfg=cfg,
-    )
+def retrieved(y, seed, noise=0.3):
+    """Stand-in retrieved targets: the training targets plus noise."""
+    return y + noise * Rng(seed).child("ret").standard_normal(y.shape)
 
 
 def wide_model(x, y, rng):
@@ -190,40 +178,30 @@ def wide_model(x, y, rng):
     return RegModel.init(x.shape[1], y.shape[1], rng, hidden=(256, 256))
 
 
-def make_align(d_img, g, seed):
-    return AlignModel.init(img_dim=d_img, gene_dim=g, rng=Rng(seed).child("am"),
-                           embed_dim=16, hidden=32)
-
 
 class TestTrainRegress:
     def test_lambda_zero_ignores_database_bitwise(self):
+        # at lambda0 0 the retrieved targets are never read: any value, a
+        # wrong shape or None trains the same weights bit for bit
         x, y = linear_problem(50, n=80, d=8, g=6)
-        align = make_align(8, 6, 51)
         sched = AnnealSchedule(lambda0=0.0)
         runs = []
-        for shift in (0.0, 5.0):
-            sources = make_sources(x, y + shift, 52)  # corrupt the DB payload
-            opt = SgdState(lr=0.01)
-            model = train_regress(x, y, align, sources, sched, epochs=5,
-                                  opt=opt, rng=Rng(7), batch_size=32,
+        for p_ret in (retrieved(y, 52), retrieved(y, 52) + 5.0, np.full((3, 2), np.nan),
+                      None):
+            model = train_regress(x, y, p_ret, sched, epochs=5,
+                                  opt=SgdState(lr=0.01), rng=Rng(7), batch_size=32,
                                   model=RegModel.init(8, 6, Rng(8), hidden=(16,)))
             runs.append(model.head.get_flat())
-        none_run = train_regress(x, y, None, None, sched, epochs=5,
-                                 opt=SgdState(lr=0.01), rng=Rng(7), batch_size=32,
-                                 model=RegModel.init(8, 6, Rng(8), hidden=(16,)))
-        assert np.array_equal(runs[0], runs[1])
-        assert np.array_equal(runs[0], none_run.head.get_flat())
+        assert all(np.array_equal(runs[0], run) for run in runs[1:])
 
     def test_heldout_pcc_beats_half(self):
         x, y = linear_problem(56, n=500, d=16, g=20)
         x_tr, y_tr = x[:400], y[:400]
         x_te, y_te = x[400:], y[400:]
-        align = make_align(16, 20, 57)
-        sources = make_sources(x_tr, y_tr, 58)
         sched = AnnealSchedule(lambda0=1.0, decay_epochs=30)
         model = RegModel.init(16, 20, Rng(11), hidden=(64, 64))
         fresh_mse = float(np.mean((model.predict(x_te) - y_te) ** 2))
-        model = train_regress(x_tr, y_tr, align, sources, sched, epochs=60,
+        model = train_regress(x_tr, y_tr, retrieved(y_tr, 58), sched, epochs=60,
                               opt=SgdState(lr=0.03), rng=Rng(12), model=model)
         pred = model.predict(x_te)
         final_mse = float(np.mean((pred - y_te) ** 2))
@@ -237,40 +215,23 @@ class TestTrainRegress:
         x, y = linear_problem(59, n=50, d=8, g=6)
         sched = AnnealSchedule(lambda0=0.0)
         with pytest.raises(NumericError, match="epoch"):
-            train_regress(x, y, None, None, sched, epochs=10,
+            train_regress(x, y, None, sched, epochs=10,
                           opt=SgdState(lr=1e12), rng=Rng(13),
                           model=wide_model(x, y, Rng(13)), batch_size=32)
 
-    @pytest.mark.parametrize("lambda0, builds", [(1.0, 1), (0.0, 0)])
-    def test_database_built_once_per_stage(self, monkeypatch, lambda0, builds):
-        # the align model and the database are frozen for the whole stage, so
-        # every annealed epoch reuses one retrieval pass
-        calls = []
-        real = regress_module.rebuild_db
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(regress_module, "rebuild_db", counting)
-        x, y = linear_problem(62, n=60, d=8, g=6)
-        train_regress(x, y, make_align(8, 6, 63), make_sources(x, y, 64),
-                      AnnealSchedule(lambda0=lambda0, decay_epochs=30),
-                      epochs=4, opt=SgdState(lr=0.01), rng=Rng(16),
-                      model=wide_model(x, y, Rng(16)), batch_size=32)
-        assert len(calls) == builds
-
     def test_requires_sources_when_lambda_positive(self):
+        # a positive weight needs one retrieved row per training row
         x, y = linear_problem(60, n=40, d=8, g=6)
-        with pytest.raises(InputError):
-            train_regress(x, y, None, None, AnnealSchedule(lambda0=1.0),
-                          epochs=1, opt=SgdState(lr=0.01), rng=Rng(14),
-                          model=wide_model(x, y, Rng(14)))
+        for p_ret in (None, y[:-1], y[:, :-1], y.ravel()):
+            with pytest.raises(InputError, match="retrieved targets"):
+                train_regress(x, y, p_ret, AnnealSchedule(lambda0=1.0),
+                              epochs=1, opt=SgdState(lr=0.01), rng=Rng(14),
+                              model=wide_model(x, y, Rng(14)))
 
     def test_rejects_row_mismatch(self):
         x, y = linear_problem(61, n=40, d=8, g=6)
         with pytest.raises(InputError):
-            train_regress(x[:-1], y, None, None, AnnealSchedule(lambda0=0.0),
+            train_regress(x[:-1], y, None, AnnealSchedule(lambda0=0.0),
                           epochs=1, opt=SgdState(lr=0.01), rng=Rng(15),
                           model=wide_model(x, y, Rng(15)))
 
@@ -278,13 +239,13 @@ class TestTrainRegress:
         # with no rows there is no batch to train on
         x, y = linear_problem(63, n=40, d=8, g=6)
         with pytest.raises(InputError, match="non-zero rows"):
-            train_regress(x[:0], y[:0], None, None, AnnealSchedule(lambda0=0.0),
+            train_regress(x[:0], y[:0], None, AnnealSchedule(lambda0=0.0),
                           epochs=1, opt=SgdState(lr=0.01), rng=Rng(18),
                           model=wide_model(x, y, Rng(18)))
 
     def test_rejects_model_dim_mismatch(self):
         x, y = linear_problem(62, n=40, d=8, g=6)
         with pytest.raises(InputError):
-            train_regress(x, y, None, None, AnnealSchedule(lambda0=0.0),
+            train_regress(x, y, None, AnnealSchedule(lambda0=0.0),
                           epochs=1, opt=SgdState(lr=0.01), rng=Rng(16),
                           model=RegModel.init(8, 7, Rng(17), hidden=(16,)))
