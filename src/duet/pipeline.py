@@ -71,7 +71,7 @@ MANIFEST = "manifest.json"
 @dataclass
 class TrainConfig:
     sig_epochs: int = bound(120, ge=1)
-    deconv_epochs: int = bound(100, ge=1)
+    deconv_epochs: int = bound(40, ge=1)
     align_epochs: int = bound(30, ge=0)
     reg_epochs: int = bound(45, ge=1)
     fuse_epochs: int = bound(150, ge=0)
@@ -331,15 +331,18 @@ def _targets(ws: Workspace):
 
 def _splits(ws: Workspace, spots: list[str], *names: str) -> list[np.ndarray]:
     """Positions in `spots` of the ids in split_<name>.tsv, for each of
-    `names`; no id may be listed twice across those files."""
+    `names`; each file lists at least one id, and no id may be listed twice
+    across those files."""
     pos = {s: i for i, s in enumerate(spots)}
     listed = {}  # id -> the split file that lists it
     out = []
     for name in names:
         file = f"split_{name}.tsv"
         ids = ws.ids(file)
+        if not ids:
+            raise InputError(f"{ws.root / file}: lists no spots")
         try:
-            out.append(np.array([pos[s] for s in ids]))
+            out.append(np.array([pos[s] for s in ids], dtype=np.intp))
         except KeyError as exc:
             raise InputError(f"split id missing from st_counts: {exc}") from None
         for s in ids:
@@ -434,9 +437,12 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     column_positions(ws.root / "st_counts.tsv", st_genes, target_genes)
     if st_genes != genes:
         raise InputError("st_counts and sc_counts gene columns disagree")
-    post = deconvolve(st[:, panel_idx], signature[panel_idx],
-                      cfg.train.deconv_epochs, rng.child("vi"),
-                      lr=cfg.train.deconv_lr)
+    try:
+        post = deconvolve(st[:, panel_idx], signature[panel_idx],
+                          cfg.train.deconv_epochs, rng.child("vi"),
+                          lr=cfg.train.deconv_lr)
+    except InputError as exc:
+        raise InputError(f"{ws.root / 'st_counts.tsv'}: {exc}") from None
     ws.write_matrix("proportions.tsv", post.proportions(), spots, types)
 
     counts = ws.spot_matrix("cell_counts.tsv")[:, 0]

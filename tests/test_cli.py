@@ -354,6 +354,31 @@ def test_bad_cell_count_exit_1_naming_the_file(trained, tmp_path, capsys, value)
     assert main(["deconv", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
     assert f"{ws / 'cell_counts.tsv'}: cell counts must be" in capsys.readouterr().err
 
+
+def test_header_only_st_counts_exit_1_naming_the_file(trained, tmp_path, capsys):
+    # no spots: the deconvolution loss would divide by zero spots
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    header = (ws / "st_counts.tsv").read_bytes().split(b"\n", 1)[0]
+    (ws / "st_counts.tsv").write_bytes(header + b"\n")
+    rehash_outputs(ws, "st_counts.tsv")
+    assert main(["deconv", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    assert f"{ws / 'st_counts.tsv'}: spot counts are empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["split_train.tsv", "split_test.tsv"])
+def test_header_only_split_file_exit_1_naming_the_file(trained, tmp_path, capsys, name):
+    # an empty split gives no positions to index with
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    (ws / name).write_text("id\n")
+    rehash_outputs(ws, name)
+    assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
+    assert f"{ws / name}: lists no spots" in capsys.readouterr().err
+
+
 def _corrupt_a_training_cell(ws: Path, name: str) -> None:
     """Replace the last cell of the first training spot's row in `name`."""
     spot = read_ids_tsv(ws / "split_train.tsv")[0].encode()

@@ -15,7 +15,9 @@ from duet.regress import AnnealSchedule, RegModel, train_regress
 from duet.scprior import (
     PRIOR_Z05,
     ScDataset,
+    _count_table,
     _init_signature_model,
+    _initial_params,
     deconvolve,
     fit_signatures,
 )
@@ -129,9 +131,9 @@ def run_signatures(epochs, lr=0.2):
 def run_deconvolve(epochs, lr=0.1):
     y, m_panel = deconv_inputs()
     post = deconvolve(y, m_panel, epochs, Rng(5), lr=lr)
-    sd = np.exp(-2.0)  # the posterior starts at loc 0, log std -2
-    init = [np.full_like(post.w_mean, np.exp(0.5 * sd**2)),
-            np.full_like(post.w_q05, np.exp(sd * PRIOR_Z05))]
+    start = _initial_params(_count_table(y), m_panel)  # the closed-form start
+    loc, sd = start["w_loc"], np.exp(start["w_logstd"])
+    init = [np.exp(loc + 0.5 * sd**2), np.exp(loc + sd * PRIOR_Z05)]
     return init, [post.w_mean, post.w_q05], post.fit_trace
 
 

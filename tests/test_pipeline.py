@@ -280,6 +280,12 @@ def test_committed_configs_load():
         PipelineConfig.from_json(path)
 
 
+def test_default_config_file_spells_the_defaults():
+    # configs/default.json lists every key at the value the code defaults to
+    doc = json.loads((ROOT / "configs" / "default.json").read_bytes())
+    assert doc == PipelineConfig().to_dict()
+
+
 def test_config_missing_file():
     with pytest.raises(InputError, match="nope.json"):
         PipelineConfig.from_json("/definitely/nope.json")
@@ -484,12 +490,13 @@ def test_deconv_recovers_true_proportions(tmp_path, seed):
     assert _proportion_mae(tmp_path, seed) < 0.10
 
 
-def test_default_deconv_epochs_converge(tmp_path):
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_deconv_epochs_converge(tmp_path, seed):
     # a 3x longer fit recovers the proportions no better than by 0.02, so the
     # default epochs do not trade recovery for speed
     epochs = TrainConfig().deconv_epochs
-    short = _proportion_mae(tmp_path / "short", 0)
-    long = _proportion_mae(tmp_path / "long", 0, deconv_epochs=3 * epochs)
+    short = _proportion_mae(tmp_path / "short", seed)
+    long = _proportion_mae(tmp_path / "long", seed, deconv_epochs=3 * epochs)
     assert short - long < 0.02
 
 

@@ -704,6 +704,24 @@ class TestDeconvolve:
         assert np.all(post.w_q05 > 0)
         assert np.allclose(post.q05_normalized().sum(axis=1), 1.0)
 
+    def test_closed_form_start_recovers_proportions(self):
+        # with no VI step the posterior is the Poisson start alone; it must
+        # land well inside a uniform mix's error
+        y, m_panel, props, _, _ = small_deconv_problem(21)
+        est = deconvolve(y, m_panel, epochs=0, rng=Rng(2), lr=0.1).proportions()
+        uniform = np.full_like(props, 1.0 / props.shape[1])
+        assert np.abs(est - props).mean() < 0.5 * np.abs(uniform - props).mean()
+
+    def test_zero_count_spot_stays_positive_through_the_start(self):
+        # the start's floor keeps an all-zero spot's abundances above 0, so
+        # its updates never divide 0 by 0 (a RuntimeWarning fails the test)
+        y, m_panel, _, _, _ = small_deconv_problem(23, s_n=6)
+        y[0] = 0
+        post = deconvolve(y, m_panel, epochs=0, rng=Rng(2), lr=0.1)
+        for w in (post.w_mean, post.w_q05):
+            assert np.all(np.isfinite(w)) and np.all(w > 0)
+        assert np.allclose(post.q05_normalized().sum(axis=1), 1.0)
+
     def test_q05_below_mean(self):
         y, m_panel, _, _, _ = small_deconv_problem(24, s_n=8)
         post = deconvolve(y, m_panel, epochs=100, rng=Rng(2), lr=0.1)
