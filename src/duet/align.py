@@ -15,40 +15,33 @@ from .core import Mlp, Rng, SgdState, as_matrix, descend, minibatches
 from .errors import InputError, NumericError
 from .tsvio import load_checkpoint, save_checkpoint
 
-TEMPERATURE = 0.07  # the InfoNCE temperature of every model AlignModel.init makes
-MAGIC_ALIGN = b"DUET-ALN1"
+TEMPERATURE = 0.07  # the InfoNCE temperature train_align fits with
+MAGIC_ALIGN = b"DUET-ALN2"
 
 
 @dataclass
 class AlignModel:
     img_head: Mlp
     gene_head: Mlp
-    temperature: float
 
     def __post_init__(self):
         if self.img_head.out_dim != self.gene_head.out_dim:
             raise InputError("embed dims disagree")
-
-    @property
-    def embed_dim(self) -> int:
-        return self.img_head.out_dim
 
     @classmethod
     def init(cls, img_dim: int, gene_dim: int, rng: Rng, embed_dim: int,
              hidden: int) -> "AlignModel":
         img_head = Mlp.init([img_dim, hidden, embed_dim], rng.child("img_head"))
         gene_head = Mlp.init([gene_dim, hidden, embed_dim], rng.child("gene_head"))
-        return cls(img_head, gene_head, TEMPERATURE)
+        return cls(img_head, gene_head)
 
 
 def save_align(path, model: AlignModel) -> bytes:
-    return save_checkpoint(path, MAGIC_ALIGN, [model.temperature],
-                           [model.img_head, model.gene_head])
+    return save_checkpoint(path, MAGIC_ALIGN, [model.img_head, model.gene_head])
 
 
 def load_align(path, data: bytes | None = None) -> AlignModel:
-    return load_checkpoint(path, data, MAGIC_ALIGN, 1, 2,
-                           lambda t, img, gene: AlignModel(img, gene, t))
+    return load_checkpoint(path, data, MAGIC_ALIGN, 2, AlignModel)
 
 
 def l2_normalize(raw: np.ndarray):
@@ -150,10 +143,9 @@ def train_align(img_features, expressions, epochs: int, opt: SgdState, rng: Rng,
         for idx in minibatches(rng, epoch, n, batch_size):
             v, nv, tape_v = embed_with_tapes(model.img_head, x[idx])
             h, nh, tape_h = embed_with_tapes(model.gene_head, y[idx])
-            loss, dv, dh = infonce_loss(v, h, model.temperature)
-            g_img = head_backward(model.img_head, tape_v, v, nv, dv)
-            g_gene = head_backward(model.gene_head, tape_h, h, nh, dh)
-            yield loss, [a for g in (g_img, g_gene) for dw_db in g.layers for a in dw_db]
+            loss, dv, dh = infonce_loss(v, h, TEMPERATURE)
+            yield loss, (head_backward(model.img_head, tape_v, v, nv, dv)
+                         + head_backward(model.gene_head, tape_h, h, nh, dh))
             model.img_head.touch()
             model.gene_head.touch()
 

@@ -159,11 +159,6 @@ class Tape:
     single: bool  # input was a 1-D vector
 
 
-@dataclass
-class MlpGradients:
-    layers: list  # [(dW, db)] matching net.layers
-
-
 class Mlp:
     """Fully-connected net; weights are (out, in). Each hidden layer maps a to
     relu(W a + b), the last to W a + b."""
@@ -243,8 +238,9 @@ class Mlp:
         y = a[0] if single else a
         return y, Tape(id(self), self._version, acts, single)
 
-    def backward(self, tape: Tape, d_y: np.ndarray) -> MlpGradients:
-        """Exact gradients of <d_y, y> w.r.t. the parameters."""
+    def backward(self, tape: Tape, d_y: np.ndarray) -> list[np.ndarray]:
+        """Exact gradients of <d_y, y> w.r.t. the parameters, in
+        param_arrays() order."""
         if tape.net_id != id(self) or tape.version != self._version:
             raise InputError("stale tape: parameters changed since the forward pass")
         d_y = np.asarray(d_y, dtype=np.float64)
@@ -253,15 +249,15 @@ class Mlp:
             raise InputError(
                 f"cotangent shape {da.shape} != output shape {tape.activations[-1].shape}"
             )
-        grads: list = [None] * len(self.layers)
+        grads: list = [None] * (2 * len(self.layers))
         last = len(self.layers) - 1
         for k in range(last, -1, -1):
             # relu's derivative is recoverable from its output alone
             dz = da if k == last else da * (tape.activations[k + 1] > 0.0)
-            grads[k] = (dz.T @ tape.activations[k], dz.sum(axis=0))
+            grads[2 * k:2 * k + 2] = dz.T @ tape.activations[k], dz.sum(axis=0)
             if k:
                 da = dz @ self.layers[k].weight
-        return MlpGradients(grads)
+        return grads
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ and emits one scalar, squashed to a fusion weight alpha in (0,1) through
 predictions. Training happens post hoc on held-out spots with both branches
 frozen: the loss is the fused MSE plus reg_coef times the squared deviation
 of alpha from 0.5, so the adapter only departs from equal weighting where the
-data rewards it. The final layer is zero-initialized, which puts every fresh
-adapter exactly at alpha = 0.5.
+data rewards it. reg_coef is a weight of the fit, an argument of fuse_loss
+and train_fuse, so the adapter and its checkpoint are the net alone. The
+final layer is zero-initialized, which puts every fresh adapter exactly at
+alpha = 0.5.
 """
 
 from __future__ import annotations
@@ -21,38 +23,33 @@ from .errors import InputError
 from .tsvio import load_checkpoint, save_checkpoint
 
 Z_CLIP = 18.0  # tanh(18) is still strictly below 1 in float64
-MAGIC_FUSE = b"DUET-FUS1"
+MAGIC_FUSE = b"DUET-FUS2"
 
 
 @dataclass
 class FuseAdapter:
     mlp: Mlp
-    reg_coef: float
 
     def __post_init__(self):
         if self.mlp.out_dim != 1:
             raise InputError("fusion adapter must emit one scalar")
-        if self.reg_coef < 0:
-            raise InputError("reg_coef must be non-negative")
 
     @classmethod
-    def init(cls, feature_dim: int, rng: Rng, hidden: int,
-             reg_coef: float) -> "FuseAdapter":
+    def init(cls, feature_dim: int, rng: Rng, hidden: int) -> "FuseAdapter":
         mlp = Mlp.init([feature_dim, hidden, 1], rng.child("fuse-init"))
         final = mlp.layers[-1]
         final.weight[...] = 0.0
         final.bias[...] = 0.0
         mlp.touch()
-        return cls(mlp=mlp, reg_coef=reg_coef)
+        return cls(mlp)
 
 
 def save_fuse(path, adapter: FuseAdapter) -> bytes:
-    return save_checkpoint(path, MAGIC_FUSE, [adapter.reg_coef], [adapter.mlp])
+    return save_checkpoint(path, MAGIC_FUSE, [adapter.mlp])
 
 
 def load_fuse(path, data: bytes | None = None) -> FuseAdapter:
-    return load_checkpoint(path, data, MAGIC_FUSE, 1, 1,
-                           lambda reg_coef, mlp: FuseAdapter(mlp, reg_coef))
+    return load_checkpoint(path, data, MAGIC_FUSE, 1, FuseAdapter)
 
 
 def _squash(z: np.ndarray):
@@ -97,8 +94,10 @@ def _check_heldout(heldout):
     return f, y_ret, y_reg, y
 
 
-def fuse_loss(adapter: FuseAdapter, heldout):
+def fuse_loss(adapter: FuseAdapter, heldout, reg_coef: float):
     """Batch-mean fused MSE + reg_coef * delta^2 with exact adapter gradients."""
+    if not reg_coef >= 0:
+        raise InputError(f"reg_coef must be non-negative, got {reg_coef}")
     f, y_ret, y_reg, y = _check_heldout(heldout)
     s_n, g_n = y.shape
     out, tape = adapter.mlp.forward(f)
@@ -106,22 +105,21 @@ def fuse_loss(adapter: FuseAdapter, heldout):
     diff = y_ret - y_reg
     resid = y_reg + a_val[:, None] * diff - y
     delta = a_val - 0.5
-    loss = float(np.mean(resid**2) + adapter.reg_coef * np.mean(delta**2))
+    loss = float(np.mean(resid**2) + reg_coef * np.mean(delta**2))
     d_alpha = (2.0 / (s_n * g_n)) * np.sum(resid * diff, axis=1) \
-        + (2.0 * adapter.reg_coef / s_n) * delta
+        + (2.0 * reg_coef / s_n) * delta
     d_out = (d_alpha * 0.5 * (1.0 - a_tanh**2))[:, None]
-    grads = adapter.mlp.backward(tape, d_out)
-    return loss, [g for pair in grads.layers for g in pair]
+    return loss, adapter.mlp.backward(tape, d_out)
 
 
-def train_fuse(adapter: FuseAdapter, heldout, epochs: int,
-               opt: SgdState) -> FuseAdapter:
-    """Full-batch SGD on the adapter; both branch predictions stay frozen, and
+def train_fuse(adapter: FuseAdapter, heldout, epochs: int, opt: SgdState,
+               reg_coef: float) -> FuseAdapter:
+    """Full-batch SGD on fuse_loss; both branch predictions stay frozen, and
     the fit draws no noise, so it needs no rng."""
     _check_heldout(heldout)
 
     def batches(epoch):
-        yield fuse_loss(adapter, heldout)
+        yield fuse_loss(adapter, heldout, reg_coef)
         adapter.mlp.touch()
 
     descend(opt, adapter.mlp.param_arrays(), epochs, batches, "fusion training")

@@ -25,7 +25,9 @@ with an InputError naming it. A stage may ask for some rows (by position) and
 columns (by id) of a matrix. Only those cells are parsed if the manifest
 vouches for the file: every hash it records for it, as an output and as an
 input, is the file's, so write_matrix_tsv wrote it and every cell parses.
-Any other file is parsed whole, every cell checked, and then indexed.
+Any other file is parsed whole, every cell checked, and then indexed, once
+the rows asked for are known to exist. Every cell parsed from disk must be
+finite: no stage writes another, and no fit takes one.
 Per-spot matrices (features, gating, cell counts) must carry st_counts.tsv's
 spot ids, in order, and a checkpoint's dims must match the feature columns
 and target genes it is used with (_check_dims).
@@ -43,12 +45,11 @@ from pathlib import Path
 import numpy as np
 
 from .align import load_align, save_align, train_align
-from .core import Rng, SgdState, bound, check_config
+from .core import Mlp, Rng, SgdState, bound, check_config
 from .errors import InputError
 from .fuse import FuseAdapter, fuse_predict_batch, load_fuse, save_fuse, train_fuse
 from .metrics import log1p_transform, metrics, variance_curve
-from .regress import (BATCH_SIZE as REG_BATCH, AnnealSchedule, RegModel, load_reg,
-                      save_reg, train_regress)
+from .regress import BATCH_SIZE as REG_BATCH, AnnealSchedule, load_reg, save_reg, train_regress
 from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
 from .scprior import build_gating, deconvolve, fit_signatures, select_panel
 from .scprior import ScDataset
@@ -237,15 +238,23 @@ class Workspace:
 
         def parse(path, data):
             output, inputs = self._records(name)
-            if want and inputs | {output} == {self._sha[name]}:
-                return (*read_matrix_tsv(path, data, rows=rows, cols=cols), want)
-            return (*read_matrix_tsv(path, data), None)
+            got = want if want and inputs | {output} == {self._sha[name]} else None
+            m, row_ids, col_ids = (read_matrix_tsv(path, data, rows=rows, cols=cols)
+                                   if got else read_matrix_tsv(path, data))
+            if not np.isfinite(m).all():
+                raise InputError(f"non-finite cell in {path}")
+            return m, row_ids, col_ids, got
 
         if name in self._held and self._held[name][3] not in (None, want):
             del self._held[name]  # it holds other cells: parse again
         m, row_ids, col_ids, got = self._load(name, parse)
         if got != want:  # the whole matrix: take the cells asked for
-            m = m if rows is None else m[np.asarray(rows, dtype=np.intp)]
+            if rows is not None:
+                pos = np.asarray(rows, dtype=np.intp)
+                if pos.size and pos.max() >= len(m):
+                    raise InputError(f"{self.root / name} has no row at position "
+                                     f"{pos[pos >= len(m)].min()}")
+                m = m[pos]
             if cols is not None:
                 m = m[:, column_positions(self.root / name, col_ids, cols)]
         m.flags.writeable = False
@@ -325,7 +334,11 @@ def _targets(ws: Workspace):
     """Spot ids, target gene ids and log1p target expression (spots, targets)."""
     ws._load("st_counts.tsv")  # read first: its spot ids come before the targets
     target_genes = ws.ids("target_genes.tsv")
-    st, spots, _ = ws.matrix("st_counts.tsv", cols=target_genes)
+    try:
+        st, spots, _ = ws.matrix("st_counts.tsv", cols=target_genes)
+    except InputError as exc:  # a missing column may be the fault of either file
+        raise InputError(f"{exc} (reading the columns of the target genes in "
+                         f"{ws.root / 'target_genes.tsv'})") from None
     return spots, target_genes, log1p_transform(st)
 
 
@@ -344,7 +357,8 @@ def _splits(ws: Workspace, spots: list[str], *names: str) -> list[np.ndarray]:
         try:
             out.append(np.array([pos[s] for s in ids], dtype=np.intp))
         except KeyError as exc:
-            raise InputError(f"split id missing from st_counts: {exc}") from None
+            raise InputError(f"{ws.root / file}: split id missing from "
+                             f"{ws.root / 'st_counts.tsv'}: {exc}") from None
         for s in ids:
             if s in listed:
                 where = "listed twice" if listed[s] == file else f"also listed in {listed[s]}"
@@ -433,8 +447,10 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     panel_idx = np.array([gene_pos[g] for g in panel])
 
     st, spots, st_genes = ws.matrix("st_counts.tsv")
-    # every target gene is measured
-    column_positions(ws.root / "st_counts.tsv", st_genes, target_genes)
+    try:  # every target gene is measured
+        column_positions(ws.root / "st_counts.tsv", st_genes, target_genes)
+    except InputError as exc:
+        raise InputError(f"{exc}, which {ws.root / 'target_genes.tsv'} lists") from None
     if st_genes != genes:
         raise InputError("st_counts and sc_counts gene columns disagree")
     try:
@@ -520,13 +536,11 @@ def _branch_predictions(cfg: PipelineConfig, ws: Workspace, split: str):
     idx, subset = _splits(ws, spots, "train", split)
     f_fm = ws.spot_matrix("features_fm.tsv", rows=subset)
     y_ret = _retrieved(cfg, ws, spots, y, idx, subset)
-    reg_model = ws.checkpoint("reg.ckpt", load_reg)
+    reg = ws.checkpoint("reg.ckpt", load_reg)
     _check_dims(ws, "reg.ckpt",
-                ("input dim", reg_model.feature_dim, "features_fm.tsv",
-                 f_fm.shape[1], "columns"),
-                ("output dim", reg_model.gene_dim, "target_genes.tsv", y.shape[1],
-                 "genes"))
-    y_reg = reg_model.predict(f_fm)
+                ("input dim", reg.in_dim, "features_fm.tsv", f_fm.shape[1], "columns"),
+                ("output dim", reg.out_dim, "target_genes.tsv", y.shape[1], "genes"))
+    y_reg, _ = reg.forward(f_fm)
     return [spots[i] for i in subset], target_genes, (f_fm, y_ret, y_reg, y[subset])
 
 
@@ -550,9 +564,9 @@ def stage_regress(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     for name in ("features_img.tsv", "gating.tsv", "align.ckpt"):
         ws._load(name)
     tc = cfg.train
-    model = RegModel.init(f_fm.shape[1], y.shape[1], rng.child("init"),
-                          hidden=tc.reg_hidden)
-    model = train_regress(
+    model = Mlp.init([f_fm.shape[1], *tc.reg_hidden, y.shape[1]],
+                     rng.child("init", "reg-init"))
+    train_regress(
         f_fm, y[idx], p_ret, cfg.anneal, tc.reg_epochs,
         SgdState(lr=tc.reg_lr), rng.child("fit"), model, batch_size=tc.reg_batch,
     )
@@ -572,9 +586,9 @@ def stage_fuse(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("fuse-stage")
     _, _, data = _branch_predictions(cfg, ws, "fuse")
     adapter = FuseAdapter.init(data[0].shape[1], rng.child("init"),
-                               hidden=cfg.train.fuse_hidden,
-                               reg_coef=cfg.train.reg_coef)
-    train_fuse(adapter, data, cfg.train.fuse_epochs, SgdState(lr=cfg.train.fuse_lr))
+                               hidden=cfg.train.fuse_hidden)
+    train_fuse(adapter, data, cfg.train.fuse_epochs, SgdState(lr=cfg.train.fuse_lr),
+               cfg.train.reg_coef)
     ws.save("fuse.ckpt", save_fuse, adapter)
 
 

@@ -1,12 +1,13 @@
 """Parametric branch: feature regression with annealed retrieval consistency.
 
-A plain MLP head maps precomputed per-spot features to log1p expression. For
-the first E_d epochs its loss carries an extra consistency term pulling the
-prediction toward the memory branch's retrieved expression, with a cosine
-weight decaying from lambda0 to zero. The caller passes those retrieved rows
-in as a constant array: no gradient flows into the contrastive heads. When the
-weight is zero the array is never read, so a lambda0=0 schedule is bitwise
-identical to training without any retrieved targets.
+The model is a plain core.Mlp that maps precomputed per-spot features to log1p
+expression; its checkpoint (`DUET-REG1`) is that net alone. For the first E_d
+epochs its loss carries an extra consistency term pulling the prediction
+toward the memory branch's retrieved expression, with a cosine weight
+decaying from lambda0 to zero. The caller passes those retrieved rows in as a
+constant array: no gradient flows into the contrastive heads. When the weight
+is zero the array is never read, so a lambda0=0 schedule is bitwise identical
+to training without any retrieved targets.
 """
 
 from __future__ import annotations
@@ -23,33 +24,12 @@ BATCH_SIZE = 128  # train_regress's minibatch, and the default of train.reg_batc
 MAGIC_REG = b"DUET-REG1"
 
 
-@dataclass
-class RegModel:
-    head: Mlp
-
-    @property
-    def feature_dim(self) -> int:
-        return self.head.in_dim
-
-    @property
-    def gene_dim(self) -> int:
-        return self.head.out_dim
-
-    @classmethod
-    def init(cls, feature_dim: int, gene_dim: int, rng: Rng, hidden: tuple) -> "RegModel":
-        return cls(Mlp.init([feature_dim, *hidden, gene_dim], rng.child("reg-init")))
-
-    def predict(self, features) -> np.ndarray:
-        out, _ = self.head.forward(np.asarray(features, dtype=np.float64))
-        return out
+def save_reg(path, model: Mlp) -> bytes:
+    return save_checkpoint(path, MAGIC_REG, [model])
 
 
-def save_reg(path, model: RegModel) -> bytes:
-    return save_checkpoint(path, MAGIC_REG, [], [model.head])
-
-
-def load_reg(path, data: bytes | None = None) -> RegModel:
-    return load_checkpoint(path, data, MAGIC_REG, 0, 1, RegModel)
+def load_reg(path, data: bytes | None = None) -> Mlp:
+    return load_checkpoint(path, data, MAGIC_REG, 1, lambda model: model)
 
 
 @dataclass
@@ -97,17 +77,18 @@ def reg_loss(p_reg, y, p_ret, lam: float):
 
 
 def train_regress(features, targets, p_ret, sched: AnnealSchedule, epochs: int,
-                  opt: SgdState, rng: Rng, model: RegModel,
-                  batch_size: int = BATCH_SIZE) -> RegModel:
-    """Minibatch SGD on the annealed objective. p_ret is the (n, g) retrieved
-    expression, one row per training row; it is read only while the
-    consistency weight is positive, and may be None when lambda0 is 0."""
+                  opt: SgdState, rng: Rng, model: Mlp,
+                  batch_size: int = BATCH_SIZE) -> Mlp:
+    """Minibatch SGD on the annealed objective, in place on `model`, which it
+    returns. p_ret is the (n, g) retrieved expression, one row per training
+    row; it is read only while the consistency weight is positive, and may be
+    None when lambda0 is 0."""
     x = as_matrix(features)
     y = as_matrix(targets)
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise InputError("features and targets must have the same, non-zero rows")
     n, g = y.shape
-    if model.feature_dim != x.shape[1] or model.gene_dim != g:
+    if model.in_dim != x.shape[1] or model.out_dim != g:
         raise InputError("model dims disagree with the training data")
     if sched.lambda0 > 0.0:  # lambda_at(sched, 0) is sched.lambda0
         if np.shape(p_ret) != y.shape:  # np.shape(None) is ()
@@ -118,12 +99,11 @@ def train_regress(features, targets, p_ret, sched: AnnealSchedule, epochs: int,
     def batches(e):
         lam = lambda_at(sched, e)
         for idx in minibatches(rng, e, n, batch_size):
-            out, tape = model.head.forward(x[idx])
+            out, tape = model.forward(x[idx])
             retrieved = None if lam == 0.0 else p_ret[idx]  # skipped, not zero-weighted
             loss, d_out = reg_loss(out, y[idx], retrieved, lam)
-            grads = model.head.backward(tape, d_out)
-            yield loss, [a for pair in grads.layers for a in pair]
-            model.head.touch()
+            yield loss, model.backward(tape, d_out)
+            model.touch()
 
-    descend(opt, model.head.param_arrays(), epochs, batches, "regression training")
+    descend(opt, model.param_arrays(), epochs, batches, "regression training")
     return model

@@ -54,17 +54,18 @@ call returns (40-110 ms per rewritten file on a 2-vCPU VM's virtio disk); a
 rename onto a free name does not.
 
 Every checkpoint has one layout, written by save_checkpoint and read by
-load_checkpoint. It is little-endian binary: an ASCII magic tag, then per net
-a u32 layer count and per-layer u32 (out, in) dims, then the model's f64
-scalars, then per net the raw f64 parameters layer by layer (weight
-row-major, then bias). Each model module keeps its tag and save/load pair
-next to the model: align (`DUET-ALN1`; temperature; image head, gene head),
-regress (`DUET-REG1`; no scalars; head) and fuse (`DUET-FUS1`; reg_coef;
-adapter net). Activations are not stored: a net is its layers' weights and
-biases, and core.Mlp owns the one activation policy. The loader rejects
-(InputError, naming the file) a wrong tag, a truncated file, trailing bytes,
-a layer count outside 1-64, any non-finite weight, bias or scalar, and
-whatever the model's own checks reject.
+load_checkpoint. A model is its nets, so a checkpoint holds a magic tag and
+the nets, nothing else. It is little-endian binary: an ASCII magic tag, then
+per net a u32 layer count and per-layer u32 (out, in) dims, then per net the
+raw f64 parameters layer by layer (weight row-major, then bias). Each model
+module keeps its tag and save/load pair next to the model: align
+(`DUET-ALN2`; image head, gene head), regress (`DUET-REG1`; head) and fuse
+(`DUET-FUS2`; adapter net). Activations are not stored: a net is its layers'
+weights and biases, and core.Mlp owns the one activation policy. The loader
+rejects (InputError, naming the file) a wrong tag (the `DUET-ALN1` and
+`DUET-FUS1` layouts, which also held an f64 scalar, among them), a truncated
+file, trailing bytes, a layer count outside 1-64, any non-finite weight or
+bias, and whatever the model's own checks reject.
 
 A run manifest is JSON: the seed, the config echo, and per stage its
 completion time and the {file name: sha256} of its outputs and inputs.
@@ -407,22 +408,20 @@ class _Reader:
             raise InputError(f"trailing bytes in checkpoint: {self.path}")
 
 
-def save_checkpoint(path, magic: bytes, scalars, nets) -> bytes:
-    """Write `magic`, each net's dims, the f64 `scalars`, then each net's
-    parameters, as the module docstring lays them out."""
+def save_checkpoint(path, magic: bytes, nets) -> bytes:
+    """Write `magic`, each net's dims, then each net's parameters, as the
+    module docstring lays them out."""
     parts = [magic]
     parts += [struct.pack(f"<{1 + 2 * len(net.layers)}I", len(net.layers),
                           *(d for layer in net.layers for d in layer.weight.shape))
               for net in nets]
-    parts.append(struct.pack(f"<{len(scalars)}d", *scalars))
     parts += [net.get_flat().astype("<f8").tobytes() for net in nets]
     return write_atomic(path, b"".join(parts))
 
 
-def load_checkpoint(path, data: bytes | None, magic: bytes, n_scalars: int,
-                    n_nets: int, build):
-    """The model build(*scalars, *nets) makes of the checkpoint at `path` (or
-    in `data`) that save_checkpoint wrote with `magic`. Every InputError, the
+def load_checkpoint(path, data: bytes | None, magic: bytes, n_nets: int, build):
+    """The model build(*nets) makes of the checkpoint at `path` (or in
+    `data`) that save_checkpoint wrote with `magic`. Every InputError, the
     model's own checks in `build` included, names the file."""
     p = Path(path)
     blob = read_bytes(p) if data is None else data
@@ -430,13 +429,11 @@ def load_checkpoint(path, data: bytes | None, magic: bytes, n_scalars: int,
         raise InputError(f"bad checkpoint magic in {p}, expected {magic.decode()}")
     r = _Reader(blob, p, len(magic))
     dims = [r.dims() for _ in range(n_nets)]
-    scalars = r.f64s(n_scalars).tolist()
     params = [[(r.f64s(o * i).reshape(o, i), r.f64s(o)) for o, i in net]
               for net in dims]
     r.done()
     try:
-        nets = [Mlp([Layer(w, b) for w, b in net]) for net in params]
-        return build(*scalars, *nets)
+        return build(*(Mlp([Layer(w, b) for w, b in net]) for net in params))
     except InputError as exc:
         raise InputError(f"{p}: {exc}") from None
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from duet.align import (
+    TEMPERATURE,
     AlignModel,
     embed_expressions,
     embed_images,
@@ -21,13 +22,12 @@ from duet.align import (
     train_align,
 )
 from duet.cli import main
-from duet.core import Rng, SgdState, fd_check
+from duet.core import Mlp, Rng, SgdState, fd_check
 from duet.fuse import FuseAdapter, fuse_loss, fuse_predict_batch, train_fuse
 from duet.metrics import log1p_transform, metrics
 from duet.pipeline import PipelineConfig, run_pipeline
 from duet.regress import (
     AnnealSchedule,
-    RegModel,
     lambda_at,
     reg_loss,
     train_regress,
@@ -60,7 +60,7 @@ def report(capfd):
 
 
 def _flat_mlp_grads(grads) -> np.ndarray:
-    return np.concatenate([a.ravel() for pair in grads.layers for a in pair])
+    return np.concatenate([a.ravel() for a in grads])
 
 
 def _spot_data(seed, **kw):
@@ -87,7 +87,7 @@ def _fd_align(rng) -> float:
         model.gene_head.set_flat(flat[n_img:])
         v, vn, vt = embed_with_tapes(model.img_head, x)
         h, hn, ht = embed_with_tapes(model.gene_head, expr)
-        loss, dv, dh = infonce_loss(v, h, model.temperature)
+        loss, dv, dh = infonce_loss(v, h, TEMPERATURE)
         gi = head_backward(model.img_head, vt, v, vn, dv)
         gg = head_backward(model.gene_head, ht, h, hn, dh)
         return loss, np.concatenate([_flat_mlp_grads(gi), _flat_mlp_grads(gg)])
@@ -97,28 +97,28 @@ def _fd_align(rng) -> float:
 
 
 def _fd_regress(rng) -> float:
-    model = RegModel.init(5, 3, rng, hidden=(6,))
+    model = Mlp.init([5, 6, 3], rng.child("reg-init"))
     x = rng.child("x").standard_normal((4, 5))
     y = rng.child("y").standard_normal((4, 3))
     p_ret = rng.child("r").standard_normal((4, 3))
     n = x.shape[0]
 
     def f(flat):
-        model.head.set_flat(flat)
-        out, tape = model.head.forward(x)
+        model.set_flat(flat)
+        out, tape = model.forward(x)
         total = 0.0
         d_out = np.zeros_like(out)
         for s in range(n):
             l_s, g_s = reg_loss(out[s], y[s], p_ret[s], 0.7)
             total += l_s / n
             d_out[s] = g_s / n
-        return total, _flat_mlp_grads(model.head.backward(tape, d_out))
+        return total, _flat_mlp_grads(model.backward(tape, d_out))
 
-    return fd_check(f, model.head.get_flat())
+    return fd_check(f, model.get_flat())
 
 
 def _fd_fuse(rng) -> float:
-    adapter = FuseAdapter.init(5, rng, hidden=6, reg_coef=0.3)
+    adapter = FuseAdapter.init(5, rng, hidden=6)
     adapter.mlp.set_flat(rng.child("p").standard_normal(
         adapter.mlp.get_flat().size) * 0.4)
     heldout = (
@@ -130,7 +130,7 @@ def _fd_fuse(rng) -> float:
 
     def f(flat):
         adapter.mlp.set_flat(flat)
-        loss, grads = fuse_loss(adapter, heldout)
+        loss, grads = fuse_loss(adapter, heldout, 0.3)
         return loss, np.concatenate([g.ravel() for g in grads])
 
     return fd_check(f, adapter.mlp.get_flat())
@@ -366,7 +366,7 @@ def test_criterion_5_fusion_gain(report):
     reg = train_regress(
         f_fm[tr], y[tr], None, AnnealSchedule(lambda0=0.0, decay_epochs=1),
         300, SgdState(lr=0.03), rng.child("reg"),
-        model=RegModel.init(48, 40, rng.child("reg-init"), hidden=(128, 128)))
+        model=Mlp.init([48, 128, 128, 40], rng.child("reg-init", "reg-init")))
 
     rcfg = RetrievalConfig(n_candidates=db.size, top_k=5, tau_c=0.5, tau_p=0.3,
                            beta=0.6, softmax_temp=0.03)
@@ -375,13 +375,13 @@ def test_criterion_5_fusion_gain(report):
         q = embed_images(align, f_img[sub])
         y_ret = np.stack([retrieve(db, q[k], g[s], rcfg).p_ret
                           for k, s in enumerate(sub)])
-        return y_ret, reg.predict(f_fm[sub])
+        return y_ret, reg.forward(f_fm[sub])[0]
 
     yr_fu, yg_fu = branches(fu)
     yr_te, yg_te = branches(te)
 
-    adapter = FuseAdapter.init(48, rng.child("fuse"), hidden=16, reg_coef=0.1)
-    train_fuse(adapter, (f_fm[fu], yr_fu, yg_fu, y[fu]), 3000, SgdState(lr=0.02))
+    adapter = FuseAdapter.init(48, rng.child("fuse"), hidden=16)
+    train_fuse(adapter, (f_fm[fu], yr_fu, yg_fu, y[fu]), 3000, SgdState(lr=0.02), 0.1)
     yd_te, _ = fuse_predict_batch(adapter, f_fm[te], yr_te, yg_te)
 
     m_ret = metrics(yr_te, y[te]).mse
@@ -466,15 +466,14 @@ def _consistency_ablation(seed):
                         beta=0.3, softmax_temp=0.1))
 
     def fit(lambda0):
-        model = RegModel.init(32, 40, Rng(seed).child("reg-init"),
-                              hidden=(64, 64))
+        model = Mlp.init([32, 64, 64, 40], Rng(seed).child("reg-init", "reg-init"))
         return train_regress(
             f_fm[tr], y[tr], p_ret,
             AnnealSchedule(lambda0=lambda0, decay_epochs=40),
             60, SgdState(lr=0.03), Rng(seed).child("reg"), model=model)
 
-    m_on = metrics(fit(1.0).predict(f_fm[te]), y[te]).mse
-    m_off = metrics(fit(0.0).predict(f_fm[te]), y[te]).mse
+    m_on = metrics(fit(1.0).forward(f_fm[te])[0], y[te]).mse
+    m_off = metrics(fit(0.0).forward(f_fm[te])[0], y[te]).mse
     return m_on, m_off
 
 

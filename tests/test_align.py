@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from duet.align import (
+    TEMPERATURE,
     AlignModel,
     embed_expressions,
     embed_images,
@@ -148,7 +149,7 @@ class TestTraining:
         def probe_loss(model):
             v = embed_images(model, feats)
             h = embed_expressions(model, expr)
-            loss, _, _ = infonce_loss(v, h, model.temperature)
+            loss, _, _ = infonce_loss(v, h, TEMPERATURE)
             return loss
 
         init = train(data, 0, Rng(13))

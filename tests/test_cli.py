@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from duet.core import Mlp, Rng
 from duet.errors import InputError
 from duet.fuse import MAGIC_FUSE, FuseAdapter, load_fuse, save_fuse
 from duet.pipeline import STAGE_IO, STAGES
-from duet.regress import RegModel, load_reg, save_reg
+from duet.regress import load_reg, save_reg
 from duet.tsvio import read_ids_tsv, read_matrix_tsv, save_checkpoint, write_matrix_tsv
 from test_pipeline import TINY, rehash_outputs
 
@@ -48,25 +49,27 @@ def _dims(net: Mlp) -> list[int]:
     return [net.in_dim] + [layer.weight.shape[0] for layer in net.layers]
 
 
-def test_config_sizes_reach_the_models(tmp_path, no_env_seed):
-    # TINY sets every size off its default; reg_coef moves off it here
+def test_config_sizes_reach_the_models(tmp_path, no_env_seed, monkeypatch):
+    # TINY sets every size off its default; reg_coef moves off it here, and
+    # as a weight of the fit, not of the model, it must reach the fuse fit
     doc = json.loads(json.dumps(TINY))
     doc["train"]["reg_coef"] = 0.25
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     ws = tmp_path / "ws"
+    fits, train_fuse = [], pipeline.train_fuse
+    monkeypatch.setattr(pipeline, "train_fuse",
+                        lambda *args: fits.append(args[4]) or train_fuse(*args))
     assert main(["pipeline", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 0
+    assert fits == [0.25]
     s, t = doc["synth"], doc["train"]
     align = load_align(ws / "align.ckpt")
     assert _dims(align.img_head) == [s["feature_dim"], t["align_hidden"], t["embed_dim"]]
     assert _dims(align.gene_head) == [s["n_target_genes"], t["align_hidden"],
                                       t["embed_dim"]]
-    assert align.temperature == 0.07
-    assert _dims(load_reg(ws / "reg.ckpt").head) == [s["feature_dim"], *t["reg_hidden"],
-                                                     s["n_target_genes"]]
-    fuse = load_fuse(ws / "fuse.ckpt")
-    assert _dims(fuse.mlp) == [s["feature_dim"], t["fuse_hidden"], 1]
-    assert fuse.reg_coef == 0.25
+    assert _dims(load_reg(ws / "reg.ckpt")) == [s["feature_dim"], *t["reg_hidden"],
+                                                s["n_target_genes"]]
+    assert _dims(load_fuse(ws / "fuse.ckpt").mlp) == [s["feature_dim"], t["fuse_hidden"], 1]
 
 
 def test_pipeline_loads_no_scipy(tmp_path, cfg_path):
@@ -352,7 +355,10 @@ def test_bad_cell_count_exit_1_naming_the_file(trained, tmp_path, capsys, value)
     write_matrix_tsv(ws / "cell_counts.tsv", m, rows, cols)
     rehash_outputs(ws, "cell_counts.tsv")
     assert main(["deconv", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
-    assert f"{ws / 'cell_counts.tsv'}: cell counts must be" in capsys.readouterr().err
+    path = ws / "cell_counts.tsv"
+    # the workspace refuses a non-finite cell as it parses the file
+    assert (f"{path}: cell counts must be non-negative" if value == "-3"
+            else f"non-finite cell in {path}") in capsys.readouterr().err
 
 
 def test_header_only_st_counts_exit_1_naming_the_file(trained, tmp_path, capsys):
@@ -452,23 +458,32 @@ def test_non_finite_checkpoint_exit_1(trained, tmp_path, capsys):
     ws = tmp_path / "ws"
     shutil.copytree(src, ws)
     model = load_reg(ws / "reg.ckpt")
-    model.head.layers[0].weight[0, 0] = np.inf
+    model.layers[0].weight[0, 0] = np.inf
     save_reg(ws / "reg.ckpt", model)
     rehash_outputs(ws, "reg.ckpt")
     assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
     assert "reg.ckpt" in capsys.readouterr().err
 
 
-def test_negative_reg_coef_exit_1(trained, tmp_path, capsys):
+@pytest.mark.parametrize("name,tag", [("align.ckpt", b"DUET-ALN1"),
+                                      ("fuse.ckpt", b"DUET-FUS1")])
+def test_old_checkpoint_layout_exit_1_naming_the_file(trained, tmp_path, capsys, name,
+                                                      tag):
+    # the layout before checkpoints held only nets: the old tag, the dims,
+    # an f64 scalar (the temperature, or reg_coef), then the parameters
     cfg, src = trained
     ws = tmp_path / "ws"
     shutil.copytree(src, ws)
-    adapter = load_fuse(ws / "fuse.ckpt")
-    adapter.reg_coef = -1.0
-    save_fuse(ws / "fuse.ckpt", adapter)
-    rehash_outputs(ws, "fuse.ckpt")
+    blob = (ws / name).read_bytes()
+    nets = 2 if name == "align.ckpt" else 1
+    pos = len(tag)
+    for _ in range(nets):
+        pos += 4 + 8 * int.from_bytes(blob[pos:pos + 4], "little")
+    (ws / name).write_bytes(tag + blob[len(tag):pos] + struct.pack("<d", 1.0) + blob[pos:])
+    rehash_outputs(ws, name)
     assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
-    assert str(ws / "fuse.ckpt") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"bad checkpoint magic in {ws / name}" in err
 
 
 def test_two_output_fuse_checkpoint_exit_1(trained, tmp_path, capsys):
@@ -476,8 +491,7 @@ def test_two_output_fuse_checkpoint_exit_1(trained, tmp_path, capsys):
     ws = tmp_path / "ws"
     shutil.copytree(src, ws)
     feature_dim = load_fuse(ws / "fuse.ckpt").mlp.in_dim
-    save_checkpoint(ws / "fuse.ckpt", MAGIC_FUSE, [1.0],
-                    [Mlp.init([feature_dim, 4, 2], Rng(0))])
+    save_checkpoint(ws / "fuse.ckpt", MAGIC_FUSE, [Mlp.init([feature_dim, 4, 2], Rng(0))])
     rehash_outputs(ws, "fuse.ckpt")
     assert main(["predict", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 1
     assert str(ws / "fuse.ckpt") in capsys.readouterr().err
@@ -489,11 +503,11 @@ def _resize_checkpoint(path, extra_in, extra_out=0):
     dim (the gene head's input dim, for align.ckpt) is larger by extra_out."""
     if path.name == "reg.ckpt":
         model = load_reg(path)
-        save_reg(path, RegModel.init(model.feature_dim + extra_in,
-                                     model.gene_dim + extra_out, Rng(0), hidden=(32, 32)))
+        save_reg(path, Mlp.init([model.in_dim + extra_in, 32, 32, model.out_dim + extra_out],
+                                Rng(0)))
     elif path.name == "fuse.ckpt":
         save_fuse(path, FuseAdapter.init(load_fuse(path).mlp.in_dim + extra_in, Rng(0),
-                                         hidden=16, reg_coef=1.0))
+                                         hidden=16))
     else:
         model = load_align(path)
         save_align(path, AlignModel.init(model.img_head.in_dim + extra_in,
@@ -541,3 +555,65 @@ def test_stale_input_exit_1(tmp_path, cfg_path, capsys, no_env_seed):
     write_matrix_tsv(ws / "st_counts.tsv", counts, rows, genes)
     assert main(["deconv", "--config", str(cfg_path), "--seed", "7", "--out", str(ws)]) == 1
     assert str(ws / "st_counts.tsv") in capsys.readouterr().err
+
+
+def _run(stage, cfg, ws) -> int:
+    return main([stage, "--config", str(cfg), "--seed", "7", "--out", str(ws)])
+
+
+@pytest.mark.parametrize("stage,name,edit", [("predict", "gating.tsv", "one row"),
+                                             ("align", "features_img.tsv", "one row"),
+                                             ("predict", "features_img.tsv", "last row dropped")])
+def test_too_few_rows_exit_1_naming_the_file(trained, tmp_path, capsys, stage, name, edit):
+    # the manifest no longer vouches for the file, so it is parsed whole, and
+    # the split positions reach past its last row (the last spot is a test
+    # spot at this seed)
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    lines = (ws / name).read_bytes().splitlines(keepends=True)
+    (ws / name).write_bytes(b"".join(lines[:2] if edit == "one row" else lines[:-1]))
+    rehash_outputs(ws, name)
+    assert _run(stage, cfg, ws) == 1
+    assert f"{ws / name} has no row at position" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_feature_cell_exit_1_naming_the_file(trained, tmp_path, capsys, value):
+    # on a test spot's row, where it would reach the regressor
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    m, rows, cols = read_matrix_tsv(ws / "features_fm.tsv")
+    m[rows.index(read_ids_tsv(ws / "split_test.tsv")[0]), 0] = float(value)
+    write_matrix_tsv(ws / "features_fm.tsv", m, rows, cols)
+    rehash_outputs(ws, "features_fm.tsv")
+    assert _run("predict", cfg, ws) == 1
+    assert f"non-finite cell in {ws / 'features_fm.tsv'}" in capsys.readouterr().err
+
+
+def test_unknown_split_id_exit_1_naming_the_file(trained, tmp_path, capsys):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    with open(ws / "split_test.tsv", "a", encoding="utf-8") as f:
+        f.write("no_such_spot\n")
+    rehash_outputs(ws, "split_test.tsv")
+    assert _run("predict", cfg, ws) == 1
+    err = capsys.readouterr().err
+    assert f"{ws / 'split_test.tsv'}: split id missing from" in err and "'no_such_spot'" in err
+
+
+@pytest.mark.parametrize("stage", ["deconv", "align", "predict"])
+def test_unmeasured_target_gene_exit_1_naming_both_files(trained, tmp_path, capsys, stage):
+    # either file may be the one at fault
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    with open(ws / "target_genes.tsv", "a", encoding="utf-8") as f:
+        f.write("gZZZZ\n")
+    rehash_outputs(ws, "target_genes.tsv")
+    assert _run(stage, cfg, ws) == 1
+    err = capsys.readouterr().err
+    assert f"{ws / 'st_counts.tsv'} has no column 'gZZZZ'" in err
+    assert str(ws / "target_genes.tsv") in err

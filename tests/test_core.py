@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from duet.core import (
     Layer,
     Mlp,
-    MlpGradients,
     Rng,
     SgdState,
     Tape,
@@ -35,7 +34,7 @@ def mlp_forward(net: Mlp, x: np.ndarray):
     return net.forward(x)
 
 
-def mlp_backward(net: Mlp, tape: Tape, d_loss_d_y: np.ndarray) -> MlpGradients:
+def mlp_backward(net: Mlp, tape: Tape, d_loss_d_y: np.ndarray) -> list[np.ndarray]:
     return net.backward(tape, d_loss_d_y)
 
 
@@ -141,16 +140,17 @@ class TestMlpBackward:
         net = Mlp.init([3, 5, 2], Rng(1))
         y, tape = mlp_forward(net, np.ones(3))
         grads = mlp_backward(net, tape, np.zeros_like(y))
-        for dw, db in grads.layers:
-            assert not dw.any() and not db.any()
+        # one gradient per parameter array, in param_arrays() order
+        assert [g.shape for g in grads] == [p.shape for p in net.param_arrays()]
+        assert not any(g.any() for g in grads)
 
     def test_scalar_linear_net(self):
         # y = w*x, dL/dy = 1 -> dL/dw = x
         net = Mlp([Layer(np.array([[2.0]]), np.zeros(1))])
         y, tape = mlp_forward(net, np.array([3.0]))
-        grads = mlp_backward(net, tape, np.array([1.0]))
-        assert grads.layers[0][0][0, 0] == 3.0
-        assert grads.layers[0][1][0] == 1.0
+        dw, db = mlp_backward(net, tape, np.array([1.0]))
+        assert dw[0, 0] == 3.0
+        assert db[0] == 1.0
 
     def test_stale_tape_rejected(self):
         net = Mlp.init([2, 2], Rng(5))
@@ -175,10 +175,7 @@ class TestMlpBackward:
                 net.set_flat(flat)
                 y, tape = mlp_forward(net, x)
                 grads = mlp_backward(net, tape, u)
-                flat_grad = np.concatenate(
-                    [np.concatenate([dw.ravel(), db]) for dw, db in grads.layers]
-                )
-                return float(y @ u), flat_grad
+                return float(y @ u), np.concatenate([g.ravel() for g in grads])
 
             err = fd_check(objective, net.get_flat())
             assert err < 1e-4, f"trial {trial}: fd error {err}"

@@ -49,8 +49,8 @@ def fuse_predict(adapter: FuseAdapter, f_s, y_ret, y_reg) -> FusedPrediction:
     return FusedPrediction(y_duet=y_duet, alpha=a, y_ret=y_ret, y_reg=y_reg)
 
 
-def fresh_adapter(seed=1, d=6, reg_coef=1.0):
-    return FuseAdapter.init(d, Rng(seed), hidden=32, reg_coef=reg_coef)
+def fresh_adapter(seed=1, d=6):
+    return FuseAdapter.init(d, Rng(seed), hidden=32)
 
 
 def randomized_adapter(seed=2, d=6):
@@ -91,7 +91,7 @@ class TestAlpha:
     def test_adapter_must_output_scalar(self):
         from duet.core import Mlp
         with pytest.raises(InputError):
-            FuseAdapter(mlp=Mlp.init([4, 8, 2], Rng(5)), reg_coef=1.0)
+            FuseAdapter(mlp=Mlp.init([4, 8, 2], Rng(5)))
 
 
 class TestFusePredict:
@@ -177,31 +177,36 @@ class TestFuseLoss:
                 p[...] = flat[i:i + sz].reshape(sh)
                 i += sz
             ad.mlp.touch()
-            loss, grads = fuse_loss(ad, heldout)
+            loss, grads = fuse_loss(ad, heldout, 1.0)
             return loss, np.concatenate([g.ravel() for g in grads])
 
         flat0 = ad.mlp.get_flat()
         assert fd_check(f, flat0) < 1e-4
+
+    @pytest.mark.parametrize("reg_coef", [-1.0, np.nan])
+    def test_rejects_a_negative_or_nan_reg_coef(self, reg_coef):
+        with pytest.raises(InputError, match="reg_coef must be non-negative"):
+            fuse_loss(fresh_adapter(22), synthetic_heldout(23, s_n=4), reg_coef)
 
 
 class TestTrainFuse:
     def test_zero_epochs_leaves_adapter_at_half(self):
         ad = fresh_adapter(30)
         before = ad.mlp.get_flat().copy()
-        train_fuse(ad, synthetic_heldout(31), epochs=0, opt=SgdState(lr=0.1))
+        train_fuse(ad, synthetic_heldout(31), epochs=0, opt=SgdState(lr=0.1), reg_coef=1.0)
         assert np.array_equal(ad.mlp.get_flat(), before)
         assert alpha(ad, np.ones(6)) == 0.5
 
     def test_retrieval_strictly_better_pushes_alpha_up(self):
         heldout = synthetic_heldout(33, ret_noise=0.0, reg_noise=2.0)
         ad = fresh_adapter(34)
-        train_fuse(ad, heldout, epochs=300, opt=SgdState(lr=0.5))
+        train_fuse(ad, heldout, epochs=300, opt=SgdState(lr=0.5), reg_coef=1.0)
         assert alpha_batch(ad, heldout[0]).mean() > 0.8
 
     def test_symmetric_branches_stay_near_half(self):
         heldout = synthetic_heldout(36, ret_noise=0.8, reg_noise=0.8)
         ad = fresh_adapter(37)
-        train_fuse(ad, heldout, epochs=300, opt=SgdState(lr=0.5))
+        train_fuse(ad, heldout, epochs=300, opt=SgdState(lr=0.5), reg_coef=1.0)
         mean_alpha = alpha_batch(ad, heldout[0]).mean()
         assert 0.4 <= mean_alpha <= 0.6
 
@@ -209,17 +214,17 @@ class TestTrainFuse:
         # the 1e6 penalty raises loss curvature by ~1e4, so the step size
         # must shrink accordingly or momentum oscillates into saturation
         heldout = synthetic_heldout(39, ret_noise=0.0, reg_noise=2.0)
-        ad = fresh_adapter(40, reg_coef=1e6)
-        train_fuse(ad, heldout, epochs=200, opt=SgdState(lr=1e-6))
+        ad = fresh_adapter(40)
+        train_fuse(ad, heldout, epochs=200, opt=SgdState(lr=1e-6), reg_coef=1e6)
         vals = alpha_batch(ad, heldout[0])
         assert np.max(np.abs(vals - 0.5)) < 1e-2
 
     def test_training_reduces_fused_error(self):
         heldout = synthetic_heldout(42, ret_noise=0.1, reg_noise=1.5)
         ad = fresh_adapter(43)
-        loss0, _ = fuse_loss(ad, heldout)
-        train_fuse(ad, heldout, epochs=200, opt=SgdState(lr=0.5))
-        loss1, _ = fuse_loss(ad, heldout)
+        loss0, _ = fuse_loss(ad, heldout, 1.0)
+        train_fuse(ad, heldout, epochs=200, opt=SgdState(lr=0.5), reg_coef=1.0)
+        loss1, _ = fuse_loss(ad, heldout, 1.0)
         assert loss1 < loss0
 
     def test_empty_heldout_rejected(self):
@@ -227,10 +232,11 @@ class TestTrainFuse:
         empty = (np.zeros((0, 6)), np.zeros((0, 3)), np.zeros((0, 3)),
                  np.zeros((0, 3)))
         with pytest.raises(InputError):
-            train_fuse(ad, empty, epochs=1, opt=SgdState(lr=0.1))
+            train_fuse(ad, empty, epochs=1, opt=SgdState(lr=0.1), reg_coef=1.0)
 
     def test_misaligned_heldout_rejected(self):
         ad = fresh_adapter(47)
         f, y_ret, y_reg, y = synthetic_heldout(48, s_n=10)
         with pytest.raises(InputError):
-            train_fuse(ad, (f, y_ret[:-1], y_reg, y), epochs=1, opt=SgdState(lr=0.1))
+            train_fuse(ad, (f, y_ret[:-1], y_reg, y), epochs=1, opt=SgdState(lr=0.1),
+                       reg_coef=1.0)

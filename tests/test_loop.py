@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from duet.align import AlignModel, train_align
-from duet.core import Rng, SgdState, descend, minibatches
+from duet.core import Mlp, Rng, SgdState, descend, minibatches
 from duet.errors import InputError, NumericError
 from duet.fuse import FuseAdapter, train_fuse
-from duet.regress import AnnealSchedule, RegModel, train_regress
+from duet.regress import AnnealSchedule, train_regress
 from duet.scprior import (
     PRIOR_Z05,
     ScDataset,
@@ -148,11 +148,11 @@ def run_align(epochs, lr=0.05):
 
 def run_regress(epochs, lr=0.01):
     x, y = paired_rows(8)
-    model = RegModel.init(5, 4, Rng(9), hidden=(8,))
-    before = model.head.get_flat().copy()
+    model = Mlp.init([5, 8, 4], Rng(9))
+    before = model.get_flat().copy()
     train_regress(x, y, None, AnnealSchedule(lambda0=0.0), epochs,
                   SgdState(lr=lr), Rng(10), model, batch_size=8)
-    return [before], [model.head.get_flat()], None
+    return [before], [model.get_flat()], None
 
 
 def run_fuse(epochs, lr=0.1, nan=False):
@@ -161,9 +161,9 @@ def run_fuse(epochs, lr=0.1, nan=False):
     y_ret, y_reg, y = (rng.child(k).standard_normal((20, 4)) for k in ("ret", "reg", "y"))
     if nan:
         y[3, 1] = np.nan
-    adapter = FuseAdapter.init(5, rng.child("init"), hidden=4, reg_coef=1.0)
+    adapter = FuseAdapter.init(5, rng.child("init"), hidden=4)
     before = adapter.mlp.get_flat().copy()
-    train_fuse(adapter, (f, y_ret, y_reg, y), epochs, SgdState(lr=lr))
+    train_fuse(adapter, (f, y_ret, y_reg, y), epochs, SgdState(lr=lr), 1.0)
     return [before], [adapter.mlp.get_flat()], None
 
 

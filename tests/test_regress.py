@@ -4,11 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duet.regress as regress_module
-from duet.core import Rng, SgdState, fd_check
+from duet.core import Mlp, Rng, SgdState, fd_check
 from duet.errors import InputError, NumericError
 from duet.regress import (
     AnnealSchedule,
-    RegModel,
     lambda_at,
     reg_loss,
     train_regress,
@@ -174,8 +173,8 @@ def retrieved(y, seed, noise=0.3):
 
 
 def wide_model(x, y, rng):
-    """A RegModel for x -> y with two hidden layers of 256 units."""
-    return RegModel.init(x.shape[1], y.shape[1], rng, hidden=(256, 256))
+    """A regressor for x -> y with two hidden layers of 256 units."""
+    return Mlp.init([x.shape[1], 256, 256, y.shape[1]], rng.child("reg-init"))
 
 
 
@@ -190,8 +189,8 @@ class TestTrainRegress:
                       None):
             model = train_regress(x, y, p_ret, sched, epochs=5,
                                   opt=SgdState(lr=0.01), rng=Rng(7), batch_size=32,
-                                  model=RegModel.init(8, 6, Rng(8), hidden=(16,)))
-            runs.append(model.head.get_flat())
+                                  model=Mlp.init([8, 16, 6], Rng(8).child("reg-init")))
+            runs.append(model.get_flat())
         assert all(np.array_equal(runs[0], run) for run in runs[1:])
 
     def test_heldout_pcc_beats_half(self):
@@ -199,11 +198,11 @@ class TestTrainRegress:
         x_tr, y_tr = x[:400], y[:400]
         x_te, y_te = x[400:], y[400:]
         sched = AnnealSchedule(lambda0=1.0, decay_epochs=30)
-        model = RegModel.init(16, 20, Rng(11), hidden=(64, 64))
-        fresh_mse = float(np.mean((model.predict(x_te) - y_te) ** 2))
+        model = Mlp.init([16, 64, 64, 20], Rng(11).child("reg-init"))
+        fresh_mse = float(np.mean((model.forward(x_te)[0] - y_te) ** 2))
         model = train_regress(x_tr, y_tr, retrieved(y_tr, 58), sched, epochs=60,
                               opt=SgdState(lr=0.03), rng=Rng(12), model=model)
-        pred = model.predict(x_te)
+        pred, _ = model.forward(x_te)
         final_mse = float(np.mean((pred - y_te) ** 2))
         assert final_mse < fresh_mse
         pccs = [
@@ -248,4 +247,4 @@ class TestTrainRegress:
         with pytest.raises(InputError):
             train_regress(x, y, None, AnnealSchedule(lambda0=0.0),
                           epochs=1, opt=SgdState(lr=0.01), rng=Rng(16),
-                          model=RegModel.init(8, 7, Rng(17), hidden=(16,)))
+                          model=Mlp.init([8, 16, 7], Rng(17)))

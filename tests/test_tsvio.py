@@ -21,7 +21,7 @@ from duet.core import Layer, Mlp, Rng
 from duet.errors import InputError
 from duet.fuse import MAGIC_FUSE, FuseAdapter, alpha_batch, load_fuse, save_fuse
 from duet.pipeline import PipelineConfig, stage_eval
-from duet.regress import MAGIC_REG, RegModel, load_reg, save_reg
+from duet.regress import MAGIC_REG, load_reg, save_reg
 from duet.tsvio import (
     read_bytes,
     read_ids_tsv,
@@ -104,12 +104,10 @@ class TestCheckpoints:
     def test_align_roundtrip(self, tmp_path):
         model = AlignModel.init(img_dim=10, gene_dim=14, rng=Rng(2),
                                 embed_dim=8, hidden=16)
-        model.temperature = 0.05
         path = tmp_path / "align.ckpt"
         save_align(path, model)
         back = load_align(path)
-        assert back.temperature == model.temperature
-        assert back.embed_dim == model.embed_dim
+        assert back.img_head.out_dim == back.gene_head.out_dim == 8
         x = Rng(3).child("x").standard_normal((5, 10))
         y = Rng(3).child("y").uniform(0, 3, size=(5, 14))
         assert np.array_equal(embed_images(back, x), embed_images(model, x))
@@ -117,43 +115,33 @@ class TestCheckpoints:
                               embed_expressions(model, y))
 
     def test_reg_roundtrip(self, tmp_path):
-        model = RegModel.init(12, 9, Rng(4), hidden=(16, 16))
+        model = Mlp.init([12, 16, 16, 9], Rng(4))
         path = tmp_path / "reg.ckpt"
         save_reg(path, model)
         back = load_reg(path)
-        assert back.feature_dim == 12 and back.gene_dim == 9
+        assert back.in_dim == 12 and back.out_dim == 9
         x = Rng(5).child("x").standard_normal((6, 12))
-        assert np.array_equal(back.predict(x), model.predict(x))
+        assert np.array_equal(back.forward(x)[0], model.forward(x)[0])
 
     def test_fuse_roundtrip(self, tmp_path):
-        ad = FuseAdapter.init(7, Rng(6), hidden=32, reg_coef=2.5)
+        ad = FuseAdapter.init(7, Rng(6), hidden=32)
         ad.mlp.layers[-1].bias[...] = 0.3
         ad.mlp.touch()
         path = tmp_path / "fuse.ckpt"
         save_fuse(path, ad)
         back = load_fuse(path)
-        assert back.reg_coef == 2.5
         f = Rng(7).child("f").standard_normal(7)
         assert np.array_equal(alpha_batch(back, f[None]), alpha_batch(ad, f[None]))
 
-    def test_negative_reg_coef_names_the_file(self, tmp_path):
-        ad = FuseAdapter.init(7, Rng(6), hidden=32, reg_coef=1.0)
-        ad.reg_coef = -1.0
-        path = tmp_path / "fuse.ckpt"
-        save_fuse(path, ad)
-        with pytest.raises(InputError) as err:
-            load_fuse(path)
-        assert str(path) in str(err.value)
-
     def test_wrong_magic_rejected(self, tmp_path):
-        model = RegModel.init(4, 3, Rng(8), hidden=(8,))
+        model = Mlp.init([4, 8, 3], Rng(8))
         path = tmp_path / "reg.ckpt"
         save_reg(path, model)
         with pytest.raises(InputError, match="magic"):
             load_align(path)
 
     def test_truncated_rejected(self, tmp_path):
-        model = RegModel.init(4, 3, Rng(9), hidden=(8,))
+        model = Mlp.init([4, 8, 3], Rng(9))
         path = tmp_path / "reg.ckpt"
         save_reg(path, model)
         blob = path.read_bytes()
@@ -162,7 +150,7 @@ class TestCheckpoints:
             load_reg(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        model = RegModel.init(4, 3, Rng(10), hidden=(8,))
+        model = Mlp.init([4, 8, 3], Rng(10))
         path = tmp_path / "reg.ckpt"
         save_reg(path, model)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
@@ -178,23 +166,22 @@ def _net(*layers) -> Mlp:
 
 class TestCheckpointGoldenBytes:
     """Each save function writes the layout the tsvio docstring gives: magic,
-    per net a u32 layer count and u32 (out, in) dims, the f64 scalars, then
-    per net each layer's weight row-major and bias, all little-endian."""
+    per net a u32 layer count and u32 (out, in) dims, then per net each
+    layer's weight row-major and bias, all little-endian."""
 
     def test_align(self, tmp_path):
         img = _net(([[1.5, -2.0]], [0.25]), ([[3.0], [-0.0]], [5e-324, 7.0]))
         gene = _net(([[0.5, 4.0, -1.0], [2.0, 0.0, 8.0]], [-3.5, 6.0]))
         expected = b"".join([
-            b"DUET-ALN1",
+            b"DUET-ALN2",
             struct.pack("<5I", 2, 1, 2, 2, 1),
             struct.pack("<3I", 1, 2, 3),
-            struct.pack("<d", 0.07),
             struct.pack("<3d", 1.5, -2.0, 0.25),
             struct.pack("<4d", 3.0, -0.0, 5e-324, 7.0),
             struct.pack("<8d", 0.5, 4.0, -1.0, 2.0, 0.0, 8.0, -3.5, 6.0),
         ])
         path = tmp_path / "align.ckpt"
-        data = save_align(path, AlignModel(img, gene, 0.07))
+        data = save_align(path, AlignModel(img, gene))
         assert data == path.read_bytes() == expected
 
     def test_reg(self, tmp_path):
@@ -207,20 +194,19 @@ class TestCheckpointGoldenBytes:
             struct.pack("<4d", -1.0, -2.0, -3.0, 1e300),
         ])
         path = tmp_path / "reg.ckpt"
-        data = save_reg(path, RegModel(head))
+        data = save_reg(path, head)
         assert data == path.read_bytes() == expected
 
     def test_fuse(self, tmp_path):
         mlp = _net(([[0.5], [-0.25]], [1.0, 2.0]), ([[4.0, 8.0]], [-0.0]))
         expected = b"".join([
-            b"DUET-FUS1",
+            b"DUET-FUS2",
             struct.pack("<5I", 2, 2, 1, 1, 2),
-            struct.pack("<d", 2.5),
             struct.pack("<4d", 0.5, -0.25, 1.0, 2.0),
             struct.pack("<3d", 4.0, 8.0, -0.0),
         ])
         path = tmp_path / "fuse.ckpt"
-        data = save_fuse(path, FuseAdapter(mlp, 2.5))
+        data = save_fuse(path, FuseAdapter(mlp))
         assert data == path.read_bytes() == expected
 
 
@@ -229,7 +215,7 @@ class TestCheckpointModelErrors:
 
     def test_fuse_net_with_two_outputs(self, tmp_path):
         path = tmp_path / "fuse.ckpt"
-        save_checkpoint(path, MAGIC_FUSE, [1.0], [Mlp.init([3, 4, 2], Rng(0))])
+        save_checkpoint(path, MAGIC_FUSE, [Mlp.init([3, 4, 2], Rng(0))])
         with pytest.raises(InputError, match="one scalar") as err:
             load_fuse(path)
         assert str(path) in str(err.value)
@@ -245,8 +231,7 @@ class TestCheckpointModelErrors:
 
     def test_align_heads_with_different_embed_dims(self, tmp_path):
         path = tmp_path / "align.ckpt"
-        save_checkpoint(path, MAGIC_ALIGN, [0.07],
-                        [Mlp.init([3, 2], Rng(0)), Mlp.init([4, 5], Rng(1))])
+        save_checkpoint(path, MAGIC_ALIGN, [Mlp.init([3, 2], Rng(0)), Mlp.init([4, 5], Rng(1))])
         with pytest.raises(InputError, match="embed dims") as err:
             load_align(path)
         assert str(path) in str(err.value)
@@ -689,44 +674,33 @@ def align_heads(draw):
 
 class TestCheckpointRoundTrips:
     @settings(max_examples=30, deadline=None)
-    @given(heads=align_heads(), temperature=FINITE)
+    @given(heads=align_heads())
     @example(heads=(Mlp([Layer(np.array([EDGE_ROW]), [5e-324])]),
-                    Mlp([Layer(np.array([[-0.0]]), [1.7e308])])),
-             temperature=-0.0)
-    def test_align(self, heads, temperature, tmp_path_factory):
+                    Mlp([Layer(np.array([[-0.0]]), [1.7e308])])))
+    def test_align(self, heads, tmp_path_factory):
         img, gene = heads
-        model = AlignModel(img_head=img, gene_head=gene, temperature=temperature)
         path = tmp_path_factory.mktemp("ck") / "align.ckpt"
-        save_align(path, model)
+        save_align(path, AlignModel(img_head=img, gene_head=gene))
         back = load_align(path)
         assert_same_mlp(back.img_head, img)
         assert_same_mlp(back.gene_head, gene)
-        assert bits(back.temperature) == bits(temperature)
-        assert back.embed_dim == img.out_dim
         resave_matches(save_align, load_align, path)
 
     @settings(max_examples=30, deadline=None)
     @given(head=mlps())
     def test_reg(self, head, tmp_path_factory):
-        model = RegModel(head=head)
         path = tmp_path_factory.mktemp("ck") / "reg.ckpt"
-        save_reg(path, model)
-        back = load_reg(path)
-        assert_same_mlp(back.head, head)
-        assert (back.feature_dim, back.gene_dim) == (head.in_dim, head.out_dim)
+        save_reg(path, head)
+        assert_same_mlp(load_reg(path), head)
         resave_matches(save_reg, load_reg, path)
 
     @settings(max_examples=30, deadline=None)
-    @given(mlp=mlps(out_dim=1),
-           reg_coef=st.floats(min_value=0.0, allow_infinity=False))
-    @example(mlp=Mlp([Layer(np.array([EDGE_ROW]), [-0.0])]),
-             reg_coef=5e-324)
-    def test_fuse(self, mlp, reg_coef, tmp_path_factory):
+    @given(mlp=mlps(out_dim=1))
+    @example(mlp=Mlp([Layer(np.array([EDGE_ROW]), [-0.0])]))
+    def test_fuse(self, mlp, tmp_path_factory):
         path = tmp_path_factory.mktemp("ck") / "fuse.ckpt"
-        save_fuse(path, FuseAdapter(mlp=mlp, reg_coef=reg_coef))
-        back = load_fuse(path)
-        assert_same_mlp(back.mlp, mlp)
-        assert bits(back.reg_coef) == bits(reg_coef)
+        save_fuse(path, FuseAdapter(mlp=mlp))
+        assert_same_mlp(load_fuse(path).mlp, mlp)
         resave_matches(save_fuse, load_fuse, path)
 
 
@@ -836,29 +810,25 @@ CHECKPOINTS = {
     "align": (save_align, load_align,
               lambda: AlignModel.init(3, 4, Rng(1), embed_dim=2, hidden=3),
               lambda m: m.gene_head),
-    "reg": (save_reg, load_reg, lambda: RegModel.init(3, 2, Rng(2), hidden=(4,)),
-            lambda m: m.head),
-    "fuse": (save_fuse, load_fuse,
-             lambda: FuseAdapter.init(3, Rng(3), hidden=32, reg_coef=1.0),
+    "reg": (save_reg, load_reg, lambda: Mlp.init([3, 4, 2], Rng(2)), lambda m: m),
+    "fuse": (save_fuse, load_fuse, lambda: FuseAdapter.init(3, Rng(3), hidden=32),
              lambda m: m.mlp),
 }
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("which,where", [
-    ("align", "weight"), ("align", "bias"), ("align", "temperature"),
+    ("align", "weight"), ("align", "bias"),
     ("reg", "weight"), ("reg", "bias"),
-    ("fuse", "weight"), ("fuse", "bias"), ("fuse", "reg_coef"),
+    ("fuse", "weight"), ("fuse", "bias"),
 ])
 def test_loaders_reject_non_finite(which, where, bad, tmp_path):
     save, load, make, net_of = CHECKPOINTS[which]
     model = make()
     if where == "weight":
         net_of(model).layers[-1].weight[0, -1] = bad
-    elif where == "bias":
-        net_of(model).layers[0].bias[-1] = bad
     else:
-        setattr(model, where, bad)
+        net_of(model).layers[0].bias[-1] = bad
     path = tmp_path / f"{which}.ckpt"
     save(path, model)
     with pytest.raises(InputError, match=f"non-finite.*{which}.ckpt"):
@@ -1142,9 +1112,9 @@ WRITERS = {
     "save_align": ("align.ckpt", lambda ws, k: save_align(
         ws / "align.ckpt", AlignModel.init(5, 6, Rng(k), embed_dim=4, hidden=8))),
     "save_reg": ("reg.ckpt", lambda ws, k: save_reg(
-        ws / "reg.ckpt", RegModel.init(5, 3, Rng(k), hidden=(8,)))),
+        ws / "reg.ckpt", Mlp.init([5, 8, 3], Rng(k)))),
     "save_fuse": ("fuse.ckpt", lambda ws, k: save_fuse(
-        ws / "fuse.ckpt", FuseAdapter.init(5, Rng(k), hidden=32, reg_coef=k + 1.0))),
+        ws / "fuse.ckpt", FuseAdapter.init(5, Rng(k), hidden=32))),
     "update_manifest": ("manifest.json", lambda ws, k: update_manifest(
         ws / "manifest.json", "synth", seed=k, config={"k": k}, outputs={},
         inputs={})),
