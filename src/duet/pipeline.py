@@ -51,8 +51,8 @@ from .fuse import FuseAdapter, fuse_predict_batch, load_fuse, save_fuse, train_f
 from .metrics import log1p_transform, metrics, variance_curve
 from .regress import BATCH_SIZE as REG_BATCH, AnnealSchedule, load_reg, save_reg, train_regress
 from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
-from .scprior import build_gating, deconvolve, fit_signatures, select_panel
-from .scprior import ScDataset
+from .scprior import ScDataset, build_gating, deconvolve, fit_signatures, select_panel
+from .scprior import validate_counts
 from .synth import SynthConfig, gen_sc, gen_spots
 from .tsvio import (
     column_positions,
@@ -71,7 +71,7 @@ MANIFEST = "manifest.json"
 
 @dataclass
 class TrainConfig:
-    sig_epochs: int = bound(120, ge=1)
+    sig_epochs: int = bound(30, ge=1)
     deconv_epochs: int = bound(40, ge=1)
     align_epochs: int = bound(30, ge=0)
     reg_epochs: int = bound(45, ge=1)
@@ -425,15 +425,20 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
         ("signature.tsv", "panel_genes.tsv", "proportions.tsv", "gating.tsv"))
 def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("deconv-stage")
-    sc_counts, cells, genes = ws.matrix("sc_counts.tsv")
+    sc_counts, _, genes = ws.matrix("sc_counts.tsv")
     labels, _, label_cols = ws.matrix("sc_labels.tsv")
     if label_cols != ["cell_type", "batch"]:
         raise InputError("sc_labels.tsv must have cell_type and batch columns")
-    data = ScDataset(
-        counts=sc_counts,
-        cell_type=labels[:, 0].astype(np.int64),
-        batch=labels[:, 1].astype(np.int64),
-    )
+    try:
+        sc_counts = validate_counts(sc_counts, "single-cell counts")
+    except InputError as exc:
+        raise InputError(f"{ws.root / 'sc_counts.tsv'}: {exc}") from None
+    if sc_counts.shape[0] == 0:
+        raise InputError(f"{ws.root / 'sc_counts.tsv'}: empty single-cell dataset")
+    try:
+        data = ScDataset(counts=sc_counts, cell_type=labels[:, 0], batch=labels[:, 1])
+    except InputError as exc:
+        raise InputError(f"{ws.root / 'sc_labels.tsv'}: {exc}") from None
     model = fit_signatures(data, cfg.train.sig_epochs, lr=cfg.train.sig_lr)
     signature = model.signature()  # (G, T)
     types = [f"t{j}" for j in range(data.n_types)]

@@ -13,7 +13,11 @@ as unconstrained reals mapped through softplus plus a 1e-6 floor. Batch
 effects are plain reals with batch 0 pinned to zero for identifiability, and
 cell scales are renormalized to mean 1 after every epoch (a pure
 reparameterization: the rescale is absorbed into mu so the objective value is
-unchanged). The deconvolution posterior over abundances w and detection
+unchanged). The signature fit starts from the method-of-moments NB fit of
+_init_signature_model, as edgeR and DESeq2 start theirs, and steps each
+group by its share of the table: a cell's scale by C, a gene's dispersion
+by G, a type's rates and a batch's effects by C*G over the group's cell
+count. The deconvolution posterior over abundances w and detection
 efficiency d is log-normal: w = exp(loc + exp(logstd) * eps). Its KL against
 the log-normal(0,1) prior is closed-form; the likelihood term uses one
 reparameterized Monte-Carlo sample per step with noise drawn from a
@@ -76,6 +80,10 @@ PRIOR_Z05 = -1.6448536269514722  # standard normal 5% quantile
 # floor on each abundance as a share of the spot's uniform-mix abundance d0
 START_STEPS = 30
 START_FLOOR = 1e-8
+# the signature fit's moment start: the floor on its rates and cell scales,
+# and the range its dispersions are clipped to
+SIG_FLOOR = 0.05
+DISP_RANGE = (0.1, 100.0)
 
 
 def softplus(x):
@@ -136,8 +144,11 @@ class ScDataset:
 
     def __post_init__(self):
         self.counts = validate_counts(self.counts, "single-cell counts")
-        self.cell_type = np.asarray(self.cell_type, dtype=np.int64)
-        self.batch = np.asarray(self.batch, dtype=np.int64)
+        for name in ("cell_type", "batch"):  # a fractional label is refused, not truncated
+            labels = np.asarray(getattr(self, name))
+            if not (np.all(np.isfinite(labels)) and np.all(labels == np.rint(labels))):
+                raise InputError(f"{name} labels must be integers")
+            setattr(self, name, labels.astype(np.int64, copy=False))
         c = self.counts.shape[0]
         if c == 0:
             raise InputError("empty single-cell dataset")
@@ -488,16 +499,33 @@ def signature_loss(model: NbSignatureModel, data: ScDataset,
 
 
 def _init_signature_model(data: ScDataset) -> NbSignatureModel:
-    # start mu at per-type mean counts: close to the optimum for l=1, m=0
-    mu0 = np.zeros((data.n_types, data.n_genes))
-    for t in range(data.n_types):
-        mu0[t] = data.counts[data.cell_type == t].mean(axis=0)
-    mu0 = np.maximum(mu0, 0.05)
+    """The method-of-moments NB fit, batch effects at zero. A cell's scale
+    l is its library size over its type's mean one (1 if that is 0), floored
+    at SIG_FLOOR and renormalized to mean 1; a type's rates mu are its mean
+    of z = x / l, floored at SIG_FLOOR; a gene's dispersion is mean(mu^2) /
+    (var(z - mu) - mean(mu / l)) over the cells, clipped to DISP_RANGE (its
+    top where the denominator is not positive)."""
+    types = data.cell_type
+    onehot = (types[:, None] == np.arange(data.n_types)).astype(np.float64)  # (C, T)
+    n_t = onehot.sum(axis=0)
+    lib = data.counts.sum(axis=1, dtype=np.float64)
+    type_lib = (lib @ onehot / n_t)[types]
+    scale = np.divide(lib, type_lib, out=np.ones(data.n_cells), where=type_lib > 0)
+    scale = np.maximum(scale, SIG_FLOOR)
+    scale /= scale.mean()
+
+    z = data.counts / scale[:, None]  # (C, G)
+    mu = onehot.T @ z / n_t[:, None]  # (T, G)
+    mu_sq = n_t @ np.square(mu) / data.n_cells  # z's within-type variance is mean(z^2) - mu_sq
+    poisson = (1.0 / scale) @ onehot @ mu / data.n_cells
+    excess = np.square(z, out=z).mean(axis=0) - mu_sq - poisson
+    disp = np.divide(mu_sq, excess, out=np.full(excess.shape, DISP_RANGE[1]),
+                     where=excess > 0)
     return NbSignatureModel(
-        raw_mu=positive_inv(mu0),
+        raw_mu=positive_inv(np.maximum(mu, SIG_FLOOR)),
         batch_effect=np.zeros((data.n_batches, data.n_genes)),
-        raw_cell_scale=np.full(data.n_cells, float(positive_inv(1.0))),
-        raw_dispersion=np.full(data.n_genes, float(positive_inv(1.0))),
+        raw_cell_scale=positive_inv(scale),
+        raw_dispersion=positive_inv(np.clip(disp, *DISP_RANGE)),
     )
 
 
@@ -512,10 +540,17 @@ def _repin_cell_scales(model: NbSignatureModel):
 def fit_signatures(data: ScDataset, epochs: int, *, lr: float) -> NbSignatureModel:
     """Fit the signature model by full-batch MAP gradient descent; the fit
     draws no noise, so it needs no rng."""
+    model = _init_signature_model(data)  # its (C, G) temporary goes before the table's
     table = _signature_table(data)
-    model = _init_signature_model(data)
     opt = SgdState(lr=lr, weight_decay=0.0)
-    scales = (1, 1, data.n_cells, data.n_genes)  # shared, shared, per cell, per gene
+    # an entry of a type's or a batch's row sums over the n cells of the
+    # group, n/(C*G) of the table; a cell's entries are 1/C of it, a gene's
+    # 1/G (a batch without cells keeps its zero row at any scale)
+    entries = data.n_cells * data.n_genes
+    per_type = np.bincount(data.cell_type, minlength=data.n_types)
+    per_batch = np.maximum(np.bincount(data.batch, minlength=data.n_batches), 1)
+    scales = (entries / per_type[:, None], entries / per_batch[:, None],
+              data.n_cells, data.n_genes)
 
     def batches(epoch):
         loss, grads = signature_loss(model, data, table)

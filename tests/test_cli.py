@@ -617,3 +617,45 @@ def test_unmeasured_target_gene_exit_1_naming_both_files(trained, tmp_path, caps
     err = capsys.readouterr().err
     assert f"{ws / 'st_counts.tsv'} has no column 'gZZZZ'" in err
     assert str(ws / "target_genes.tsv") in err
+
+
+def _edit_cell(ws: Path, name: str, row: int, col: int, value: float) -> None:
+    m, rows, cols = read_matrix_tsv(ws / name)
+    m[row, col] = value
+    write_matrix_tsv(ws / name, m, rows, cols)
+
+
+def _merge_type_1_into_0(ws: Path) -> None:
+    m, rows, cols = read_matrix_tsv(ws / "sc_labels.tsv")
+    m[m[:, 0] == 1, 0] = 0
+    write_matrix_tsv(ws / "sc_labels.tsv", m, rows, cols)
+
+
+def _drop_last_label(ws: Path) -> None:
+    lines = (ws / "sc_labels.tsv").read_bytes().splitlines(keepends=True)
+    (ws / "sc_labels.tsv").write_bytes(b"".join(lines[:-1]))
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    # a fractional label used to be truncated: batch 0.5 read as 0, type 1.7 as 1
+    ("sc_labels.tsv", lambda ws: _edit_cell(ws, "sc_labels.tsv", 3, 1, 0.5),
+     "batch labels must be integers"),
+    ("sc_labels.tsv", lambda ws: _edit_cell(ws, "sc_labels.tsv", 3, 0, 1.7),
+     "cell_type labels must be integers"),
+    ("sc_labels.tsv", lambda ws: _edit_cell(ws, "sc_labels.tsv", 3, 1, -1.0),
+     "batch labels out of range"),
+    ("sc_labels.tsv", _drop_last_label, "cell_type and batch must have one label per cell"),
+    ("sc_labels.tsv", _merge_type_1_into_0, "cell type 1 has no cells"),
+    ("sc_counts.tsv", lambda ws: _edit_cell(ws, "sc_counts.tsv", 3, 2, 2.5),
+     "single-cell counts must be integers"),
+], ids=["fractional-batch", "fractional-type", "negative-batch", "short-labels",
+        "empty-type", "fractional-count"])
+def test_bad_single_cell_input_exit_1_naming_the_file(trained, tmp_path, capsys, name,
+                                                      edit, message):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    edit(ws)
+    rehash_outputs(ws, name)
+    assert _run("deconv", cfg, ws) == 1
+    assert f"{ws / name}: {message}" in capsys.readouterr().err

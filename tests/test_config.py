@@ -106,7 +106,7 @@ TRAFFIC = [
                "embed_dim": 32, "fuse_epochs": 150, "fuse_frac": 0.1,
                "fuse_hidden": 32, "fuse_lr": 0.3, "panel_size": 100,
                "reg_batch": 128, "reg_coef": 1.0, "reg_epochs": 45,
-               "reg_hidden": [64, 64], "reg_lr": 0.03, "sig_epochs": 120,
+               "reg_hidden": [64, 64], "reg_lr": 0.03, "sig_epochs": 30,
                "sig_lr": 0.2, "train_frac": 0.7}},
     {"seed": 0,
      "synth": {"n_types": 3, "n_genes": 160, "n_target_genes": 40,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from duet import pipeline
+from duet import pipeline, scprior
 from duet.errors import InputError
 from duet.pipeline import (
     PIPELINE_ORDER,
@@ -22,6 +22,7 @@ from duet.pipeline import (
     run_pipeline,
     stage_predict,
 )
+from duet.scprior import fit_signatures
 from duet.synth import gen_sc, gen_spots
 from duet.tsvio import read_ids_tsv, read_matrix_tsv, write_matrix_tsv
 
@@ -498,6 +499,40 @@ def test_default_deconv_epochs_converge(tmp_path, seed):
     short = _proportion_mae(tmp_path / "short", seed)
     long = _proportion_mae(tmp_path / "long", seed, deconv_epochs=3 * epochs)
     assert short - long < 0.02
+
+
+def _signature_fit(seed: int, epochs: int):
+    """The default config's single-cell reference at `seed`, its truth, and
+    its signature fit of `epochs` epochs at the default rate."""
+    data, truth = gen_sc(replace(PipelineConfig().synth, seed=seed))
+    return data, truth, fit_signatures(data, epochs, lr=TrainConfig().sig_lr)
+
+
+def _log_mu_error(model, truth) -> float:
+    return float(np.mean(np.abs(np.log(model.mu) - np.log(truth.mu_true))))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_signature_fit_moves_rates_and_batch_effects(seed):
+    # the batch-1 effect's SD lands within 15% of the truth's (0.29-0.32;
+    # unscaled steps left it at a tenth of that), and the log-rate error
+    # falls at least 0.02 below the start's (unscaled, it stayed there)
+    data, truth, model = _signature_fit(seed, TrainConfig().sig_epochs)
+    sd, true_sd = model.batch_effect[1].std(), truth.batch_true[1].std()
+    assert abs(sd / true_sd - 1.0) < 0.15
+    start = scprior._init_signature_model(data)
+    assert _log_mu_error(model, truth) < _log_mu_error(start, truth) - 0.02
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_sig_epochs_converge(seed):
+    # a 3x longer fit lowers the final loss by under 0.002 and the log-rate
+    # error by under 0.005, so the default epochs do not trade the fit for speed
+    epochs = TrainConfig().sig_epochs
+    _, truth, short = _signature_fit(seed, epochs)
+    _, _, long = _signature_fit(seed, 3 * epochs)
+    assert short.fit_trace[-1] - long.fit_trace[-1] < 0.002
+    assert _log_mu_error(short, truth) - _log_mu_error(long, truth) < 0.005
 
 
 def test_no_stage_after_deconv_reads_ground_truth():

@@ -492,6 +492,20 @@ class TestScDataset:
         assert scprior.validate_counts(floats, dtype=np.float64) is floats
         assert np.array_equal(scprior.validate_counts(floats), ints)
 
+    @pytest.mark.parametrize("field", ["cell_type", "batch"])
+    def test_rejects_fractional_labels(self, field):
+        # not truncated: 0.5 would read as label 0
+        labels = {"cell_type": np.array([0.0, 0.0]), "batch": np.array([0.0, 0.0])}
+        labels[field][1] = 0.5
+        with pytest.raises(InputError, match=f"{field} labels must be integers"):
+            ScDataset(counts=np.ones((2, 2), dtype=int), **labels)
+
+    def test_integral_float_labels_give_int_labels(self):
+        data = ScDataset(counts=np.ones((2, 2), dtype=int),
+                         cell_type=np.array([0.0, 1.0]), batch=np.array([1.0, 0.0]))
+        assert data.cell_type.dtype == np.int64 and data.batch.dtype == np.int64
+        assert data.cell_type.tolist() == [0, 1] and data.batch.tolist() == [1, 0]
+
     def test_rejects_label_out_of_range(self):
         with pytest.raises(InputError):
             ScDataset(
@@ -592,6 +606,57 @@ class TestFitSignatures:
         model = fit_signatures(data, epochs=200, lr=0.2)
         tail = np.asarray(model.fit_trace[-20:])
         assert np.all(np.diff(tail) <= 1e-9)
+
+
+def degenerate_dataset(case: str) -> ScDataset:
+    """A small table with one degenerate feature, or the all-zero table of
+    test_zero_counts_hit_floor_without_crash."""
+    if case == "all-zero table":
+        return ScDataset(counts=np.zeros((3, 4), dtype=int),
+                         cell_type=np.array([0, 1, 2]), batch=np.array([0, 0, 0]))
+    data = tiny_dataset()
+    counts, types = data.counts.copy(), data.cell_type.copy()
+    if case == "all-zero cell":
+        counts[5] = 0
+    elif case == "all-zero gene":
+        counts[:, 2] = 0
+    elif case == "one-cell type":
+        types[types == 1] = 0
+        types[7] = 1
+    return ScDataset(counts=counts, cell_type=types, batch=data.batch)
+
+
+class TestMomentStart:
+    @pytest.mark.parametrize("case", ["all-zero cell", "all-zero gene", "one-cell type",
+                                      "all-zero table"])
+    def test_finite_and_positive_on_degenerate_tables(self, case):
+        # a RuntimeWarning (0/0, log 0) is an error under pyproject.toml
+        data = degenerate_dataset(case)
+        model = scprior._init_signature_model(data)
+        assert all(np.all(np.isfinite(p)) for p in model.param_arrays())
+        assert np.all(model.mu >= scprior.SIG_FLOOR * (1 - 1e-9))
+        assert np.all(model.cell_scale > 0)
+        assert model.cell_scale.mean() == pytest.approx(1.0, rel=1e-9)
+        lo, hi = scprior.DISP_RANGE
+        assert np.all((model.dispersion > lo * (1 - 1e-9)) & (model.dispersion < hi * (1 + 1e-9)))
+        assert np.all(model.batch_effect == 0.0)
+        fitted = fit_signatures(data, 3, lr=0.2)
+        assert all(np.all(np.isfinite(p)) for p in fitted.param_arrays())
+
+    def test_is_the_moment_fit_of_one_type(self):
+        # one type, one batch, NB(5, 2) counts and library sizes that vary
+        # only by chance: the start's rate and dispersion are the sample's
+        # (with few genes, dividing by the library absorbs more of each
+        # cell's noise and the dispersion reads high)
+        counts = sample_nb(Rng(7).child("x"), 5.0, 2.0, (2000, 200))
+        data = ScDataset(counts=counts, cell_type=np.zeros(2000, dtype=int),
+                         batch=np.zeros(2000, dtype=int))
+        model = scprior._init_signature_model(data)
+        lib = counts.sum(axis=1)
+        assert np.allclose(model.cell_scale, lib / lib.mean(), rtol=1e-9)
+        assert np.all(np.abs(model.mu[0] / 5.0 - 1.0) < 0.1)
+        assert np.all(np.abs(model.dispersion / 2.0 - 1.0) < 0.25)
+        assert abs(np.median(model.dispersion) / 2.0 - 1.0) < 0.05
 
 
 class TestDeconvLoss:
@@ -833,8 +898,8 @@ class TestScaledStep:
         c = data.n_cells
         one = fit_signatures(data, 1, lr=0.2)
         two = fit_signatures(duplicated_cells(data), 1, lr=0.2)
-        init = float(positive_inv(1.0))
-        assert np.all(one.raw_cell_scale != init)
+        start = scprior._init_signature_model(data)
+        assert np.all(one.raw_cell_scale != start.raw_cell_scale)
         for half in (two.raw_cell_scale[:c], two.raw_cell_scale[c:]):
             assert np.allclose(half, one.raw_cell_scale, rtol=0.0, atol=1e-12)
         for k in ("raw_mu", "batch_effect", "raw_dispersion"):
