@@ -76,23 +76,24 @@ def infonce_loss(v: np.ndarray, h: np.ndarray, tau: float):
     if tau <= 0:
         raise InputError("temperature must be positive")
 
-    scores = (v @ h.T) / tau
+    # in place on three (n, n) arrays: each diagonal is read before its exp
+    scores = v @ h.T
+    scores /= tau
     # row direction: v_i against all h_j
-    row_shift = scores - scores.max(axis=1, keepdims=True)
-    row_exp = np.exp(row_shift)
-    row_sum = row_exp.sum(axis=1, keepdims=True)
-    row_soft = row_exp / row_sum
+    row = scores - scores.max(axis=1, keepdims=True)
     # column direction: h_i against all v_j, same score matrix read down columns
-    col_shift = scores - scores.max(axis=0, keepdims=True)
-    col_exp = np.exp(col_shift)
-    col_sum = col_exp.sum(axis=0, keepdims=True)
-    col_soft = col_exp / col_sum
-
+    col = scores - scores.max(axis=0, keepdims=True)
     diag = np.arange(n)
-    loss = -0.5 / n * ((row_shift[diag, diag] - np.log(row_sum[:, 0])).sum()
-                       + (col_shift[diag, diag] - np.log(col_sum[0])).sum())
+    row_pos, col_pos = row[diag, diag], col[diag, diag]
+    row_sum = np.exp(row, out=row).sum(axis=1, keepdims=True)
+    col_sum = np.exp(col, out=col).sum(axis=0, keepdims=True)
+    loss = -0.5 / n * ((row_pos - np.log(row_sum[:, 0])).sum()
+                       + (col_pos - np.log(col_sum[0])).sum())
 
-    d_scores = (row_soft + col_soft) / (2.0 * n)
+    # d_scores = (row softmax + column softmax) / 2n - I/n, in scores
+    d_scores = np.add(np.divide(row, row_sum, out=row), np.divide(col, col_sum, out=col),
+                      out=scores)
+    d_scores /= 2.0 * n
     d_scores[diag, diag] -= 1.0 / n
     dv = (d_scores @ h) / tau
     dh = (d_scores.T @ v) / tau

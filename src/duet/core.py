@@ -1,6 +1,7 @@
 """Numerical kernel: dense matrices, a small MLP with hand-written backprop to
 its parameters (no fit reads a gradient w.r.t. the input, so backward makes
-none), SGD with momentum and the one training loop and minibatch schedule
+none), column standardization and its fold into a net's first layer, SGD
+with momentum and the one training loop and minibatch schedule
 every fit runs on, a counter-based RNG, and a finite-difference gradient
 checker.
 
@@ -258,6 +259,31 @@ class Mlp:
             if k:
                 da = dz @ self.layers[k].weight
         return grads
+
+
+def standardize(x):
+    """(z, mean, sd): the rows of x with each column centred on its mean and
+    divided by its population SD. An SD of 0 counts as 1, as does a column
+    whose values are all equal, whose computed SD may be a rounding error
+    above 0. Moments that overflow raise an InputError."""
+    x = as_matrix(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        sd = x.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise InputError("column mean or SD is not finite")
+    sd[(sd == 0.0) | (x == x[:1]).all(axis=0)] = 1.0
+    return (x - mean) / sd, mean, sd
+
+
+def fold_standardization(net: Mlp, mean, sd) -> None:
+    """Make `net`, trained on standardize's z = (x - mean) / sd, map the raw
+    rows x as it mapped z: its first layer's W becomes W / sd and its bias
+    b - (W / sd) mean."""
+    first = net.layers[0]
+    first.weight /= sd
+    first.bias -= first.weight @ mean
+    net.touch()
 
 
 # ---------------------------------------------------------------------------

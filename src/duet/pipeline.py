@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .align import load_align, save_align, train_align
-from .core import Mlp, Rng, SgdState, bound, check_config
+from .core import Mlp, Rng, SgdState, bound, check_config, fold_standardization, standardize
 from .errors import InputError
 from .fuse import FuseAdapter, fuse_predict_batch, load_fuse, save_fuse, train_fuse
 from .metrics import log1p_transform, metrics, variance_curve
@@ -73,7 +73,7 @@ MANIFEST = "manifest.json"
 class TrainConfig:
     sig_epochs: int = bound(30, ge=1)
     deconv_epochs: int = bound(40, ge=1)
-    align_epochs: int = bound(30, ge=0)
+    align_epochs: int = bound(10, ge=0)
     reg_epochs: int = bound(45, ge=1)
     fuse_epochs: int = bound(150, ge=0)
     sig_lr: float = bound(0.2, gt=0)
@@ -425,8 +425,8 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
         ("signature.tsv", "panel_genes.tsv", "proportions.tsv", "gating.tsv"))
 def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("deconv-stage")
-    sc_counts, _, genes = ws.matrix("sc_counts.tsv")
-    labels, _, label_cols = ws.matrix("sc_labels.tsv")
+    sc_counts, cells, genes = ws.matrix("sc_counts.tsv")
+    labels, label_cells, label_cols = ws.matrix("sc_labels.tsv")
     if label_cols != ["cell_type", "batch"]:
         raise InputError("sc_labels.tsv must have cell_type and batch columns")
     try:
@@ -439,6 +439,9 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
         data = ScDataset(counts=sc_counts, cell_type=labels[:, 0], batch=labels[:, 1])
     except InputError as exc:
         raise InputError(f"{ws.root / 'sc_labels.tsv'}: {exc}") from None
+    if label_cells != cells:
+        raise InputError(f"{ws.root / 'sc_labels.tsv'}: row ids disagree with the cell "
+                         f"ids of {ws.root / 'sc_counts.tsv'}")
     model = fit_signatures(data, cfg.train.sig_epochs, lr=cfg.train.sig_lr)
     signature = model.signature()  # (G, T)
     types = [f"t{j}" for j in range(data.n_types)]
@@ -483,15 +486,33 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
          "split_train.tsv"),
         ("align.ckpt",))
 def stage_align(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
+    """Fit both heads on the training spots' image features and log1p targets,
+    each standardized by its own column moments, then fold those maps into
+    the heads' first layers, so align.ckpt maps raw rows."""
     rng = Rng(seed).child("align-stage")
     spots, _, y = _targets(ws)
     [idx] = _splits(ws, spots, "train")
+    x, x_mean, x_sd = _standardized(ws, "features_img.tsv",
+                                    ws.spot_matrix("features_img.tsv", rows=idx))
+    z, y_mean, y_sd = _standardized(ws, "st_counts.tsv", y[idx])
     tc = cfg.train
-    model = train_align(ws.spot_matrix("features_img.tsv", rows=idx), y[idx],
-                        tc.align_epochs, SgdState(lr=tc.align_lr), rng,
+    model = train_align(x, z, tc.align_epochs, SgdState(lr=tc.align_lr), rng,
                         batch_size=tc.align_batch, embed_dim=tc.embed_dim,
                         hidden=tc.align_hidden)
+    fold_standardization(model.img_head, x_mean, x_sd)
+    fold_standardization(model.gene_head, y_mean, y_sd)
     ws.save("align.ckpt", save_align, model)
+
+
+def _standardized(ws: Workspace, name: str, m):
+    """standardize(m) of training rows read from `name`: some column must vary
+    and the moments must be finite, or the InputError names the file."""
+    if (m == m[:1]).all():
+        raise InputError(f"{ws.root / name}: no column varies over the training spots")
+    try:
+        return standardize(m)
+    except InputError as exc:
+        raise InputError(f"{ws.root / name}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

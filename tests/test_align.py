@@ -91,6 +91,39 @@ class TestInfoNce:
             infonce_loss(v, v, 0.0)
 
 
+def infonce_oracle(v, h, tau):
+    """infonce_loss as it was before it computed in place: the reference its
+    loss and gradients must equal bit for bit."""
+    n = v.shape[0]
+    scores = (v @ h.T) / tau
+    row_shift = scores - scores.max(axis=1, keepdims=True)
+    row_exp = np.exp(row_shift)
+    row_sum = row_exp.sum(axis=1, keepdims=True)
+    row_soft = row_exp / row_sum
+    col_shift = scores - scores.max(axis=0, keepdims=True)
+    col_exp = np.exp(col_shift)
+    col_sum = col_exp.sum(axis=0, keepdims=True)
+    col_soft = col_exp / col_sum
+    diag = np.arange(n)
+    loss = -0.5 / n * ((row_shift[diag, diag] - np.log(row_sum[:, 0])).sum()
+                       + (col_shift[diag, diag] - np.log(col_sum[0])).sum())
+    d_scores = (row_soft + col_soft) / (2.0 * n)
+    d_scores[diag, diag] -= 1.0 / n
+    return float(loss), (d_scores @ h) / tau, (d_scores.T @ v) / tau
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 128])
+def test_infonce_equals_the_oracle_bit_for_bit(n):
+    for seed in range(3):
+        rng = Rng(seed)
+        v = unit_rows(rng.child("v"), n, 32)
+        h = unit_rows(rng.child("h"), n, 32)
+        loss, dv, dh = infonce_loss(v, h, TEMPERATURE)
+        want_loss, want_dv, want_dh = infonce_oracle(v, h, TEMPERATURE)
+        assert loss == want_loss
+        assert np.array_equal(dv, want_dv) and np.array_equal(dh, want_dh)
+
+
 class TestNormalization:
     def test_gradient_orthogonal_to_embedding(self):
         # tangency: the gradient reaching the raw output has no radial component

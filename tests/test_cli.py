@@ -659,3 +659,44 @@ def test_bad_single_cell_input_exit_1_naming_the_file(trained, tmp_path, capsys,
     rehash_outputs(ws, name)
     assert _run("deconv", cfg, ws) == 1
     assert f"{ws / name}: {message}" in capsys.readouterr().err
+
+
+def test_label_rows_of_other_cells_exit_1_naming_both_files(trained, tmp_path, capsys):
+    # each row keeps its cell's labels, but in reverse order: only the ids show
+    # that each cell would be fitted under another cell's type and batch
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    m, rows, cols = read_matrix_tsv(ws / "sc_labels.tsv")
+    write_matrix_tsv(ws / "sc_labels.tsv", m[::-1], rows[::-1], cols)
+    rehash_outputs(ws, "sc_labels.tsv")
+    assert _run("deconv", cfg, ws) == 1
+    assert (f"{ws / 'sc_labels.tsv'}: row ids disagree with the cell ids of "
+            f"{ws / 'sc_counts.tsv'}") in capsys.readouterr().err
+
+
+def _huge_training_cell(ws: Path) -> None:
+    spots = read_matrix_tsv(ws / "features_img.tsv")[1]
+    row = spots.index(read_ids_tsv(ws / "split_train.tsv")[0])
+    _edit_cell(ws, "features_img.tsv", row, 0, 1e308)
+
+
+def _zero_features(ws: Path) -> None:
+    m, rows, cols = read_matrix_tsv(ws / "features_img.tsv")
+    write_matrix_tsv(ws / "features_img.tsv", np.zeros_like(m), rows, cols)
+
+
+@pytest.mark.parametrize("edit,message", [
+    # finite, but its column's SD overflows
+    (_huge_training_cell, "column mean or SD is not finite"),
+    # every spot would embed alike: the head's output is its bias alone
+    (_zero_features, "no column varies over the training spots"),
+], ids=["huge-cell", "all-zero"])
+def test_bad_image_features_exit_1_naming_the_file(trained, tmp_path, capsys, edit, message):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    edit(ws)
+    rehash_outputs(ws, "features_img.tsv")
+    assert _run("align", cfg, ws) == 1
+    assert f"{ws / 'features_img.tsv'}: {message}" in capsys.readouterr().err

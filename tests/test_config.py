@@ -101,7 +101,7 @@ TRAFFIC = [
      "synth": {"feature_dim": 64, "feature_noise_std": 0.1, "n_batches": 2,
                "n_cells_per_type": 150, "n_genes": 220, "n_spots": 80,
                "n_target_genes": 80, "n_types": 4, "reads_per_spot": None},
-     "train": {"align_batch": 128, "align_epochs": 30, "align_hidden": 64,
+     "train": {"align_batch": 128, "align_epochs": 10, "align_hidden": 64,
                "align_lr": 0.05, "deconv_epochs": 40, "deconv_lr": 0.1,
                "embed_dim": 32, "fuse_epochs": 150, "fuse_frac": 0.1,
                "fuse_hidden": 32, "fuse_lr": 0.3, "panel_size": 100,

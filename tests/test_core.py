@@ -12,6 +12,8 @@ from duet.core import (
     _ensure_finite,
     as_matrix,
     fd_check,
+    fold_standardization,
+    standardize,
 )
 from duet.errors import InputError
 
@@ -239,6 +241,46 @@ class TestSgd:
         opt = SgdState(lr=0.1)
         with pytest.raises(InputError):
             opt.step([np.zeros(3)], [np.zeros(4)])
+
+
+def _offset_columns(seed: int, n: int) -> np.ndarray:
+    """(n, 5) rows far from centred, as synth's features are (column means
+    near 3, SDs near 0.5); column 2 holds 0.1 throughout, whose mean over 3 or
+    7 rows rounds away from 0.1."""
+    x = 3.0 + 0.5 * Rng(seed).child("x").standard_normal((n, 5))
+    x[:, 2] = 0.1
+    return x
+
+
+class TestStandardize:
+    @pytest.mark.parametrize("n", [1, 3, 7, 40])
+    def test_folded_net_on_raw_rows_matches_the_net_on_standardized_rows(self, n):
+        for seed in range(3):
+            x = _offset_columns(seed, n)
+            net = Mlp.init([5, 8, 3], Rng(seed).child("net"))
+            z, mean, sd = standardize(x)
+            want, _ = net.forward(z)
+            fold_standardization(net, mean, sd)
+            got, _ = net.forward(x)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 40])
+    def test_moments(self, n):
+        z, mean, sd = standardize(_offset_columns(0, n))
+        assert sd[2] == 1.0 and np.max(np.abs(z[:, 2])) < 1e-15
+        if n == 1:  # every column is constant
+            assert np.array_equal(sd, np.ones(5)) and np.array_equal(z, np.zeros((1, 5)))
+        else:
+            varying = [0, 1, 3, 4]
+            assert np.allclose(z[:, varying].mean(axis=0), 0.0, atol=1e-14)
+            assert np.allclose(z[:, varying].std(axis=0), 1.0, rtol=1e-14)
+
+    def test_overflowing_moments_refused(self):
+        # the squares overflow with no RuntimeWarning (which pytest would raise)
+        x = _offset_columns(1, 6)
+        x[3, 0] = 1e308
+        with pytest.raises(InputError, match="mean or SD is not finite"):
+            standardize(x)
 
 
 class TestRng:

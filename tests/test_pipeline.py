@@ -535,6 +535,18 @@ def test_default_sig_epochs_converge(seed):
     assert _log_mu_error(short, truth) - _log_mu_error(long, truth) < 0.005
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_align_epochs_converge(tmp_path, seed):
+    # a 3x longer alignment moves the retrieval branch's test MSE by under
+    # 0.01 (at 10 and 30 epochs: 1.2176/1.2152, 1.1578/1.1481, 1.3068/1.3057),
+    # so the default epochs do not trade retrieval for speed
+    cfg = PipelineConfig()
+    long = replace(cfg, train=replace(cfg.train, align_epochs=3 * cfg.train.align_epochs))
+    short_mse = run_pipeline(cfg, seed, tmp_path / "short")["ret"]["mse"]
+    long_mse = run_pipeline(long, seed, tmp_path / "long")["ret"]["mse"]
+    assert abs(short_mse - long_mse) < 0.01
+
+
 def test_no_stage_after_deconv_reads_ground_truth():
     later = PIPELINE_ORDER[PIPELINE_ORDER.index("deconv") + 1:]
     assert [f for s in later for f in STAGE_IO[s][0] if "truth" in f] == []
