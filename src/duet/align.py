@@ -16,6 +16,9 @@ from .errors import InputError, NumericError
 from .tsvio import load_checkpoint, save_checkpoint
 
 TEMPERATURE = 0.07  # the InfoNCE temperature train_align fits with
+# the step size and minibatch stage_align fits with; InfoNCE needs two pairs a batch
+LR = 0.05
+BATCH_SIZE = 128
 MAGIC_ALIGN = b"DUET-ALN2"
 
 

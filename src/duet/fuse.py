@@ -7,7 +7,8 @@ predictions. Training happens post hoc on held-out spots with both branches
 frozen: the loss is the fused MSE plus reg_coef times the squared deviation
 of alpha from 0.5, so the adapter only departs from equal weighting where the
 data rewards it. reg_coef is a weight of the fit, an argument of fuse_loss
-and train_fuse, so the adapter and its checkpoint are the net alone. The
+and train_fuse (the pipeline passes REG_COEF), so the adapter and its
+checkpoint are the net alone. The
 final layer is zero-initialized, which puts every fresh adapter exactly at
 alpha = 0.5.
 """
@@ -23,6 +24,9 @@ from .errors import InputError
 from .tsvio import load_checkpoint, save_checkpoint
 
 Z_CLIP = 18.0  # tanh(18) is still strictly below 1 in float64
+# the step size and the (alpha - 0.5)^2 weight stage_fuse fits with
+LR = 0.3
+REG_COEF = 1.0
 MAGIC_FUSE = b"DUET-FUS2"
 
 

@@ -44,13 +44,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import load_align, save_align, train_align
+from . import align, fuse, regress, scprior
+from .align import embed_images, load_align, save_align, train_align
 from .core import Mlp, Rng, SgdState, bound, check_config, fold_standardization, standardize
 from .errors import InputError
 from .fuse import FuseAdapter, fuse_predict_batch, load_fuse, save_fuse, train_fuse
 from .metrics import log1p_transform, metrics, variance_curve
-from .regress import BATCH_SIZE as REG_BATCH, AnnealSchedule, load_reg, save_reg, train_regress
-from .retrieval import RetrievalConfig, rebuild_db, retrieve_spots
+from .regress import AnnealSchedule, load_reg, save_reg, train_regress
+from .retrieval import RetrievalConfig, rebuild_db, retrieve_batch
 from .scprior import ScDataset, build_gating, deconvolve, fit_signatures, select_panel
 from .scprior import validate_counts
 from .synth import SynthConfig, gen_sc, gen_spots
@@ -67,6 +68,8 @@ from .tsvio import (
 )
 
 MANIFEST = "manifest.json"
+# the shares of the spots in the train and fuse splits; the test split has the rest
+TRAIN_FRAC, FUSE_FRAC = 0.7, 0.1
 
 
 @dataclass
@@ -76,29 +79,14 @@ class TrainConfig:
     align_epochs: int = bound(10, ge=0)
     reg_epochs: int = bound(45, ge=1)
     fuse_epochs: int = bound(150, ge=0)
-    sig_lr: float = bound(0.2, gt=0)
-    deconv_lr: float = bound(0.1, gt=0)
-    align_lr: float = bound(0.05, gt=0)
-    reg_lr: float = bound(0.03, gt=0)
-    fuse_lr: float = bound(0.3, gt=0)
     embed_dim: int = bound(32, ge=1)
     align_hidden: int = bound(64, ge=1)
     reg_hidden: tuple = bound((64, 64), ge=1)
     fuse_hidden: int = bound(32, ge=1)
-    reg_coef: float = bound(1.0, ge=0)
     panel_size: int = bound(100, ge=1)
-    # the split rule below bounds both fractions
-    train_frac: float = 0.7
-    fuse_frac: float = 0.1
-    align_batch: int = bound(128, ge=2)  # InfoNCE needs two pairs a batch
-    reg_batch: int = bound(REG_BATCH, ge=1)
 
     def __post_init__(self):
         check_config(self, "train")
-        if not (0 < self.train_frac and 0 < self.fuse_frac
-                and self.train_frac + self.fuse_frac < 1):
-            raise InputError("bad config: split fractions 'train.train_frac' and "
-                             "'train.fuse_frac' must be > 0 and leave room for a test split")
 
 
 @dataclass
@@ -115,12 +103,10 @@ class PipelineConfig:
         if s.n_target_genes + t.panel_size > s.n_genes:
             raise InputError("bad config: need 'synth.n_target_genes' + 'train.panel_size' "
                              "<= 'synth.n_genes' for a disjoint deconvolution panel")
-        sizes = _split_sizes(self)
+        sizes = _split_sizes(s.n_spots)
         if min(sizes) < 2:
-            raise InputError(f"bad config: splits too small: 'synth.n_spots' {s.n_spots}, "
-                             f"'train.train_frac' {t.train_frac} and 'train.fuse_frac' "
-                             f"{t.fuse_frac} give train/fuse/test {sizes}; each needs "
-                             ">= 2 spots")
+            raise InputError(f"bad config: splits too small: 'synth.n_spots' {s.n_spots} "
+                             f"gives train/fuse/test {sizes}; each needs >= 2 spots")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -143,11 +129,9 @@ class PipelineConfig:
         return doc
 
 
-def _split_sizes(cfg: PipelineConfig) -> tuple[int, int, int]:
-    """(n_train, n_fuse, n_test): how many of the run's spots each split gets."""
-    n = cfg.synth.n_spots
-    n_train = round(cfg.train.train_frac * n)
-    n_fuse = round(cfg.train.fuse_frac * n)
+def _split_sizes(n: int) -> tuple[int, int, int]:
+    """(n_train, n_fuse, n_test): how many of n spots each split gets."""
+    n_train, n_fuse = round(TRAIN_FRAC * n), round(FUSE_FRAC * n)
     return n_train, n_fuse, n - n_train - n_fuse
 
 
@@ -383,7 +367,11 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     except OSError as exc:
         raise InputError(f"cannot make workspace {ws.root}: {exc.strerror}") from None
     synth_cfg = replace(cfg.synth, seed=seed)
-    sc, truth = gen_sc(synth_cfg)
+    try:
+        sc, truth = gen_sc(synth_cfg)
+    except InputError as exc:  # the seed's draw left a batch without cells
+        raise InputError(f"bad config: 'synth.n_batches' {synth_cfg.n_batches} at seed "
+                         f"{seed}: {exc}") from None
     st_counts, f_img, f_fm = gen_spots(synth_cfg, truth)
     truth.mu_spot = None  # no file holds it; free its (S, G) array first
 
@@ -407,7 +395,7 @@ def stage_synth(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     ws.write_matrix("truth_mu.tsv", truth.mu_true, types, genes)
     ws.write_ids("target_genes.tsv", truth.target_genes)
 
-    n_train, n_fuse, _ = _split_sizes(cfg)
+    n_train, n_fuse, _ = _split_sizes(len(spots))
     perm = Rng(seed).child("split").permutation(len(spots))
     ids = np.array(spots)
     ws.write_ids("split_train.tsv", ids[np.sort(perm[:n_train])])
@@ -442,7 +430,7 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     if label_cells != cells:
         raise InputError(f"{ws.root / 'sc_labels.tsv'}: row ids disagree with the cell "
                          f"ids of {ws.root / 'sc_counts.tsv'}")
-    model = fit_signatures(data, cfg.train.sig_epochs, lr=cfg.train.sig_lr)
+    model = fit_signatures(data, cfg.train.sig_epochs, lr=scprior.SIG_LR)
     signature = model.signature()  # (G, T)
     types = [f"t{j}" for j in range(data.n_types)]
     ws.write_matrix("signature.tsv", signature, genes, types)
@@ -463,8 +451,7 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
         raise InputError("st_counts and sc_counts gene columns disagree")
     try:
         post = deconvolve(st[:, panel_idx], signature[panel_idx],
-                          cfg.train.deconv_epochs, rng.child("vi"),
-                          lr=cfg.train.deconv_lr)
+                          cfg.train.deconv_epochs, rng.child("vi"), scprior.DECONV_LR)
     except InputError as exc:
         raise InputError(f"{ws.root / 'st_counts.tsv'}: {exc}") from None
     ws.write_matrix("proportions.tsv", post.proportions(), spots, types)
@@ -496,8 +483,8 @@ def stage_align(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
                                     ws.spot_matrix("features_img.tsv", rows=idx))
     z, y_mean, y_sd = _standardized(ws, "st_counts.tsv", y[idx])
     tc = cfg.train
-    model = train_align(x, z, tc.align_epochs, SgdState(lr=tc.align_lr), rng,
-                        batch_size=tc.align_batch, embed_dim=tc.embed_dim,
+    model = train_align(x, z, tc.align_epochs, SgdState(lr=align.LR), rng,
+                        batch_size=align.BATCH_SIZE, embed_dim=tc.embed_dim,
                         hidden=tc.align_hidden)
     fold_standardization(model.img_head, x_mean, x_sd)
     fold_standardization(model.gene_head, y_mean, y_sd)
@@ -539,6 +526,18 @@ def _align_model(ws: Workspace, f_img, y):
     return model
 
 
+def _fed(ws: Workspace, name: str, ckpt: str, run):
+    """run(), which feeds rows of `name` to a net of `ckpt`: a float overflow
+    on the way is an InputError naming both files, raised before numpy warns
+    of it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return run()
+    except FloatingPointError:
+        raise InputError(f"{ws.root / name}: a row overflows when fed to "
+                         f"{ws.root / ckpt}") from None
+
+
 def _retrieved(cfg: PipelineConfig, ws: Workspace, spots, y, train, query):
     """The retrieval branch's prediction for the spots at positions `query`
     (which may be `train` itself), from the database of the training spots at
@@ -547,10 +546,13 @@ def _retrieved(cfg: PipelineConfig, ws: Workspace, spots, y, train, query):
     rows = train if query is train else np.concatenate((train, query))
     f_img = ws.spot_matrix("features_img.tsv", rows=query)
     gating = ws.spot_matrix("gating.tsv", rows=rows)
+    if (gating < 0).any():
+        raise InputError(f"{ws.root / 'gating.tsv'}: negative cell in a row "
+                         "retrieval reads")
     model = _align_model(ws, f_img, y)
     db = rebuild_db(model, y[train], gating[:len(train)], [spots[i] for i in train])
-    return retrieve_spots(model, db, f_img, gating[len(rows) - len(query):],
-                          cfg.retrieval)
+    v = _fed(ws, "features_img.tsv", "align.ckpt", lambda: embed_images(model, f_img))
+    return retrieve_batch(db, v, gating[len(rows) - len(query):], cfg.retrieval)[0]
 
 
 def _branch_predictions(cfg: PipelineConfig, ws: Workspace, split: str):
@@ -566,7 +568,7 @@ def _branch_predictions(cfg: PipelineConfig, ws: Workspace, split: str):
     _check_dims(ws, "reg.ckpt",
                 ("input dim", reg.in_dim, "features_fm.tsv", f_fm.shape[1], "columns"),
                 ("output dim", reg.out_dim, "target_genes.tsv", y.shape[1], "genes"))
-    y_reg, _ = reg.forward(f_fm)
+    y_reg, _ = _fed(ws, "features_fm.tsv", "reg.ckpt", lambda: reg.forward(f_fm))
     return [spots[i] for i in subset], target_genes, (f_fm, y_ret, y_reg, y[subset])
 
 
@@ -592,10 +594,8 @@ def stage_regress(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     tc = cfg.train
     model = Mlp.init([f_fm.shape[1], *tc.reg_hidden, y.shape[1]],
                      rng.child("init", "reg-init"))
-    train_regress(
-        f_fm, y[idx], p_ret, cfg.anneal, tc.reg_epochs,
-        SgdState(lr=tc.reg_lr), rng.child("fit"), model, batch_size=tc.reg_batch,
-    )
+    train_regress(f_fm, y[idx], p_ret, cfg.anneal, tc.reg_epochs,
+                  SgdState(lr=regress.LR), rng.child("fit"), model)
     ws.save("reg.ckpt", save_reg, model)
 
 
@@ -613,8 +613,7 @@ def stage_fuse(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     _, _, data = _branch_predictions(cfg, ws, "fuse")
     adapter = FuseAdapter.init(data[0].shape[1], rng.child("init"),
                                hidden=cfg.train.fuse_hidden)
-    train_fuse(adapter, data, cfg.train.fuse_epochs, SgdState(lr=cfg.train.fuse_lr),
-               cfg.train.reg_coef)
+    train_fuse(adapter, data, cfg.train.fuse_epochs, SgdState(lr=fuse.LR), fuse.REG_COEF)
     ws.save("fuse.ckpt", save_fuse, adapter)
 
 
@@ -633,7 +632,8 @@ def stage_predict(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     adapter = ws.checkpoint("fuse.ckpt", load_fuse)
     _check_dims(ws, "fuse.ckpt", ("input dim", adapter.mlp.in_dim, "features_fm.tsv",
                                    f_fm.shape[1], "columns"))
-    y_duet, alphas = fuse_predict_batch(adapter, f_fm, y_ret, y_reg)
+    y_duet, alphas = _fed(ws, "features_fm.tsv", "fuse.ckpt",
+                          lambda: fuse_predict_batch(adapter, f_fm, y_ret, y_reg))
 
     ws.write_matrix("pred_ret.tsv", y_ret, ids, target_genes)
     ws.write_matrix("pred_reg.tsv", y_reg, ids, target_genes)

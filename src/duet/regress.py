@@ -20,7 +20,8 @@ from .core import Mlp, Rng, SgdState, as_matrix, bound, check_config, descend, m
 from .errors import InputError
 from .tsvio import load_checkpoint, save_checkpoint
 
-BATCH_SIZE = 128  # train_regress's minibatch, and the default of train.reg_batch
+BATCH_SIZE = 128  # train_regress's minibatch
+LR = 0.03  # the step size stage_regress fits with
 MAGIC_REG = b"DUET-REG1"
 
 

@@ -113,6 +113,8 @@ def _check_gating(db: EmbeddingDB, gating, n_queries: int) -> np.ndarray:
     g = np.asarray(gating, dtype=np.float64)
     if g.shape != (n_queries, db.gating.shape[1]):
         raise InputError("query gating row dimension mismatch")
+    if np.any(g < 0):
+        raise InputError("query gating rows must be non-negative")
     return g
 
 

@@ -84,6 +84,10 @@ START_FLOOR = 1e-8
 # and the range its dispersions are clipped to
 SIG_FLOOR = 0.05
 DISP_RANGE = (0.1, 100.0)
+# the step sizes the pipeline fits the signatures and the deconvolution with,
+# each annealed to a tenth over its fit by _scaled_step
+SIG_LR = 0.2
+DECONV_LR = 0.1
 
 
 def softplus(x):
@@ -134,7 +138,8 @@ def validate_counts(counts, what: str = "counts", dtype=np.int64) -> np.ndarray:
 
 @dataclass
 class ScDataset:
-    """Multi-batch single-cell counts with per-cell type and batch labels."""
+    """Multi-batch single-cell counts with per-cell type and batch labels;
+    every type in [0, n_types) and every batch in [0, n_batches) holds a cell."""
 
     counts: np.ndarray  # (C, G) non-negative ints
     cell_type: np.ndarray  # (C,) labels in [0, n_types)
@@ -162,10 +167,11 @@ class ScDataset:
             raise InputError("cell_type labels out of range")
         if self.batch.min() < 0 or self.batch.max() >= self.n_batches:
             raise InputError("batch labels out of range")
-        present = np.bincount(self.cell_type, minlength=self.n_types)
-        if np.any(present == 0):
-            missing = int(np.argmin(present))
-            raise InputError(f"cell type {missing} has no cells")
+        for name, labels, n in (("cell type", self.cell_type, self.n_types),
+                                ("batch", self.batch, self.n_batches)):
+            present = np.bincount(labels, minlength=n)
+            if np.any(present == 0):
+                raise InputError(f"{name} {int(np.argmin(present))} has no cells")
 
     @property
     def n_cells(self) -> int:
@@ -544,11 +550,10 @@ def fit_signatures(data: ScDataset, epochs: int, *, lr: float) -> NbSignatureMod
     table = _signature_table(data)
     opt = SgdState(lr=lr, weight_decay=0.0)
     # an entry of a type's or a batch's row sums over the n cells of the
-    # group, n/(C*G) of the table; a cell's entries are 1/C of it, a gene's
-    # 1/G (a batch without cells keeps its zero row at any scale)
+    # group, n/(C*G) of the table; a cell's entries are 1/C of it, a gene's 1/G
     entries = data.n_cells * data.n_genes
     per_type = np.bincount(data.cell_type, minlength=data.n_types)
-    per_batch = np.maximum(np.bincount(data.batch, minlength=data.n_batches), 1)
+    per_batch = np.bincount(data.batch, minlength=data.n_batches)
     scales = (entries / per_type[:, None], entries / per_batch[:, None],
               data.n_cells, data.n_genes)
 

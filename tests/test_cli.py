@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import duet
-from duet import cli, pipeline
+from duet import cli, pipeline, regress
 from duet.align import AlignModel, load_align, save_align
 from duet.cli import _build_parser, main
 from duet.core import Mlp, Rng
@@ -49,20 +49,11 @@ def _dims(net: Mlp) -> list[int]:
     return [net.in_dim] + [layer.weight.shape[0] for layer in net.layers]
 
 
-def test_config_sizes_reach_the_models(tmp_path, no_env_seed, monkeypatch):
-    # TINY sets every size off its default; reg_coef moves off it here, and
-    # as a weight of the fit, not of the model, it must reach the fuse fit
-    doc = json.loads(json.dumps(TINY))
-    doc["train"]["reg_coef"] = 0.25
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+def test_config_sizes_reach_the_models(tmp_path, cfg_path, no_env_seed):
+    # TINY sets every size off its default
     ws = tmp_path / "ws"
-    fits, train_fuse = [], pipeline.train_fuse
-    monkeypatch.setattr(pipeline, "train_fuse",
-                        lambda *args: fits.append(args[4]) or train_fuse(*args))
-    assert main(["pipeline", "--config", str(cfg), "--seed", "7", "--out", str(ws)]) == 0
-    assert fits == [0.25]
-    s, t = doc["synth"], doc["train"]
+    assert main(["pipeline", "--config", str(cfg_path), "--seed", "7", "--out", str(ws)]) == 0
+    s, t = TINY["synth"], TINY["train"]
     align = load_align(ws / "align.ckpt")
     assert _dims(align.img_head) == [s["feature_dim"], t["align_hidden"], t["embed_dim"]]
     assert _dims(align.gene_head) == [s["n_target_genes"], t["align_hidden"],
@@ -304,16 +295,13 @@ def test_garbage_env_seed(tmp_path, cfg_path, monkeypatch, capsys):
     assert "DUET_SEED" in capsys.readouterr().err
 
 
-def test_divergence_exit_2(tmp_path, cfg_path, no_env_seed, capsys):
+def test_divergence_exit_2(tmp_path, cfg_path, no_env_seed, capsys, monkeypatch):
     ws = str(tmp_path / "ws")
     for cmd in ("synth", "deconv", "align"):
         assert main([cmd, "--config", str(cfg_path), "--seed", "7",
                      "--out", ws]) == 0
-    doc = dict(TINY)
-    doc["train"] = dict(TINY["train"], reg_lr=1e12)
-    hot = tmp_path / "hot.json"
-    hot.write_text(json.dumps(doc))
-    assert main(["regress", "--config", str(hot), "--seed", "7",
+    monkeypatch.setattr(regress, "LR", 1e12)
+    assert main(["regress", "--config", str(cfg_path), "--seed", "7",
                  "--out", ws]) == 2
     assert "diverged" in capsys.readouterr().err
 
@@ -646,10 +634,13 @@ def _drop_last_label(ws: Path) -> None:
      "batch labels out of range"),
     ("sc_labels.tsv", _drop_last_label, "cell_type and batch must have one label per cell"),
     ("sc_labels.tsv", _merge_type_1_into_0, "cell type 1 has no cells"),
+    # one far label used to size the fit: a (2001, G) batch-effect table
+    ("sc_labels.tsv", lambda ws: _edit_cell(ws, "sc_labels.tsv", 3, 1, 2000.0),
+     "batch 2 has no cells"),
     ("sc_counts.tsv", lambda ws: _edit_cell(ws, "sc_counts.tsv", 3, 2, 2.5),
      "single-cell counts must be integers"),
 ], ids=["fractional-batch", "fractional-type", "negative-batch", "short-labels",
-        "empty-type", "fractional-count"])
+        "empty-type", "far-batch", "fractional-count"])
 def test_bad_single_cell_input_exit_1_naming_the_file(trained, tmp_path, capsys, name,
                                                       edit, message):
     cfg, src = trained
@@ -675,10 +666,21 @@ def test_label_rows_of_other_cells_exit_1_naming_both_files(trained, tmp_path, c
             f"{ws / 'sc_counts.tsv'}") in capsys.readouterr().err
 
 
+def test_batch_the_draw_leaves_empty_exit_1_naming_the_key(tmp_path, capsys, no_env_seed):
+    # far more batches than cells: the reference draw leaves some batch empty
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "synth": dict(TINY["synth"], n_batches=1000)}))
+    assert _run("synth", cfg, tmp_path / "ws") == 1
+    assert "'synth.n_batches' 1000 at seed 7: batch 0 has no cells" in capsys.readouterr().err
+
+
+def _first_row_of(ws: Path, name: str, split: str) -> int:
+    """The row of `name` that holds split_<split>.tsv's first spot."""
+    return read_matrix_tsv(ws / name)[1].index(read_ids_tsv(ws / f"split_{split}.tsv")[0])
+
+
 def _huge_training_cell(ws: Path) -> None:
-    spots = read_matrix_tsv(ws / "features_img.tsv")[1]
-    row = spots.index(read_ids_tsv(ws / "split_train.tsv")[0])
-    _edit_cell(ws, "features_img.tsv", row, 0, 1e308)
+    _edit_cell(ws, "features_img.tsv", _first_row_of(ws, "features_img.tsv", "train"), 0, 1e308)
 
 
 def _zero_features(ws: Path) -> None:
@@ -700,3 +702,32 @@ def test_bad_image_features_exit_1_naming_the_file(trained, tmp_path, capsys, ed
     rehash_outputs(ws, "features_img.tsv")
     assert _run("align", cfg, ws) == 1
     assert f"{ws / 'features_img.tsv'}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", ["test", "train"])
+def test_negative_gating_cell_exit_1_naming_the_file(trained, tmp_path, capsys, split):
+    # a test row is a query, a train row a database entry: both are refused
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    _edit_cell(ws, "gating.tsv", _first_row_of(ws, "gating.tsv", split), 1, -5.0)
+    rehash_outputs(ws, "gating.tsv")
+    assert _run("predict", cfg, ws) == 1
+    assert (f"{ws / 'gating.tsv'}: negative cell in a row retrieval reads"
+            in capsys.readouterr().err)
+
+
+# the regressor maps the huge fm row to a finite prediction near 1e307, and
+# the adapter's net overflows on it
+@pytest.mark.parametrize("name,ckpt", [("features_fm.tsv", "fuse.ckpt"),
+                                       ("features_img.tsv", "align.ckpt")])
+def test_huge_feature_cell_exit_1_naming_the_files(trained, tmp_path, capsys, name, ckpt):
+    # finite, but a net it is fed to overflows; pyproject.toml turns the
+    # RuntimeWarning numpy would give for that into a test error
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    _edit_cell(ws, name, _first_row_of(ws, name, "test"), 0, 1e308)
+    rehash_outputs(ws, name)
+    assert _run("predict", cfg, ws) == 1
+    assert f"{ws / name}: a row overflows when fed to {ws / ckpt}" in capsys.readouterr().err

@@ -7,6 +7,7 @@ the type cases at once, and by the bound cases as soon as it declares one.
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,26 @@ from duet.tsvio import read_ids_tsv
 
 SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
             if dataclasses.is_dataclass(f.default_factory)}
-SPLIT = ("train_frac", "fuse_frac")  # bounded by the split rule, not bound()
+
+# train keys that became module constants, as they were last declared (type,
+# bound and default): a config still naming one exits 1 naming it as an
+# unknown key, whatever its value, so no old config sets a knob nothing reads
+REMOVED = [SimpleNamespace(name=name, type=kind, metadata=limits, default=default)
+           for name, kind, limits, default in [
+               ("sig_lr", "float", {"gt": 0}, 0.2), ("deconv_lr", "float", {"gt": 0}, 0.1),
+               ("align_lr", "float", {"gt": 0}, 0.05), ("reg_lr", "float", {"gt": 0}, 0.03),
+               ("fuse_lr", "float", {"gt": 0}, 0.3), ("reg_coef", "float", {"ge": 0}, 1.0),
+               ("train_frac", "float", {}, 0.7), ("fuse_frac", "float", {}, 0.1),
+               ("align_batch", "int", {"ge": 2}, 128), ("reg_batch", "int", {"ge": 1}, 128)]]
+
+# keys that take one value across TRAFFIC, each kept settable for a reason
+ONE_VALUE = {
+    "synth.n_batches": "tests/test_synth.py generates with 1 batch",
+    "synth.reads_per_spot": "tests/test_acceptance.py downsamples to 5000 reads",
+    "synth.feature_noise_std": "tests/test_acceptance.py generates with 0.05",
+    "retrieval.beta": "tests/test_acceptance.py retrieves with 0.6",
+    "retrieval.softmax_temp": "tests/test_acceptance.py retrieves with 0.7, 0.03 and 0.1",
+}
 
 
 def _keys():
@@ -57,13 +77,19 @@ def _doc(section, key, value) -> dict:
 BAD = [pytest.param(_doc(section, f.name, value),
                     f"'{section}.{f.name}'" if section else f"'{f.name}'",
                     id=f"{section or 'top'}.{f.name}-{label}")
-       for section, f in _keys() for label, value in _bad_values(f)]
+       for section, f in [*_keys(), *(("train", f) for f in REMOVED)]
+       for label, value in _bad_values(f)]
 
+# the former split fractions, refused as unknown keys like the rest of REMOVED
 SPLIT_CASES = [
     ({"train": {"train_frac": 0}}, "'train.train_frac'"),
     ({"train": {"fuse_frac": -0.1}}, "'train.fuse_frac'"),
-    ({"train": {"train_frac": 0.9, "fuse_frac": 0.1}}, "'train.train_frac'"),
+    ({"train": {"train_frac": 0.9}}, "'train.train_frac'"),
 ]
+
+# each removed key at the value it used to default to
+OLD_DEFAULTS = [pytest.param({"train": {f.name: f.default}}, f"unknown key 'train.{f.name}'",
+                             id=f"train.{f.name}-old-default") for f in REMOVED]
 
 # the rules PipelineConfig checks across sections, before synth writes a file
 CROSS_SECTION_CASES = [
@@ -74,7 +100,8 @@ CROSS_SECTION_CASES = [
 ]
 
 # the failures that, before the schema, a whole 80-spot `duet pipeline` run
-# reached late (a traceback after some files) or never (all files written)
+# reached late (a traceback after some files) or never (all files written);
+# the four batch and rate keys are in REMOVED now, refused as unknown keys
 REPRODUCERS = [
     ({"train": {"align_batch": 0}}, "'train.align_batch'"),
     ({"train": {"reg_batch": 0}}, "'train.reg_batch'"),
@@ -101,13 +128,10 @@ TRAFFIC = [
      "synth": {"feature_dim": 64, "feature_noise_std": 0.1, "n_batches": 2,
                "n_cells_per_type": 150, "n_genes": 220, "n_spots": 80,
                "n_target_genes": 80, "n_types": 4, "reads_per_spot": None},
-     "train": {"align_batch": 128, "align_epochs": 10, "align_hidden": 64,
-               "align_lr": 0.05, "deconv_epochs": 40, "deconv_lr": 0.1,
-               "embed_dim": 32, "fuse_epochs": 150, "fuse_frac": 0.1,
-               "fuse_hidden": 32, "fuse_lr": 0.3, "panel_size": 100,
-               "reg_batch": 128, "reg_coef": 1.0, "reg_epochs": 45,
-               "reg_hidden": [64, 64], "reg_lr": 0.03, "sig_epochs": 30,
-               "sig_lr": 0.2, "train_frac": 0.7}},
+     "train": {"align_epochs": 10, "align_hidden": 64, "deconv_epochs": 40,
+               "embed_dim": 32, "fuse_epochs": 150, "fuse_hidden": 32,
+               "panel_size": 100, "reg_epochs": 45, "reg_hidden": [64, 64],
+               "sig_epochs": 30}},
     {"seed": 0,
      "synth": {"n_types": 3, "n_genes": 160, "n_target_genes": 40,
                "n_cells_per_type": 60, "n_spots": 60, "feature_dim": 24},
@@ -155,7 +179,7 @@ def _refused(tmp_path, capsys, argv, doc=None) -> str:
     return err
 
 
-@pytest.mark.parametrize("doc, key", BAD + SPLIT_CASES + CROSS_SECTION_CASES)
+@pytest.mark.parametrize("doc, key", BAD + SPLIT_CASES + CROSS_SECTION_CASES + OLD_DEFAULTS)
 def test_bad_value_exit_1_naming_key(tmp_path, capsys, no_env_seed, doc, key):
     assert key in _refused(tmp_path, capsys, ["synth"], doc)
 
@@ -171,8 +195,7 @@ def test_smallest_accepted_spot_count_splits_two_spots_each(tmp_path):
 
     n = next(n for n in range(1, 100) if refusal(n) is None)
     assert all(refusal(m) for m in range(1, n))
-    for key in ("'synth.n_spots'", "'train.train_frac'", "'train.fuse_frac'"):
-        assert key in refusal(n - 1)
+    assert "'synth.n_spots'" in refusal(n - 1)
     STAGES["synth"](PipelineConfig.from_dict(
         {"synth": {"n_spots": n, "n_cells_per_type": 5}}), 0, tmp_path)
     sizes = [len(read_ids_tsv(tmp_path / f"split_{s}.tsv"))
@@ -201,7 +224,17 @@ def test_seed_out_of_range_names_its_source(tmp_path, capsys, monkeypatch,
 
 def test_every_key_declares_a_bound():
     for section, f in _keys():
-        assert f.metadata or f.name in SPLIT, (section, f.name)
+        assert f.metadata, (section, f.name)
+
+
+def test_every_key_takes_two_values_in_traffic():
+    # a key that one value serves everywhere is a constant, unless ONE_VALUE
+    # says why it stays a key; the run seed comes from --seed and DUET_SEED
+    cfgs = [PipelineConfig.from_dict(doc) for doc in TRAFFIC]
+    single = {f"{section}.{f.name}" for section, cls in SECTIONS.items()
+              for f in dataclasses.fields(cls) if (section, f.name) != ("synth", "seed")
+              and len({getattr(getattr(cfg, section), f.name) for cfg in cfgs}) < 2}
+    assert single == set(ONE_VALUE)
 
 
 def test_round_trip_with_every_key_moved():

@@ -308,13 +308,6 @@ def test_config_unknown_key_rejected():
         PipelineConfig.from_dict([1, 2])
 
 
-def test_split_fraction_validation():
-    with pytest.raises(InputError, match="fractions"):
-        TrainConfig(train_frac=0.0)
-    with pytest.raises(InputError, match="test split"):
-        TrainConfig(train_frac=0.8, fuse_frac=0.3)
-
-
 def test_too_few_spots_for_splits(tmp_path):
     doc = dict(TINY)
     doc["synth"] = dict(TINY["synth"], n_spots=6)
@@ -370,7 +363,7 @@ def test_regress_stage_retrieves_once(ws, tmp_path, monkeypatch, lambda0, calls)
     # none, but the retrieval inputs are still hashed into the manifest
     d = tmp_path / "w"
     shutil.copytree(ws[0], d)
-    counts = {"rebuild_db": 0, "retrieve_spots": 0}
+    counts = {"rebuild_db": 0, "retrieve_batch": 0}
     for name in counts:
         real = getattr(pipeline, name)
 
@@ -382,7 +375,7 @@ def test_regress_stage_retrieves_once(ws, tmp_path, monkeypatch, lambda0, calls)
     cfg = tiny_cfg()
     cfg = replace(cfg, anneal=replace(cfg.anneal, lambda0=lambda0))
     STAGES["regress"](cfg, 3, d)
-    assert counts == {"rebuild_db": calls, "retrieve_spots": calls}
+    assert counts == {"rebuild_db": calls, "retrieve_batch": calls}
     assert_manifest_hashes_files(d, ["regress"])
     assert set(read_manifest(d / "manifest.json")["stages"]["regress"]["inputs"]) \
         == set(STAGE_IO["regress"][0])
@@ -505,7 +498,7 @@ def _signature_fit(seed: int, epochs: int):
     """The default config's single-cell reference at `seed`, its truth, and
     its signature fit of `epochs` epochs at the default rate."""
     data, truth = gen_sc(replace(PipelineConfig().synth, seed=seed))
-    return data, truth, fit_signatures(data, epochs, lr=TrainConfig().sig_lr)
+    return data, truth, fit_signatures(data, epochs, lr=scprior.SIG_LR)
 
 
 def _log_mu_error(model, truth) -> float:

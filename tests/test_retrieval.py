@@ -174,6 +174,15 @@ class TestBlendedScores:
 
 
 class TestRetrieve:
+    def test_rejects_a_negative_query_gating_cell(self):
+        # as EmbeddingDB refuses a negative database row
+        db = random_db(1, n=20)
+        g = np.ones((2, db.gating.shape[1]))
+        g[1, 2] = -5.0
+        with pytest.raises(InputError, match="query gating rows must be non-negative"):
+            retrieve_batch(db, unit_rows(np.ones((2, db.h.shape[1]))), g,
+                           RetrievalConfig(n_candidates=5, top_k=3))
+
     def test_single_entry_db(self):
         v = unit_query(7, 5)
         db = EmbeddingDB(h=v[None, :], expressions=np.array([[1.0, 2.0, 3.0]]),

@@ -506,6 +506,12 @@ class TestScDataset:
         assert data.cell_type.dtype == np.int64 and data.batch.dtype == np.int64
         assert data.cell_type.tolist() == [0, 1] and data.batch.tolist() == [1, 0]
 
+    def test_rejects_batch_without_cells(self):
+        # the far label would size the batch-effect table at 2001 rows
+        with pytest.raises(InputError, match="batch 1 has no cells"):
+            ScDataset(counts=np.ones((2, 2), dtype=int), cell_type=np.array([0, 0]),
+                      batch=np.array([0, 2000]))
+
     def test_rejects_label_out_of_range(self):
         with pytest.raises(InputError):
             ScDataset(
