@@ -38,8 +38,8 @@ def main(argv=None) -> int:
     print(f"{'':10s}{'mse':>10s}{'mae':>10s}{'pcc_mean':>10s}")
     for branch in ("duet", "ret", "reg"):
         r = report[branch]
-        print(f"{branch:10s}{r['mse']:10.4f}{r['mae']:10.4f}"
-              f"{r['pcc_mean']:10.4f}")
+        pcc = float("nan") if r["pcc_mean"] is None else r["pcc_mean"]  # no gene has one
+        print(f"{branch:10s}{r['mse']:10.4f}{r['mae']:10.4f}{pcc:10.4f}")
 
     alphas, _, _ = read_matrix_tsv(ws / "alphas.tsv")
     print(f"alpha: mean {alphas.mean():.3f}, min {alphas.min():.3f}, "

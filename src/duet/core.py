@@ -157,7 +157,6 @@ class Tape:
     net_id: int
     version: int
     activations: list  # [a_0 .. a_K], each (n, dim)
-    single: bool  # input was a 1-D vector
 
 
 class Mlp:
@@ -222,10 +221,8 @@ class Mlp:
         self.touch()
 
     def forward(self, x: np.ndarray):
-        """Run the net on a vector or a batch of row vectors. Returns (y, tape)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        a = x[None, :] if single else as_matrix(x)
+        """Run the net on a batch of row vectors. Returns (y, tape)."""
+        a = as_matrix(x)
         if a.shape[1] != self.in_dim:
             raise InputError(f"input dim {a.shape[1]} != net input dim {self.in_dim}")
         acts = [a]
@@ -235,17 +232,14 @@ class Mlp:
             if k < last:
                 a = np.maximum(a, 0.0)
             acts.append(a)
-        _ensure_finite(a, "mlp forward output")
-        y = a[0] if single else a
-        return y, Tape(id(self), self._version, acts, single)
+        return _ensure_finite(a, "mlp forward output"), Tape(id(self), self._version, acts)
 
     def backward(self, tape: Tape, d_y: np.ndarray) -> list[np.ndarray]:
         """Exact gradients of <d_y, y> w.r.t. the parameters, in
         param_arrays() order."""
         if tape.net_id != id(self) or tape.version != self._version:
             raise InputError("stale tape: parameters changed since the forward pass")
-        d_y = np.asarray(d_y, dtype=np.float64)
-        da = d_y[None, :] if tape.single else as_matrix(d_y)
+        da = as_matrix(d_y)
         if da.shape != tape.activations[-1].shape:
             raise InputError(
                 f"cotangent shape {da.shape} != output shape {tape.activations[-1].shape}"

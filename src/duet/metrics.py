@@ -2,7 +2,11 @@
 
 PCC is computed per gene across spots and averaged; genes whose prediction or
 truth is constant across spots have no defined correlation and are reported
-as NaN and left out of the mean rather than silently counted as zero.
+as NaN and left out of the mean rather than silently counted as zero. The
+mean is NaN when no gene has a PCC. to_dict writes each NaN as null, so
+metrics.json is standard JSON. A column is constant when its values are all
+equal, as in core.standardize: its computed spread may be a rounding error
+above 0, which is not a signal, so its variance counts as 0 too.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ class MetricsReport:
         return {
             "mse": self.mse,
             "mae": self.mae,
-            "pcc_mean": self.pcc_mean,
+            "pcc_mean": None if np.isnan(self.pcc_mean) else self.pcc_mean,
             "n_spots": self.n_spots,
             "n_genes": self.n_genes,
             "n_undefined_pcc": self.n_undefined_pcc,
@@ -72,7 +76,7 @@ def metrics(pred, truth) -> MetricsReport:
     tc = truth - truth.mean(axis=0)
     sp = np.sqrt(np.sum(pc**2, axis=0))
     st = np.sqrt(np.sum(tc**2, axis=0))
-    defined = (sp > 0) & (st > 0)
+    defined = (sp > 0) & (st > 0) & _varies(pred) & _varies(truth)
     pcc = np.full(g_n, np.nan)
     if defined.any():
         pcc[defined] = np.sum(pc[:, defined] * tc[:, defined], axis=0) \
@@ -87,6 +91,11 @@ def metrics(pred, truth) -> MetricsReport:
         n_genes=g_n,
         n_undefined_pcc=int(g_n - defined.sum()),
     )
+
+
+def _varies(m: np.ndarray) -> np.ndarray:
+    """Whether each column of m holds two distinct values."""
+    return ~(m == m[:1]).all(axis=0)
 
 
 def _minmax(v: np.ndarray) -> np.ndarray:
@@ -105,8 +114,8 @@ def variance_curve(pred, truth) -> VarianceCurve:
         raise InputError("variance curve needs at least one gene")
     if pred.shape[0] < 2:
         raise InputError("variance curve needs at least 2 spots")
-    tv = truth.var(axis=0)
-    pv = pred.var(axis=0)
+    tv = np.where(_varies(truth), truth.var(axis=0), 0.0)
+    pv = np.where(_varies(pred), pred.var(axis=0), 0.0)
     order = np.argsort(tv, kind="stable")
     return VarianceCurve(
         order=order,

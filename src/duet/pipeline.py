@@ -58,12 +58,10 @@ from .synth import SynthConfig, gen_sc, gen_spots
 from .tsvio import (
     column_positions,
     read_bytes,
-    read_ids_tsv,
     read_manifest,
     read_matrix_tsv,
     update_manifest,
     write_atomic,
-    write_ids_tsv,
     write_matrix_tsv,
 )
 
@@ -168,7 +166,7 @@ class Workspace:
     def __init__(self, root):
         self.root = Path(root)
         self.stage = None  # the running stage, whose STAGE_IO entry applies
-        self._held = {}  # name -> parsed TSV, id list or checkpoint bytes
+        self._held = {}  # name -> parsed TSV or checkpoint bytes
         self._fetched = {}  # name -> bytes read and checked, not yet parsed
         self._sha = {}  # name -> sha256 of the bytes read or written
         self._recorded = None  # ({name: output sha256}, {name: input sha256s})
@@ -252,8 +250,15 @@ class Workspace:
                              "st_counts.tsv")
         return m
 
-    def ids(self, name: str) -> list[str]:
-        return list(self._load(name, read_ids_tsv))
+    def ids(self, name: str, what: str) -> list[str]:
+        """The row ids of `name`, an id list (a zero-column matrix) that must
+        list some `what`."""
+        _, ids, cols = self.matrix(name)
+        if cols:
+            raise InputError(f"{self.root / name}: an id list's header is 'id' alone")
+        if not ids:
+            raise InputError(f"{self.root / name}: lists no {what}")
+        return ids
 
     def checkpoint(self, name: str, load):
         return load(self.root / name, self._load(name, lambda path, data: data))
@@ -266,8 +271,7 @@ class Workspace:
         self._keep(name, (m, rows, cols, None), data)
 
     def write_ids(self, name: str, ids) -> None:
-        ids = [str(i) for i in ids]
-        self._keep(name, ids, write_ids_tsv(self._declared(name, 1), ids))
+        self.write_matrix(name, np.empty((len(ids), 0)), ids, [])
 
     def save(self, name: str, write, value) -> None:
         """Write `value` with write(path, value), which returns the bytes."""
@@ -317,7 +321,7 @@ def _stage(inputs: tuple, outputs: tuple):
 def _targets(ws: Workspace):
     """Spot ids, target gene ids and log1p target expression (spots, targets)."""
     ws._load("st_counts.tsv")  # read first: its spot ids come before the targets
-    target_genes = ws.ids("target_genes.tsv")
+    target_genes = ws.ids("target_genes.tsv", "genes")
     try:
         st, spots, _ = ws.matrix("st_counts.tsv", cols=target_genes)
     except InputError as exc:  # a missing column may be the fault of either file
@@ -335,9 +339,7 @@ def _splits(ws: Workspace, spots: list[str], *names: str) -> list[np.ndarray]:
     out = []
     for name in names:
         file = f"split_{name}.tsv"
-        ids = ws.ids(file)
-        if not ids:
-            raise InputError(f"{ws.root / file}: lists no spots")
+        ids = ws.ids(file, "spots")
         try:
             out.append(np.array([pos[s] for s in ids], dtype=np.intp))
         except KeyError as exc:
@@ -435,7 +437,7 @@ def stage_deconv(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     types = [f"t{j}" for j in range(data.n_types)]
     ws.write_matrix("signature.tsv", signature, genes, types)
 
-    target_genes = ws.ids("target_genes.tsv")
+    target_genes = ws.ids("target_genes.tsv", "genes")
     panel = select_panel(genes, target_genes, k=cfg.train.panel_size,
                          rng=rng.child("panel"))
     ws.write_ids("panel_genes.tsv", panel)
@@ -611,6 +613,9 @@ def stage_regress(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
 def stage_fuse(cfg: PipelineConfig, seed: int, ws: Workspace) -> None:
     rng = Rng(seed).child("fuse-stage")
     _, _, data = _branch_predictions(cfg, ws, "fuse")
+    # the fit squares the regression branch's error, which a finite
+    # prediction near 1e307 overflows (predict's adapter overflows first)
+    _fed(ws, "features_fm.tsv", "reg.ckpt", lambda: np.square(data[2] - data[3]).sum())
     adapter = FuseAdapter.init(data[0].shape[1], rng.child("init"),
                                hidden=cfg.train.fuse_hidden)
     train_fuse(adapter, data, cfg.train.fuse_epochs, SgdState(lr=fuse.LR), fuse.REG_COEF)

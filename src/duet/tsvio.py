@@ -2,16 +2,15 @@
 
 TSV matrices are UTF-8, tab-delimited, newline-terminated; the header's first
 cell is the literal `id` followed by column ids, and each data row starts
-with its row id; a zero-column matrix is the header `id` and one bare row id
-per line. A float is written as `'%.17g' % v` writes it, so a write/read
-round trip is lossless for float64. write_matrix_tsv formats blocks of about
-8,192 cells (so a block's ~40 numpy calls cost less than its cells) straight
-into one buffer, so the text of a written file exists once, as the one
-`bytes` object it returns. An id-list file is a header line
-and then one id per line. So that every id reads back as written, the
-writers reject (InputError, naming it) any id holding a tab, `\n` or `\r`,
-and an empty id in an id list or of a zero-column matrix's row; the readers
-reject a file that is not UTF-8.
+with its row id. An id list (a split, the target genes, the panel) is a
+zero-column matrix: the header `id` and one bare row id per line. A float is
+written as `'%.17g' % v` writes it, so a write/read round trip is lossless
+for float64. write_matrix_tsv formats blocks of about 8,192 cells (so a
+block's ~40 numpy calls cost less than its cells) straight into one buffer,
+so the text of a written file exists once, as the one `bytes` object it
+returns. So that every id reads back as written, the writer rejects
+(InputError, naming it) any id holding a tab, `\n` or `\r`, and an empty
+row id of a zero-column matrix; the reader rejects a file that is not UTF-8.
 
 numpy formats every block, exact on each cell in 1e-4 <= |v| < 1e16 and on
 +-0: with k = floor(log10|v|), 10**p for p = 16 - k <= 22 is a float64, and
@@ -25,18 +24,19 @@ leaves out, and the NULs go before any row id joins the text. Every other
 cell (nan, +-inf, subnormal, |v| < 1e-4 or >= 1e16), and one that three
 passes did not pin down, goes through `'%.17g' % v`.
 
-The readers scan the file's bytes in place. They check that the bytes are
-UTF-8 without keeping the text, take `\r\n` and a lone `\r` as line ends
+The reader scans the file's bytes in place. It checks that the bytes are
+UTF-8 without keeping the text, takes `\r\n` and a lone `\r` as line ends
 (rewriting them only if a `\r` occurs or the final `\n` is missing) and
-skip empty lines. numpy finds the line ends and counts each line's tabs,
+skips empty lines. numpy finds the line ends and counts each line's tabs,
 256 KiB at a time; Python code runs per line only to decode its row id.
-read_matrix_tsv requires as many tabs in every body row as in the header,
+read_matrix_tsv requires the header's first cell to be `id` and as many
+tabs in every body row as in the header (none in an id list's rows),
 and parses the numeric block from the same bytes in one np.loadtxt call
 (numpy's C reader), which must give one row per row id. A cell is a decimal
 or exponent float literal, `inf`, `infinity` or `nan` in any case, with an
 optional sign and surrounding whitespace (here also U+001C to U+001F);
 `0x10`, `1,5`, `1_000`, non-ASCII digits and empty cells are rejected. Every
-failure is an InputError naming the file. Each reader also takes the file's
+failure is an InputError naming the file. The reader also takes the file's
 bytes, for a caller that has read them already.
 
 Given row positions or column ids, read_matrix_tsv parses only those cells
@@ -352,20 +352,6 @@ def read_matrix_tsv(path, data: bytes | None = None, *, rows=None, cols=None):
     if len(matrix) != n_rows:
         raise InputError(f"{p}: {len(matrix)} rows parsed for {n_rows} row ids")
     return matrix, row_ids, header[1:]
-
-
-def write_ids_tsv(path, ids):
-    lines = ["id"] + _writable_ids(ids, "id", path, allow_empty=False)
-    return write_atomic(path, "\n".join(lines) + "\n")
-
-
-def read_ids_tsv(path, data: bytes | None = None) -> list[str]:
-    p = Path(path)
-    raw, head = _scan(p, data)
-    if head is None:
-        raise InputError(f"empty id list: {p}")
-    return [raw[a:b].decode() for starts, ends, _ in _lines(raw, head[1])
-            for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 # ---------------------------------------------------------------------------

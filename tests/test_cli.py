@@ -19,7 +19,7 @@ from duet.errors import InputError
 from duet.fuse import MAGIC_FUSE, FuseAdapter, load_fuse, save_fuse
 from duet.pipeline import STAGE_IO, STAGES
 from duet.regress import load_reg, save_reg
-from duet.tsvio import read_ids_tsv, read_matrix_tsv, save_checkpoint, write_matrix_tsv
+from duet.tsvio import read_matrix_tsv, save_checkpoint, write_matrix_tsv
 from test_pipeline import TINY, rehash_outputs
 
 
@@ -373,9 +373,42 @@ def test_header_only_split_file_exit_1_naming_the_file(trained, tmp_path, capsys
     assert f"{ws / name}: lists no spots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,edit,message", [
+    # the first spot used to be taken for the header and dropped
+    ("split_test.tsv", lambda lines: lines[1:], "malformed TSV header in {}"),
+    # the tab used to stay inside the gene id
+    ("target_genes.tsv", lambda lines: [lines[0], lines[1] + "\tx", *lines[2:]],
+     "ragged TSV row in {}"),
+    # a one-column matrix is no id list
+    ("split_test.tsv", lambda lines: [line + "\t1" for line in lines],
+     "{}: an id list's header is 'id' alone"),
+], ids=["header-less-split", "tab-in-target-row", "split-with-a-column"])
+def test_misread_id_list_exit_1_naming_the_file(trained, tmp_path, capsys, name, edit,
+                                                message):
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    (ws / name).write_text("\n".join(edit((ws / name).read_text().splitlines())) + "\n")
+    rehash_outputs(ws, name)
+    assert _run("predict", cfg, ws) == 1
+    assert message.format(ws / name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["deconv", "align"])
+def test_empty_target_list_exit_1_naming_the_file(trained, tmp_path, capsys, stage):
+    # deconv used to exit 0, and align to blame st_counts.tsv for varying nowhere
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    (ws / "target_genes.tsv").write_text("id\n")
+    rehash_outputs(ws, "target_genes.tsv")
+    assert _run(stage, cfg, ws) == 1
+    assert f"{ws / 'target_genes.tsv'}: lists no genes" in capsys.readouterr().err
+
+
 def _corrupt_a_training_cell(ws: Path, name: str) -> None:
     """Replace the last cell of the first training spot's row in `name`."""
-    spot = read_ids_tsv(ws / "split_train.tsv")[0].encode()
+    spot = read_matrix_tsv(ws / "split_train.tsv")[1][0].encode()
     lines = (ws / name).read_bytes().split(b"\n")
     k = next(k for k, line in enumerate(lines) if line.startswith(spot + b"\t"))
     lines[k] = lines[k].rsplit(b"\t", 1)[0] + b"\tnot-a-number"
@@ -415,8 +448,8 @@ def test_predict_parses_only_the_cells_it_uses(trained, tmp_path, monkeypatch):
     outputs = STAGE_IO["predict"][1]
     before = {name: (ws / name).read_bytes() for name in outputs}
     spots = read_matrix_tsv(ws / "st_counts.tsv")[1]
-    test = read_ids_tsv(ws / "split_test.tsv")
-    train = read_ids_tsv(ws / "split_train.tsv")
+    test = read_matrix_tsv(ws / "split_test.tsv")[1]
+    train = read_matrix_tsv(ws / "split_train.tsv")[1]
     reads, handed = [], {}  # file names read; name -> (row ids, columns) parsed
     real_read, real_loadtxt = pipeline.read_matrix_tsv, np.loadtxt
 
@@ -573,7 +606,7 @@ def test_non_finite_feature_cell_exit_1_naming_the_file(trained, tmp_path, capsy
     ws = tmp_path / "ws"
     shutil.copytree(src, ws)
     m, rows, cols = read_matrix_tsv(ws / "features_fm.tsv")
-    m[rows.index(read_ids_tsv(ws / "split_test.tsv")[0]), 0] = float(value)
+    m[rows.index(read_matrix_tsv(ws / "split_test.tsv")[1][0]), 0] = float(value)
     write_matrix_tsv(ws / "features_fm.tsv", m, rows, cols)
     rehash_outputs(ws, "features_fm.tsv")
     assert _run("predict", cfg, ws) == 1
@@ -676,7 +709,7 @@ def test_batch_the_draw_leaves_empty_exit_1_naming_the_key(tmp_path, capsys, no_
 
 def _first_row_of(ws: Path, name: str, split: str) -> int:
     """The row of `name` that holds split_<split>.tsv's first spot."""
-    return read_matrix_tsv(ws / name)[1].index(read_ids_tsv(ws / f"split_{split}.tsv")[0])
+    return read_matrix_tsv(ws / name)[1].index(read_matrix_tsv(ws / f"split_{split}.tsv")[1][0])
 
 
 def _huge_training_cell(ws: Path) -> None:
@@ -714,6 +747,19 @@ def test_negative_gating_cell_exit_1_naming_the_file(trained, tmp_path, capsys, 
     rehash_outputs(ws, "gating.tsv")
     assert _run("predict", cfg, ws) == 1
     assert (f"{ws / 'gating.tsv'}: negative cell in a row retrieval reads"
+            in capsys.readouterr().err)
+
+
+def test_huge_fm_cell_on_a_fuse_row_exit_1_naming_the_files(trained, tmp_path, capsys):
+    # the regressor maps the row to a finite prediction near 1e307, whose
+    # squared error the fit takes: it used to diverge at epoch 0 (exit 2)
+    cfg, src = trained
+    ws = tmp_path / "ws"
+    shutil.copytree(src, ws)
+    _edit_cell(ws, "features_fm.tsv", _first_row_of(ws, "features_fm.tsv", "fuse"), 0, 1e308)
+    rehash_outputs(ws, "features_fm.tsv")
+    assert _run("fuse", cfg, ws) == 1
+    assert (f"{ws / 'features_fm.tsv'}: a row overflows when fed to {ws / 'reg.ckpt'}"
             in capsys.readouterr().err)
 
 

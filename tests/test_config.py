@@ -14,7 +14,7 @@ import pytest
 from duet.cli import main
 from duet.errors import InputError
 from duet.pipeline import STAGES, PipelineConfig
-from duet.tsvio import read_ids_tsv
+from duet.tsvio import read_matrix_tsv
 
 SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
             if dataclasses.is_dataclass(f.default_factory)}
@@ -198,7 +198,7 @@ def test_smallest_accepted_spot_count_splits_two_spots_each(tmp_path):
     assert "'synth.n_spots'" in refusal(n - 1)
     STAGES["synth"](PipelineConfig.from_dict(
         {"synth": {"n_spots": n, "n_cells_per_type": 5}}), 0, tmp_path)
-    sizes = [len(read_ids_tsv(tmp_path / f"split_{s}.tsv"))
+    sizes = [len(read_matrix_tsv(tmp_path / f"split_{s}.tsv")[1])
              for s in ("train", "fuse", "test")]
     assert min(sizes) == 2 and sum(sizes) == n
 

@@ -92,12 +92,12 @@ class TestMatmul:
 class TestMlpForward:
     def test_zero_net_is_zero_map(self):
         net = Mlp([Layer(np.zeros((3, 4)), np.zeros(3))])
-        y, _ = mlp_forward(net, np.array([1.0, -2.0, 3.0, 0.5]))
-        assert np.array_equal(y, np.zeros(3))
+        y, _ = mlp_forward(net, np.array([[1.0, -2.0, 3.0, 0.5]]))
+        assert np.array_equal(y, np.zeros((1, 3)))
 
     def test_identity_layer(self):
         net = Mlp([Layer(np.eye(4), np.zeros(4))])
-        x = np.array([0.3, -1.2, 5.0, 0.0])
+        x = np.array([[0.3, -1.2, 5.0, 0.0]])
         y, _ = mlp_forward(net, x)
         assert np.array_equal(y, x)
 
@@ -105,7 +105,7 @@ class TestMlpForward:
         rng = Rng(11)
         net = Mlp.init([3, 4, 2], rng)
         x = rng.child("x").standard_normal(3)
-        y, _ = mlp_forward(net, x)
+        [y], _ = mlp_forward(net, x[None])
 
         # hand-rolled scalar re-evaluation
         hidden = []
@@ -127,7 +127,13 @@ class TestMlpForward:
     def test_dim_mismatch(self):
         net = Mlp.init([3, 2], Rng(0))
         with pytest.raises(InputError):
-            mlp_forward(net, np.ones(4))
+            mlp_forward(net, np.ones((1, 4)))
+
+    def test_vector_refused(self):
+        # a net maps batches only: one row is a (1, dim) batch
+        net = Mlp.init([3, 2], Rng(0))
+        with pytest.raises(InputError, match="2-D"):
+            mlp_forward(net, np.ones(3))
 
     def test_chain_mismatch_rejected(self):
         with pytest.raises(InputError):
@@ -140,7 +146,7 @@ class TestMlpForward:
 class TestMlpBackward:
     def test_zero_cotangent(self):
         net = Mlp.init([3, 5, 2], Rng(1))
-        y, tape = mlp_forward(net, np.ones(3))
+        y, tape = mlp_forward(net, np.ones((1, 3)))
         grads = mlp_backward(net, tape, np.zeros_like(y))
         # one gradient per parameter array, in param_arrays() order
         assert [g.shape for g in grads] == [p.shape for p in net.param_arrays()]
@@ -149,14 +155,14 @@ class TestMlpBackward:
     def test_scalar_linear_net(self):
         # y = w*x, dL/dy = 1 -> dL/dw = x
         net = Mlp([Layer(np.array([[2.0]]), np.zeros(1))])
-        y, tape = mlp_forward(net, np.array([3.0]))
-        dw, db = mlp_backward(net, tape, np.array([1.0]))
+        y, tape = mlp_forward(net, np.array([[3.0]]))
+        dw, db = mlp_backward(net, tape, np.array([[1.0]]))
         assert dw[0, 0] == 3.0
         assert db[0] == 1.0
 
     def test_stale_tape_rejected(self):
         net = Mlp.init([2, 2], Rng(5))
-        y, tape = mlp_forward(net, np.ones(2))
+        y, tape = mlp_forward(net, np.ones((1, 2)))
         net.layers[0].weight += 0.1
         net.touch()
         with pytest.raises(InputError):
@@ -175,9 +181,9 @@ class TestMlpBackward:
 
             def objective(flat, net=net, x=x, u=u):
                 net.set_flat(flat)
-                y, tape = mlp_forward(net, x)
-                grads = mlp_backward(net, tape, u)
-                return float(y @ u), np.concatenate([g.ravel() for g in grads])
+                y, tape = mlp_forward(net, x[None])
+                grads = mlp_backward(net, tape, u[None])
+                return float(y[0] @ u), np.concatenate([g.ravel() for g in grads])
 
             err = fd_check(objective, net.get_flat())
             assert err < 1e-4, f"trial {trial}: fd error {err}"

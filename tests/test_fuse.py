@@ -33,8 +33,8 @@ def alpha(adapter: FuseAdapter, f_s) -> float:
     f_s = np.asarray(f_s, dtype=np.float64)
     if f_s.ndim != 1:
         raise InputError("alpha takes a single feature vector")
-    out, _ = adapter.mlp.forward(f_s)
-    val, _ = _squash(out)
+    out, _ = adapter.mlp.forward(f_s[None])
+    val, _ = _squash(out[0])
     return float(val[0])
 
 

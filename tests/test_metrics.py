@@ -86,6 +86,16 @@ class TestMetrics:
         assert math.isnan(rep.pcc_mean)
         assert rep.n_undefined_pcc == 2
         assert rep.mse == 0.0
+        assert rep.to_dict()["pcc_mean"] is None  # JSON has no NaN
+
+    def test_one_distinct_row_is_constant(self):
+        # 0.1 * 7 / 7 != 0.1: the column mean is off by a rounding error, so
+        # the centred column is noise around 0, not a signal to correlate
+        truth = Rng(9).child("t").standard_normal((7, 6))
+        pred = np.tile([0.1, 0.7, 1.3, -2.9, 1e-3, 5.5], (7, 1))
+        rep = metrics(pred, truth)
+        assert rep.n_undefined_pcc == 6 and np.isnan(rep.pcc_per_gene).all()
+        assert np.all(variance_curve(pred, truth).pred_var_norm == 0.0)
 
     def test_shape_and_size_guards(self):
         with pytest.raises(InputError):

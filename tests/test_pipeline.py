@@ -24,7 +24,7 @@ from duet.pipeline import (
 )
 from duet.scprior import fit_signatures
 from duet.synth import gen_sc, gen_spots
-from duet.tsvio import read_ids_tsv, read_matrix_tsv, write_matrix_tsv
+from duet.tsvio import read_matrix_tsv, write_matrix_tsv
 
 ROOT = Path(__file__).parents[1]
 # the README's small demo config; the pipeline, CLI and script tests run it
@@ -152,9 +152,9 @@ def test_readme_workspace_layout_names_every_file():
 def test_splits_partition_spots(ws):
     d, _ = ws
     _, spots, _ = read_matrix_tsv(d / "st_counts.tsv")
-    train = read_ids_tsv(d / "split_train.tsv")
-    fuse = read_ids_tsv(d / "split_fuse.tsv")
-    test = read_ids_tsv(d / "split_test.tsv")
+    train = read_matrix_tsv(d / "split_train.tsv")[1]
+    fuse = read_matrix_tsv(d / "split_fuse.tsv")[1]
+    test = read_matrix_tsv(d / "split_test.tsv")[1]
     assert len(train) == 42 and len(fuse) == 6 and len(test) == 12
     assert sorted(train + fuse + test) == sorted(spots)
     assert not (set(train) & set(fuse)) and not (set(train) & set(test))
@@ -162,8 +162,8 @@ def test_splits_partition_spots(ws):
 
 def test_prediction_shapes_and_alpha_range(ws):
     d, _ = ws
-    test_ids = read_ids_tsv(d / "split_test.tsv")
-    targets = read_ids_tsv(d / "target_genes.tsv")
+    test_ids = read_matrix_tsv(d / "split_test.tsv")[1]
+    targets = read_matrix_tsv(d / "target_genes.tsv")[1]
     for name in ("pred_duet", "pred_ret", "pred_reg", "y_test"):
         m, rows, cols = read_matrix_tsv(d / f"{name}.tsv")
         assert rows == test_ids and cols == targets
@@ -395,7 +395,7 @@ def test_split_id_listed_twice_rejected_naming_the_file(ws, tmp_path, stage, nam
     # in a held-out split would find its own row in the retrieval database
     d = tmp_path / "w"
     shutil.copytree(ws[0], d)
-    spot = read_ids_tsv(d / dup_of)[0]
+    spot = read_matrix_tsv(d / dup_of)[1][0]
     with open(d / name, "a", encoding="utf-8") as f:
         f.write(f"{spot}\n")
     rehash_outputs(d, name)
@@ -457,7 +457,7 @@ def test_manifest_read_once_and_hand_offs_unchecked(ws, tmp_path, monkeypatch):
         if name.endswith(".ckpt"):
             w.checkpoint(name, lambda path, data: data)
         elif name.startswith(("split_", "target_")):
-            w.ids(name)
+            w.ids(name, "ids")
         else:
             w.matrix(name)
     assert reads.count("manifest.json") == 1
@@ -569,8 +569,9 @@ def test_handed_off_files_equal_a_fresh_read(tmp_path, monkeypatch):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
     for name in ID_LISTS:
-        assert run.ids(name) == fresh.ids(name), name
-    assert len(reads) == len(MATRICES)
+        assert run.ids(name, "ids") == fresh.ids(name, "ids"), name
+    # an id list is a zero-column matrix, parsed by the same reader
+    assert len(reads) == len(MATRICES) + len(ID_LISTS)
 
 
 def test_workspace_refuses_undeclared_names(ws, tmp_path):
@@ -581,7 +582,7 @@ def test_workspace_refuses_undeclared_names(ws, tmp_path):
         with pytest.raises(InputError, match=name):
             w.matrix(name)
     with pytest.raises(InputError, match="split_test.tsv"):
-        w.ids("split_test.tsv")
+        w.ids("split_test.tsv", "spots")
     w = Workspace(tmp_path)
     w.stage = "predict"
     with pytest.raises(InputError, match="reg.ckpt"):

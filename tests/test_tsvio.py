@@ -24,12 +24,10 @@ from duet.pipeline import PipelineConfig, stage_eval
 from duet.regress import MAGIC_REG, load_reg, save_reg
 from duet.tsvio import (
     read_bytes,
-    read_ids_tsv,
     read_manifest,
     read_matrix_tsv,
     save_checkpoint,
     update_manifest,
-    write_ids_tsv,
     write_matrix_tsv,
 )
 from test_scprior import traced_peak
@@ -95,9 +93,15 @@ class TestMatrixTsv:
         assert np.array_equal(back, m)
 
     def test_id_list_roundtrip(self, tmp_path):
+        # an id list is a zero-column matrix; one without its `id` header, or
+        # with a tab in a row, is refused rather than read without its first
+        # id or with the tab inside an id
         path = tmp_path / "ids.tsv"
-        write_ids_tsv(path, ["a", "b", "c"])
-        assert read_ids_tsv(path) == ["a", "b", "c"]
+        write_matrix_tsv(path, np.empty((3, 0)), ["a", "b", "c"], [])
+        assert read_matrix_tsv(path)[1:] == (["a", "b", "c"], [])
+        for blob in (b"a\nb\nc\n", b"id\na\nb\tx\n"):
+            with pytest.raises(InputError, match="ids.tsv"):
+                read_matrix_tsv(path, blob)
 
 
 class TestCheckpoints:
@@ -362,10 +366,11 @@ class TestExactRoundTrips:
     @example(ids=[])
     @example(ids=["é", " x ", "\x0b\x0c\u2028", "id"])
     def test_ids_round_trip_and_bytes(self, ids, tmp_path_factory):
+        # an id list: the header `id`, then one bare id per line
         path = tmp_path_factory.mktemp("ids") / "ids.tsv"
-        write_ids_tsv(path, ids)
+        write_matrix_tsv(path, np.empty((len(ids), 0)), ids, [])
         assert path.read_bytes() == ("\n".join(["id", *ids]) + "\n").encode()
-        assert read_ids_tsv(path) == ids
+        assert read_matrix_tsv(path)[1:] == (ids, [])
 
     @settings(max_examples=60, deadline=None)
     @given(m=arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 4)),
@@ -719,7 +724,7 @@ class TestIdChecks:
     def test_id_list_rejects(self, ids, bad, tmp_path):
         path = tmp_path / "ids.tsv"
         with pytest.raises(InputError) as info:
-            write_ids_tsv(path, ids)
+            write_matrix_tsv(path, np.empty((len(ids), 0)), ids, [])
         assert repr(bad) in str(info.value)
         assert list(tmp_path.iterdir()) == []
 
@@ -742,8 +747,7 @@ class TestIdChecks:
         assert (rows, cols) == (["", "r1"], ["c0", ""])
 
 
-@pytest.mark.parametrize("read", [read_bytes, read_matrix_tsv, read_ids_tsv,
-                                  read_manifest])
+@pytest.mark.parametrize("read", [read_bytes, read_matrix_tsv, read_manifest])
 @pytest.mark.parametrize("where", ["a directory", "under a file"])
 def test_os_errors_name_the_path(read, where, tmp_path):
     path = tmp_path / "d.tsv"
@@ -757,12 +761,13 @@ def test_os_errors_name_the_path(read, where, tmp_path):
     assert str(path) in str(err.value)
 
 
-@pytest.mark.parametrize("read", [read_matrix_tsv, read_ids_tsv])
-def test_readers_reject_undecodable_bytes(read, tmp_path):
+def test_reader_rejects_undecodable_bytes(tmp_path):
+    # in a column id, and in an id list's row id
     path = tmp_path / "latin1.tsv"
-    path.write_bytes("id\tcaf\xe9\nr0\t1\n".encode("latin-1"))
-    with pytest.raises(InputError, match="latin1.tsv"):
-        read(path)
+    for text in ("id\tcaf\xe9\nr0\t1\n", "id\ncaf\xe9\n"):
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(InputError, match="latin1.tsv"):
+            read_matrix_tsv(path)
 
 
 class TestReaderGrammar:
@@ -842,8 +847,8 @@ TSV_BYTES = st.one_of(st.binary(max_size=200),
 
 
 def _oracle_lines(p, data: bytes) -> list[str]:
-    """Oracle: the non-empty lines of the whole decoded text, as the readers
-    split them before they scanned the bytes in place."""
+    """Oracle: the non-empty lines of the whole decoded text, as the reader
+    split them before it scanned the bytes in place."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -872,13 +877,6 @@ def oracle_matrix(p, data: bytes):
     except ValueError as exc:
         raise InputError(f"non-numeric cell in {p}: {exc}") from None
     return matrix, row_ids, header[1:]
-
-
-def oracle_ids(p, data: bytes) -> list[str]:
-    lines = _oracle_lines(p, data)
-    if not lines:
-        raise InputError(f"empty id list: {p}")
-    return lines[1:]
 
 
 def outcome(read, path, data):
@@ -910,6 +908,7 @@ def reads_like_oracle(path, blob: bytes):
 # token blobs, some behind a header so that more of them parse
 HEADED_BYTES = st.tuples(st.sampled_from([b"", b"id\t", b"\nid\ta\n"]),
                          TSV_BYTES).map(b"".join)
+ID_LIST_BYTES = TSV_BYTES.map(b"id\n".__add__)  # zero-column matrices, mostly
 ORACLE_EXAMPLES = [
     b"\nid\ta\tb\nr0\t1\t2\n",  # a blank line before the header
     b"\r\n\rid\ta\r\nr0\t1\r\n",
@@ -934,7 +933,7 @@ def _with_examples(test):
 
 
 class TestReaderAgainstOracle:
-    # from the file or from its bytes, each reader gives the oracle's ids,
+    # from the file or from its bytes, the reader gives the oracle's ids,
     # columns and matrix bits, or both raise an InputError naming the file
 
     @settings(max_examples=200, deadline=None)
@@ -946,14 +945,14 @@ class TestReaderAgainstOracle:
         reads_like_oracle(path, blob)
 
     @settings(max_examples=200, deadline=None)
-    @given(blob=HEADED_BYTES)
-    @_with_examples
+    @given(blob=ID_LIST_BYTES)
+    @example(blob=b"s0\ns1\n")  # no header: refused, not read without s0
+    @example(blob=b"id\ns0\ts1\n")  # a tab in a row: refused, not one id
+    @example(blob=b"id\r\n\r\ns0\rs1")
     def test_ids(self, blob, tmp_path_factory):
         path = tmp_path_factory.mktemp("or") / "ids.tsv"
         path.write_bytes(blob)
-        want = outcome(oracle_ids, path, blob)
-        assert outcome(read_ids_tsv, path, None) == want
-        assert outcome(read_ids_tsv, path, blob) == want
+        reads_like_oracle(path, blob)
 
     def test_examples_parse(self, tmp_path):
         # the examples other than a non-UTF-8 file all read, so the test
@@ -975,7 +974,7 @@ def slab_rows(size: int) -> bytes:
 
 
 def slab_blobs() -> dict:
-    """Files whose bytes put a slab edge of the readers' scan where a line
+    """Files whose bytes put a slab edge of the reader's scan where a line
     can be cut. The scan starts at the header's newline, so with header
     HEAD the k-th edge is at len(HEAD) - 1 + k * tsvio._SLAB."""
     size, head = tsvio._SLAB, b"id\ta\tb\n"
@@ -995,6 +994,9 @@ def slab_blobs() -> dict:
         + wide_rows[1].replace(b"\t1", b"", 1) + wide_rows[2],
         "last_line_longer_than_slab_no_newline": head + slab_rows(300) + b"r" * (size + 5)
         + b"\t1\t2",
+        # a zero-column matrix: the edge (at 2 + size) cuts a bare row id
+        "id_list_edge_in_row_id": b"id\n" + b"".join(b"r%08d\n" % i
+                                                     for i in range(size // 10 + 40)),
     }
 
 
@@ -1018,8 +1020,6 @@ class TestReaderSlabEdges:
         path, blob = root / f"{name}.tsv", blobs[name]
         want = reads_like_oracle(path, blob)
         assert (want is InputError) == name.startswith("ragged")
-        ids = outcome(oracle_ids, path, blob)
-        assert outcome(read_ids_tsv, path, None) == outcome(read_ids_tsv, path, blob) == ids
         if want is InputError:
             return
         rows = [len(want[1]) - 1, 0, len(want[1]) // 2, 1]
@@ -1033,6 +1033,8 @@ class TestReaderSlabEdges:
         edge = len(b"id\ta\tb\n") - 1 + tsvio._SLAB
         assert blobs["edge_after_newline"][edge - 1:edge + 1] == b"\nr"
         assert blobs["edge_in_row_id"][edge - 2:edge + 1] == b"r_l"
+        edge = len(b"id\n") - 1 + tsvio._SLAB
+        assert blobs["id_list_edge_in_row_id"][edge - 4:edge + 1] == b"\nr000"
 
 
 class TestReaderFuzz:
@@ -1048,10 +1050,6 @@ class TestReaderFuzz:
         try:
             matrix, rows, cols = read_matrix_tsv(path)
             assert matrix.shape == (len(rows), len(cols))
-        except InputError:
-            pass
-        try:
-            assert all(isinstance(i, str) for i in read_ids_tsv(path))
         except InputError:
             pass
 
@@ -1107,8 +1105,6 @@ def _run_eval(ws: Path, k: int):
 WRITERS = {
     "write_matrix_tsv": ("m.tsv", lambda ws, k: write_matrix_tsv(
         ws / "m.tsv", np.full((3, 2), k + 0.5), ["a", "b", "c"], ["x", "y"])),
-    "write_ids_tsv": ("ids.tsv", lambda ws, k: write_ids_tsv(
-        ws / "ids.tsv", [f"id{k}_{i}" for i in range(4)])),
     "save_align": ("align.ckpt", lambda ws, k: save_align(
         ws / "align.ckpt", AlignModel.init(5, 6, Rng(k), embed_dim=4, hidden=8))),
     "save_reg": ("reg.ckpt", lambda ws, k: save_reg(
